@@ -5,12 +5,17 @@ Each alpha with omega <= alpha <= cap carries an order of type omega on
 
   * base: the canonical order on the naturals;
   * alpha = lam + m: the tail lam+m-1, ..., lam prepended to lam's order;
+    the values lam, lam+1, ... sit in one list per limit lam, built once
+    and shared by every order above lam;
   * alpha a limit: orders along the fundamental-sequence chain
     alpha_0 = omega < alpha_1 < ... are adjusted one by one so each
     extends the previous exactly (cut insertion at the certified
     exception points), then alpha is split into finite blocks
     b_i = {gamma < alpha_i strictly before the integer i} minus earlier
-    blocks, listed block by block.
+    blocks, listed block by block.  These stage prefixes are nested, so
+    b_i is usually the stage-i prefix with the stage-(i-1) prefix cut out
+    as one contiguous run; when it is not a run, the placed points are
+    filtered out instead.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -49,7 +54,6 @@ from .tower import DEFAULT_CAP
 class OmegaOrder:
     """A well-order of type omega given by a computable rank function."""
 
-    provenance = "BASE"
     bound: Optional[Ordinal] = None
 
     def rank(self, x) -> int:
@@ -71,8 +75,6 @@ class OmegaOrder:
 
 
 class CanonicalOmega(OmegaOrder):
-    provenance = "BASE"
-
     def __init__(self):
         self.bound = W
 
@@ -95,16 +97,19 @@ class CanonicalOmega(OmegaOrder):
 
 
 class PrependOrder(OmegaOrder):
-    """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order."""
+    """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
 
-    provenance = "PREPEND"
+    ``tail`` is the list [lam, lam+1, ...] shared by every order above the
+    same limit lam; it holds at least m+1 entries and only ever grows, so
+    the first m+1 never change.
+    """
 
-    def __init__(self, inner: OmegaOrder, lam: Ordinal, m: int):
+    def __init__(self, inner: OmegaOrder, tail: List[Ordinal], m: int):
         self.inner = inner
-        self.lam = lam
+        self.lam = tail[0]
         self.m = m
-        self.bound = add(lam, ordinal(m))
-        self._heads = [add(lam, ordinal(m - 1 - k)) for k in range(m)]
+        self.bound = tail[m]
+        self._tail = tail
 
     def rank(self, x) -> int:
         x = _as_ord(x)
@@ -119,13 +124,14 @@ class PrependOrder(OmegaOrder):
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
         if k < self.m:
-            return self._heads[k]
+            return self._tail[self.m - 1 - k]
         return self.inner.nth(k - self.m)
 
     def prefix(self, k: int) -> List[Ordinal]:
-        if k <= self.m:
-            return self._heads[:k]
-        return self._heads + self.inner.prefix(k - self.m)
+        m = self.m
+        if k <= m:
+            return self._tail[m - k:m][::-1]
+        return self._tail[m - 1::-1] + self.inner.prefix(k - m)
 
     def __contains__(self, x) -> bool:
         return _as_ord(x) < self.bound
@@ -133,8 +139,6 @@ class PrependOrder(OmegaOrder):
 
 class ListOrder(OmegaOrder):
     """An explicit finite order, mainly for unit-level checks."""
-
-    provenance = "EXPLICIT"
 
     def __init__(self, elements):
         self.elements = [_as_ord(x) for x in elements]
@@ -165,8 +169,6 @@ class PatchedOrder(OmegaOrder):
     ``placed``; everything else keeps its relative outer order, with
     ranks shifted past the deletions and insertions via binary search.
     """
-
-    provenance = "ADJUSTED"
 
     def __init__(self, outer: OmegaOrder, removed_ranks, placed: Dict[Ordinal, int]):
         self.outer = outer
@@ -235,8 +237,6 @@ class PatchedOrder(OmegaOrder):
 class LimitOrder(OmegaOrder):
     """Block order at a limit eta > omega, built over the adjusted chain."""
 
-    provenance = "LIMIT"
-
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         self.ctx = ctx
         self.eta = eta
@@ -244,6 +244,7 @@ class LimitOrder(OmegaOrder):
         self._blocks: List[Tuple[Ordinal, ...]] = []
         self._seq: List[Ordinal] = []
         self._placed: Dict[Ordinal, int] = {}
+        self._last: List[Ordinal] = []  # the previous stage's prefix
 
     def ensure_blocks(self, n: int) -> None:
         while len(self._blocks) < n:
@@ -259,13 +260,18 @@ class LimitOrder(OmegaOrder):
             raise IterationCeilingError(
                 f"block construction at {self.eta} exceeded {self.ctx.ceiling} stages")
         oi = self.ctx.chain_order(self.eta, i)
-        ri = oi.rank(ordinal(i))
-        placed = self._placed
-        fresh = [p for p in oi.prefix(ri) if p not in placed]
-        for p in fresh:  # prefix order = within-block order
-            placed[p] = len(self._seq)
-            self._seq.append(p)
+        pre = oi.prefix(oi.rank(ordinal(i)))
+        seq, placed = self._seq, self._placed
+        # placed always covers the previous prefix, so the two are equal
+        # exactly when their sizes agree
+        fresh = _splice_out(pre, self._last) if len(self._last) == len(seq) else None
+        if fresh is None:
+            fresh = [p for p in pre if p not in placed]
+        n = len(seq)  # within a block, points keep their prefix order
+        placed.update(zip(fresh, range(n, n + len(fresh))))
+        seq.extend(fresh)
         self._blocks.append(tuple(fresh))
+        self._last = pre
 
     def rank(self, x) -> int:
         x = _as_ord(x)
@@ -289,6 +295,20 @@ class LimitOrder(OmegaOrder):
 
     def __contains__(self, x) -> bool:
         return _as_ord(x) < self.eta
+
+
+def _splice_out(pre: List[Ordinal], run: List[Ordinal]) -> Optional[List[Ordinal]]:
+    """pre with run cut out, or None unless run is one contiguous slice of pre."""
+    if not run:
+        return pre
+    try:
+        s = pre.index(run[0])
+    except ValueError:
+        return None
+    n = len(run)
+    if pre[s:s + n] != run:
+        return None
+    return pre[:s] + pre[s + n:]
 
 
 @dataclass(frozen=True)
@@ -417,6 +437,7 @@ class AAOrders:
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
         self.ceiling = ceiling
         self._orders: Dict[Ordinal, OmegaOrder] = {}
+        self._tails: Dict[Ordinal, List[Ordinal]] = {}
         self._chains: Dict[Ordinal, Tuple[List[Ordinal], List[int]]] = {}
         self._chain_orders: Dict[Tuple[Ordinal, int], OmegaOrder] = {}
         self._chain_certs: Dict[Tuple[Ordinal, int], Tuple[Ordinal, ...]] = {}
@@ -441,11 +462,18 @@ class AAOrders:
             else:
                 lam, m = alpha.split()
                 if m > 0:
-                    got = PrependOrder(self.order(lam), lam, m)
+                    got = PrependOrder(self.order(lam), self._tail(lam, m + 1), m)
                 else:
                     got = LimitOrder(self, alpha)
             self._orders[alpha] = got
         return got
+
+    def _tail(self, lam: Ordinal, n: int) -> List[Ordinal]:
+        """The list [lam, lam+1, ...] shared by the orders above lam, grown
+        to at least n entries."""
+        tail = self._tails.setdefault(lam, [lam])
+        tail.extend(add(lam, ordinal(j)) for j in range(len(tail), n))
+        return tail
 
     def rank(self, alpha, x) -> int:
         alpha = self._check(alpha)

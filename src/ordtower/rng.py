@@ -30,23 +30,7 @@ class Lcg:
             raise ValueError("below() needs a positive bound")
         return (self.next_raw() >> 33) % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def sample_ordinal(self, bound: Ordinal, pool: int = 256) -> Ordinal:
         """A pseudo-random ordinal below bound, drawn from the first
         `pool` canonical enumeration indices."""
         return enum_below(bound, self.below(pool))
-
-    def sample_distinct(self, bound: Ordinal, k: int, pool: int = 256) -> list:
-        """k distinct ordinals below bound; raises if the pool is too small."""
-        seen = []
-        tries = 0
-        while len(seen) < k:
-            x = self.sample_ordinal(bound, pool)
-            if x not in seen:
-                seen.append(x)
-            tries += 1
-            if tries > 64 * k + 256:
-                raise ValueError("sample pool too small for distinct draw")
-        return seen

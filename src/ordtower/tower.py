@@ -15,8 +15,8 @@ each order extends the structure of the previous ones:
 
 ``rank`` and ``nth`` are total and inverse on {gamma < alpha}; the
 ``turnstile`` relation compares ranks and is the closure notion used by
-the family layer.  All chains are memoized on the instance, entries are
-only published once fully computed, so shared use is safe.
+the family layer.  All chains are memoized on the instance, and entries
+are only published once fully computed.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ordtower import omega
 from ordtower import (
     AAOrders,
     CanonicalOmega,
@@ -12,6 +13,7 @@ from ordtower import (
     Lcg,
     ListOrder,
     W,
+    add,
     adjust_one,
     enum_below,
     ordinal,
@@ -244,3 +246,63 @@ def test_adjusted_order_extends_inner(orders, p):
 def test_list_order_duplicates():
     with pytest.raises(DomainError):
         ListOrder([1, 1])
+
+
+def test_successor_tails_are_shared_per_limit(p):
+    orders = AAOrders()
+
+    def check(alpha):
+        o = orders.order(alpha)
+        lam, m = alpha.split()
+        heads = [add(lam, ordinal(m - 1 - k)) for k in range(m)]
+        assert o.bound == add(lam, ordinal(m)) == alpha
+        assert [o.nth(k) for k in range(m)] == heads
+        for k in range(m + 1):
+            assert o.prefix(k) == heads[:k]
+        assert o.prefix(m + 3) == heads + orders.order(lam).prefix(3)
+
+    names = ["w+5", "w+3", "w*2+4"]
+    for name in names:
+        check(p(name))
+    # w+3 reads its heads from the tail w+5 built
+    assert orders.order(p("w+3")).nth(0) is orders.order(p("w+5")).nth(2)
+    # a longer tail appends; shorter orders keep their heads
+    check(p("w+9"))
+    for name in names:
+        check(p(name))
+
+
+def _filter_extend(self):
+    # the block rule the run shortcut must reproduce: the stage-i prefix
+    # minus every point placed by an earlier stage
+    i = len(self._blocks)
+    oi = self.ctx.chain_order(self.eta, i)
+    fresh = [x for x in oi.prefix(oi.rank(ordinal(i))) if x not in self._placed]
+    for x in fresh:
+        self._placed[x] = len(self._seq)
+        self._seq.append(x)
+    self._blocks.append(tuple(fresh))
+
+
+def test_limit_blocks_match_filter_rule(p, monkeypatch):
+    limits = [p(name) for name in ["w*2", "w*3", "w^2", "w^2+w*2", "w^2*2"]]
+    monkeypatch.setattr(omega.LimitOrder, "_extend", _filter_extend)
+    ref = AAOrders()
+    want = {eta: ref.limit_blocks(eta, 40) for eta in limits}
+    monkeypatch.undo()
+
+    paths = {"run": 0, "filter": 0}
+    splice = omega._splice_out
+
+    def counting_splice(pre, run):
+        got = splice(pre, run)
+        paths["run" if got is not None else "filter"] += 1
+        return got
+
+    monkeypatch.setattr(omega, "_splice_out", counting_splice)
+    orders = AAOrders()
+    for eta in limits:
+        assert orders.limit_blocks(eta, 40) == want[eta]
+        o = orders.order(eta)
+        assert o.prefix(len(o._seq)) == [x for b in want[eta] for x in b]
+    assert paths["run"] > 0 and paths["filter"] > 0
