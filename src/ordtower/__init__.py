@@ -1,4 +1,8 @@
-"""Well-orders, finite closures and almost-agreeing omega-orders on ordinals below w^3."""
+"""Well-orders, finite closures and almost-agreeing omega-orders on ordinals.
+
+Arithmetic and literals cover the ordinals below epsilon_0; towers, families
+and omega-orders work up to their cap, which defaults to w^3 inclusive.
+"""
 
 from .errors import (
     CapExceededError,

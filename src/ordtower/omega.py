@@ -12,10 +12,10 @@ Each alpha with omega <= alpha <= cap carries an order of type omega on
     extends the previous exactly (cut insertion at the certified
     exception points), then alpha is split into finite blocks
     b_i = {gamma < alpha_i strictly before the integer i} minus earlier
-    blocks, listed block by block.  These stage prefixes are nested, so
-    b_i is usually the stage-i prefix with the stage-(i-1) prefix cut out
-    as one contiguous run; when it is not a run, the placed points are
-    filtered out instead.
+    blocks, listed block by block in one sequence that keeps the block
+    ends.  These stage prefixes are nested, so b_i is usually the stage-i
+    prefix with the stage-(i-1) prefix cut out as one contiguous run;
+    when it is not a run, the placed points are filtered out instead.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -48,7 +48,7 @@ from .ordinals import (
     _as_ord,
 )
 from .rng import Lcg
-from .tower import DEFAULT_CAP
+from .tower import CEILING, DEFAULT_CAP
 
 
 class OmegaOrder:
@@ -241,24 +241,24 @@ class LimitOrder(OmegaOrder):
         self.ctx = ctx
         self.eta = eta
         self.bound = eta
-        self._blocks: List[Tuple[Ordinal, ...]] = []
         self._seq: List[Ordinal] = []
+        self._ends: List[int] = [0]  # block i is _seq[_ends[i]:_ends[i + 1]]
         self._placed: Dict[Ordinal, int] = {}
         self._last: List[Ordinal] = []  # the previous stage's prefix
 
     def ensure_blocks(self, n: int) -> None:
-        while len(self._blocks) < n:
+        while len(self._ends) <= n:
             self._extend()
 
     def block(self, i: int) -> Tuple[Ordinal, ...]:
         self.ensure_blocks(i + 1)
-        return self._blocks[i]
+        return tuple(self._seq[self._ends[i]:self._ends[i + 1]])
 
     def _extend(self) -> None:
-        i = len(self._blocks)
-        if i >= self.ctx.ceiling:
+        i = len(self._ends) - 1
+        if i >= CEILING:
             raise IterationCeilingError(
-                f"block construction at {self.eta} exceeded {self.ctx.ceiling} stages")
+                f"block construction at {self.eta} exceeded {CEILING} stages")
         oi = self.ctx.chain_order(self.eta, i)
         pre = oi.prefix(oi.rank(ordinal(i)))
         seq, placed = self._seq, self._placed
@@ -270,7 +270,7 @@ class LimitOrder(OmegaOrder):
         n = len(seq)  # within a block, points keep their prefix order
         placed.update(zip(fresh, range(n, n + len(fresh))))
         seq.extend(fresh)
-        self._blocks.append(tuple(fresh))
+        self._ends.append(len(seq))
         self._last = pre
 
     def rank(self, x) -> int:
@@ -433,9 +433,8 @@ def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: Tuple[Ordinal, ...]) -
 class AAOrders:
     """Shared context: memoized orders, chains and certificates below cap."""
 
-    def __init__(self, cap: Ordinal | None = None, ceiling: int = 20000):
+    def __init__(self, cap: Ordinal | None = None):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
-        self.ceiling = ceiling
         self._orders: Dict[Ordinal, OmegaOrder] = {}
         self._tails: Dict[Ordinal, List[Ordinal]] = {}
         self._chains: Dict[Ordinal, Tuple[List[Ordinal], List[int]]] = {}
@@ -560,9 +559,7 @@ class AAOrders:
             o = self.order(alpha)
             assert isinstance(o, LimitOrder)
             o.ensure_blocks(i + 1)
-            collected = set()
-            for j in range(i + 1):
-                collected.update(p for p in o.block(j) if p < beta)
+            collected = {p for p in o._seq[:o._ends[i + 1]] if p < beta}
             collected.update(p for p in self.chain_cert(alpha, i) if p < beta)
             collected.update(self.exception_points(beta, self.chain(alpha, i)))
             pts = oset(collected)

@@ -98,10 +98,6 @@ class Ordinal:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other) -> bool:
         if type(other) is Ordinal:
             return self._key < other._key
@@ -360,9 +356,12 @@ def enum_prefix(eta, n: int) -> list:
 
 
 class _Parser:
+    max_depth = 100  # deeper parentheses would exhaust the stack here or in str()
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str) -> OrdinalSyntaxError:
         return OrdinalSyntaxError(f"{msg} in {self.text!r}", self.pos)
@@ -421,9 +420,13 @@ class _Parser:
             self.pos += 1
             return W
         if ch == "(":
+            if self.depth == self.max_depth:
+                raise self.error(f"parentheses nested deeper than {self.max_depth}")
             self.pos += 1
+            self.depth += 1
             o = self.ordinal_expr()
             self.expect(")")
+            self.depth -= 1
             return o
         if ch.isdigit():
             return ordinal(self.nat())

@@ -11,7 +11,9 @@ each order extends the structure of the previous ones:
     S_1 in S_2 in ... is generated; S_{n+1} closes S_n plus the n-th
     enumerated predecessor of alpha below a fresh chain point alpha_n,
     then adds alpha_n itself.  The order lists S_1, then S_2 \\ S_1, and
-    so on, each new batch in natural ordinal order.
+    so on, each new batch in natural ordinal order, so alpha_n comes last.
+    Each limit keeps this one order list; S_n is its prefix of length
+    chain[n].
 
 ``rank`` and ``nth`` are total and inverse on {gamma < alpha}; the
 ``turnstile`` relation compares ranks and is the closure notion used by
@@ -22,11 +24,10 @@ are only published once fully computed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
-    ZERO,
     Ordinal,
     add,
     difference,
@@ -39,21 +40,20 @@ from .ordinals import (
 )
 
 DEFAULT_CAP = parse_ordinal("w^3")
+# most stages one limit's construction may take, in a Tower or an AAOrders
+CEILING = 20000
 
 OrdinalSet = Tuple[Ordinal, ...]
 
 
 class Tower:
-    def __init__(self, cap: Ordinal | None = None, ceiling: int = 20000):
+    def __init__(self, cap: Ordinal | None = None):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
-        self.ceiling = ceiling
-        # per limit eta: the block chain [S_0, S_1, ...] and the induced order
-        self._chain: Dict[Ordinal, List[OrdinalSet]] = {}
+        # per limit eta: the order, each point's rank in it, and the block
+        # chain as prefix lengths, S_i == set(order[:chain[i]])
         self._order: Dict[Ordinal, List[Ordinal]] = {}
         self._ranks: Dict[Ordinal, Dict[Ordinal, int]] = {}
-        # ends[i] = len(order) once S_i is published, so S_i == set(order[:ends[i]])
-        self._ends: Dict[Ordinal, List[int]] = {}
-        self._blockmax: Dict[Ordinal, List[Optional[Ordinal]]] = {}
+        self._chain: Dict[Ordinal, List[int]] = {}
 
     def _check_cap(self, alpha: Ordinal) -> None:
         if alpha > self.cap:
@@ -112,10 +112,10 @@ class Tower:
         lam, m = alpha.split()
         segment = [add(lam, ordinal(j)) for j in range(m)]
         below = [x for x in a if x < lam]
-        rest: OrdinalSet = ()
+        rest: List[Ordinal] = []
         if below:
             rest = self._close_limit(lam, below)
-        return oset(segment + list(rest))
+        return oset(segment + rest)
 
     def blocks(self, eta, n: int) -> OrdinalSet:
         """The n-th closure block S_n of the chain at the limit eta."""
@@ -128,18 +128,16 @@ class Tower:
         chain = self._ensure_chain(eta)
         while len(chain) <= n:
             self._grow(eta)
-        return chain[n]
+        return tuple(sorted(self._order[eta][:chain[n]]))
 
     # -- internals -----------------------------------------------------------
 
-    def _ensure_chain(self, eta: Ordinal) -> List[OrdinalSet]:
+    def _ensure_chain(self, eta: Ordinal) -> List[int]:
         chain = self._chain.get(eta)
         if chain is None:
-            chain = self._chain[eta] = [()]
+            chain = self._chain[eta] = [0]
             self._order[eta] = []
             self._ranks[eta] = {}
-            self._ends[eta] = [0]
-            self._blockmax[eta] = [None]
         return chain
 
     def _next_chain_point(self, eta: Ordinal, mx: Ordinal) -> Ordinal:
@@ -158,27 +156,25 @@ class Tower:
         return fund_seq(eta, hi)
 
     def _grow(self, eta: Ordinal) -> None:
-        chain = self._chain[eta]
+        chain, order, ranks = self._chain[eta], self._order[eta], self._ranks[eta]
         n = len(chain) - 1
-        if n >= self.ceiling:
+        if n >= CEILING:
             raise IterationCeilingError(
-                f"chain at {eta} exceeded {self.ceiling} blocks")
+                f"chain at {eta} exceeded {CEILING} blocks")
         e = enum_below(eta, n)
-        bm = self._blockmax[eta][n]
-        mx = e if bm is None or e > bm else bm
+        # order[-1] is the previous chain point, the largest point of S_n
+        mx = e if not order or e > order[-1] else order[-1]
         alpha_n = self._next_chain_point(eta, mx)
-        nxt = set(self.close(alpha_n, chain[n] + (e,)))
-        nxt.add(alpha_n)
-        order, ranks = self._order[eta], self._ranks[eta]
-        new = sorted(x for x in nxt if x not in ranks)
+        # close() is sorted and below alpha_n, which is new and comes last
+        new = [x for x in self.close(alpha_n, order + [e]) if x not in ranks]
+        new.append(alpha_n)
         for x in new:
             ranks[x] = len(order)
             order.append(x)
-        chain.append(tuple(sorted(nxt)))
-        self._ends[eta].append(len(order))
-        self._blockmax[eta].append(alpha_n)
+        chain.append(len(order))
 
-    def _close_limit(self, eta: Ordinal, a) -> OrdinalSet:
+    def _close_limit(self, eta: Ordinal, a) -> List[Ordinal]:
+        """The shortest block covering a, as the order prefix it is."""
         self._ensure_chain(eta)
         ranks = self._ranks[eta]
         top = 0
@@ -188,8 +184,8 @@ class Tower:
             r = ranks[x]
             if r >= top:
                 top = r + 1
-        i = bisect_left(self._ends[eta], top)
-        return self._chain[eta][i]
+        ends = self._chain[eta]
+        return self._order[eta][:ends[bisect_left(ends, top)]]
 
     def _limit_rank(self, eta: Ordinal, x: Ordinal) -> int:
         ranks = self._ranks.get(eta)

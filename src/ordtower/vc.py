@@ -102,10 +102,10 @@ def _shattered_mask(masks: Sequence[int], amask: int, k: int) -> bool:
     return len({m & amask for m in masks}) == 1 << k
 
 
-def vc_dim(sys_: SetSystemWindow, limit: int = EXACT_LIMIT) -> int:
+def vc_dim(sys_: SetSystemWindow) -> int:
     """Largest size of a shattered subset, by exact level-wise search."""
-    if sys_.n > limit:
-        raise GuardExceededError(f"exact search limited to {limit} ground points")
+    if sys_.n > EXACT_LIMIT:
+        raise GuardExceededError(f"exact search limited to {EXACT_LIMIT} ground points")
     if not sys_.masks:
         return 0
     level = [0]  # shattered k-subset masks; subsets of shattered sets stay shattered
@@ -123,20 +123,19 @@ def vc_dim(sys_: SetSystemWindow, limit: int = EXACT_LIMIT) -> int:
         d += 1
 
 
-def hunt_shattered(sys_: SetSystemWindow, k: int,
-                   exhaustive_limit: int = EXACT_LIMIT) -> Optional[Tuple]:
+def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
     """Search for a shattered k-subset.
 
-    Below the limit the search is exhaustive, so None refutes existence;
-    above it a greedy point-by-point extension runs and None is merely
-    inconclusive (found sets are always certified).
+    Up to EXACT_LIMIT ground points the search is exhaustive, so None
+    refutes existence; above that a greedy point-by-point extension runs
+    and None is merely inconclusive (found sets are always certified).
     """
     if k > SHATTER_GUARD:
         raise GuardExceededError(f"hunt limited to k <= {SHATTER_GUARD}")
     if k == 0:
         return () if sys_.masks else None
     masks = sys_.masks
-    if sys_.n <= exhaustive_limit:
+    if sys_.n <= EXACT_LIMIT:
         # depth-first over index-increasing extensions of shattered sets
         stack: List[Tuple[int, int, int]] = [(0, -1, 0)]  # (mask, max index, size)
         while stack:

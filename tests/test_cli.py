@@ -125,6 +125,22 @@ def test_error_exit_codes():
     assert run("nope").returncode == 2
 
 
+def nested(depth):
+    # canonical literal with `depth` nested parentheses: w^(w^(...w^w...))
+    return "w^(" * depth + "w^w" + ")" * depth
+
+
+def test_nesting_bound():
+    lit = nested(100)
+    r = run("ord", "parse", lit)
+    assert r.returncode == 0 and r.stdout.strip() == lit
+    for depth in [101, 400]:
+        r = run("ord", "parse", nested(depth))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: syntax:")
+        assert "Traceback" not in r.stderr
+
+
 def test_verify_suite_deterministic():
     a = run("verify", "vc", "--seed", "1")
     b = run("verify", "vc", "--seed", "1")

@@ -10,8 +10,10 @@ from ordtower import (
     CertificateViolation,
     DomainError,
     ExceptionCert,
+    IterationCeilingError,
     Lcg,
     ListOrder,
+    Tower,
     W,
     add,
     adjust_one,
@@ -275,13 +277,13 @@ def test_successor_tails_are_shared_per_limit(p):
 def _filter_extend(self):
     # the block rule the run shortcut must reproduce: the stage-i prefix
     # minus every point placed by an earlier stage
-    i = len(self._blocks)
+    i = len(self._ends) - 1
     oi = self.ctx.chain_order(self.eta, i)
     fresh = [x for x in oi.prefix(oi.rank(ordinal(i))) if x not in self._placed]
     for x in fresh:
         self._placed[x] = len(self._seq)
         self._seq.append(x)
-    self._blocks.append(tuple(fresh))
+    self._ends.append(len(self._seq))
 
 
 def test_limit_blocks_match_filter_rule(p, monkeypatch):
@@ -306,3 +308,18 @@ def test_limit_blocks_match_filter_rule(p, monkeypatch):
         o = orders.order(eta)
         assert o.prefix(len(o._seq)) == [x for b in want[eta] for x in b]
     assert paths["run"] > 0 and paths["filter"] > 0
+
+
+def test_ceiling_stops_both_block_constructions(p, monkeypatch):
+    # omega imports the one constant by name, so both bindings are lowered
+    monkeypatch.setattr("ordtower.tower.CEILING", 3)
+    monkeypatch.setattr(omega, "CEILING", 3)
+    t = Tower()
+    assert len(t.blocks(W, 3)) == 4
+    with pytest.raises(IterationCeilingError, match="chain at w exceeded 3 blocks"):
+        t.blocks(W, 4)
+    orders = AAOrders()
+    assert len(orders.limit_blocks(p("w*2"), 3)) == 3
+    with pytest.raises(IterationCeilingError,
+                       match=r"block construction at w\*2 exceeded 3 stages"):
+        orders.limit_blocks(p("w*2"), 4)

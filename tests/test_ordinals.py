@@ -53,6 +53,13 @@ def test_literal_rejects():
             p(bad)
 
 
+def test_not_equal_follows_eq():
+    assert ordinal(3) != 4
+    assert W != 3
+    assert ordinal(3) != "3"
+    assert not (ordinal(3) != 3)
+
+
 def test_compare_basics():
     assert compare(ZERO, ONE) == -1
     assert compare(W, p("w")) == 0

@@ -1,5 +1,7 @@
 """Tower well-orders: rank/nth, turnstile, closure and blocks."""
 
+import hashlib
+
 import pytest
 
 from ordtower import (
@@ -94,6 +96,28 @@ def test_blocks_are_rank_prefixes(tower):
             blk = tower.blocks(eta, n)
             ranks = sorted(tower.rank(eta, x) for x in blk)
             assert ranks == list(range(len(blk)))
+
+
+def test_blocks_frozen_values():
+    # blocks 1..8 at three limits: sizes and a sha256 of their literals
+    want = {
+        "w*2": ([3, 4, 5, 7, 8, 10, 11, 13],
+                "3b5daef76415c2b45d5379b27f1731e1c0165446d39db6dea2ce2b61f67b2985"),
+        "w*3": ([4, 5, 6, 7, 8, 13, 14, 15],
+                "59fb16b0f777a6f3ec13dade256f5958fbda56b8e432a4586435aaba98a87dbf"),
+        "w^2": ([3, 4, 5, 24, 42, 76, 269, 527],
+                "73eccad792a99483dec8ac29e07d284460f3aac06f25fadff8a759d5b27fb161"),
+    }
+    for s, (sizes, digest) in want.items():
+        eta, t = p(s), Tower()
+        bs = [t.blocks(eta, n) for n in range(1, 9)]
+        assert [len(b) for b in bs] == sizes
+        text = ";".join(",".join(map(str, b)) for b in bs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # the last chain point is the largest point of its block and the
+        # last one ordered
+        for b in bs:
+            assert t.nth(eta, len(b) - 1) == b[-1]
 
 
 def test_order_type_omega_gap_free(tower):
