@@ -24,7 +24,7 @@ from .family import (
     ladder,
 )
 from .omega import AAOrders
-from .ordinals import Ordinal, compare, enum_below, fund_seq, oset, parse_ordinal
+from .ordinals import Ordinal, compare, enum_below, enum_prefix, fund_seq, oset, parse_ordinal
 from .tower import Tower
 from .vc import (
     SetSystemWindow,
@@ -115,7 +115,7 @@ def _cmd_ord(ctx: _Ctx, args) -> int:
     elif args.op == "enum":
         alpha = parse_ordinal(args.a)
         if args.count is not None:
-            vals = [enum_below(alpha, i) for i in range(args.count)]
+            vals = enum_prefix(alpha, args.count)
             if args.output == "json":
                 print(json.dumps({"values": [str(v) for v in vals]}, sort_keys=True))
             else:

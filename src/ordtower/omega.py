@@ -5,12 +5,15 @@ Each alpha with omega <= alpha <= cap carries an order of type omega on
 
   * base: the canonical order on the naturals;
   * alpha = lam + m: the tail lam+m-1, ..., lam prepended to lam's order;
-    the values lam, lam+1, ... sit in one list per limit lam, built once
-    and shared by every order above lam;
+    rank and nth read offsets from lam, and prefixes read the values
+    lam, lam+1, ... from one list per limit lam, built on demand and
+    shared by every order above lam;
   * alpha a limit: orders along the fundamental-sequence chain
     alpha_0 = omega < alpha_1 < ... are adjusted one by one so each
-    extends the previous exactly (cut insertion at the certified
-    exception points), then alpha is split into finite blocks
+    extends the previous exactly: each certified exception point moves
+    just after its anchor, its nearest predecessor in the previous order
+    that is not moved later, which rewrites a finite head of the order
+    and keeps the rest in place.  Then alpha is split into finite blocks
     b_i = {gamma < alpha_i strictly before the integer i} minus earlier
     blocks, listed block by block in one sequence that keeps the block
     ends.  These stage prefixes are nested, so b_i is usually the stage-i
@@ -25,7 +28,6 @@ the same recursion that builds the orders.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -100,41 +102,54 @@ class PrependOrder(OmegaOrder):
     """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
 
     ``tail`` is the list [lam, lam+1, ...] shared by every order above the
-    same limit lam; it holds at least m+1 entries and only ever grows, so
-    the first m+1 never change.
+    same limit lam.  Only ``prefix`` reads it, growing it to m entries;
+    ``rank`` and ``nth`` work on offsets from lam, so a large m costs
+    nothing until a prefix needs the whole tail.
     """
 
     def __init__(self, inner: OmegaOrder, tail: List[Ordinal], m: int):
         self.inner = inner
         self.lam = tail[0]
         self.m = m
-        self.bound = tail[m]
         self._tail = tail
+
+    @property
+    def bound(self) -> Ordinal:
+        return add(self.lam, ordinal(self.m))
+
+    def _offset(self, x: Ordinal) -> Optional[int]:
+        """j with x == lam+j (m when x is lam+w or more); None below lam."""
+        if x < self.lam:
+            return None
+        d = difference(x, self.lam)
+        return d.natural() if d.is_natural() else self.m
 
     def rank(self, x) -> int:
         x = _as_ord(x)
-        if not x < self.bound:
+        j = self._offset(x)
+        if j is None:
+            return self.m + self.inner.rank(x)
+        if j >= self.m:
             raise DomainError(f"{x} is not below {self.bound}")
-        if x >= self.lam:
-            j = difference(x, self.lam).natural()
-            return self.m - 1 - j
-        return self.m + self.inner.rank(x)
+        return self.m - 1 - j
 
     def nth(self, k: int) -> Ordinal:
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
         if k < self.m:
-            return self._tail[self.m - 1 - k]
+            return add(self.lam, ordinal(self.m - 1 - k))
         return self.inner.nth(k - self.m)
 
     def prefix(self, k: int) -> List[Ordinal]:
-        m = self.m
+        m, tail = self.m, self._tail
+        tail.extend(add(self.lam, ordinal(j)) for j in range(len(tail), m))
         if k <= m:
-            return self._tail[m - k:m][::-1]
-        return self._tail[m - 1::-1] + self.inner.prefix(k - m)
+            return tail[m - k:m][::-1]
+        return tail[m - 1::-1] + self.inner.prefix(k - m)
 
     def __contains__(self, x) -> bool:
-        return _as_ord(x) < self.bound
+        j = self._offset(_as_ord(x))
+        return j is None or j < self.m
 
 
 class ListOrder(OmegaOrder):
@@ -162,73 +177,32 @@ class ListOrder(OmegaOrder):
 
 
 class PatchedOrder(OmegaOrder):
-    """An outer order with finitely many points moved to new positions.
+    """An outer order with its first len(head) elements reordered.
 
-    The moved points are deleted from the outer order (their old ranks in
-    ``removed_ranks``) and reinserted at the fixed final ranks in
-    ``placed``; everything else keeps its relative outer order, with
-    ranks shifted past the deletions and insertions via binary search.
+    ``head`` lists the outer order's first len(head) elements in their
+    new order; from position len(head) on the order is the outer order
+    itself, ranks included.
     """
 
-    def __init__(self, outer: OmegaOrder, removed_ranks, placed: Dict[Ordinal, int]):
+    def __init__(self, outer: OmegaOrder, head: List[Ordinal]):
         self.outer = outer
         self.bound = outer.bound
-        self.removed_ranks = tuple(removed_ranks)
-        self.placed = dict(placed)
-        self.placed_at = {r: p for p, r in placed.items()}
-        self.placed_ranks = tuple(sorted(self.placed_at))
+        self.head = head
+        self._ranks = {x: i for i, x in enumerate(head)}
 
     def rank(self, x) -> int:
         x = _as_ord(x)
-        got = self.placed.get(x)
-        if got is not None:
-            return got
-        r0 = self.outer.rank(x)
-        r1 = r0 - bisect_left(self.removed_ranks, r0)
-        t = r1
-        while True:
-            c = bisect_right(self.placed_ranks, t)
-            if r1 + c == t:
-                return t
-            t = r1 + c
+        got = self._ranks.get(x)
+        return got if got is not None else self.outer.rank(x)
 
     def nth(self, k: int) -> Ordinal:
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
-        got = self.placed_at.get(k)
-        if got is not None:
-            return got
-        r1 = k - bisect_left(self.placed_ranks, k)
-        j = r1
-        while True:
-            c = bisect_right(self.removed_ranks, j)
-            if r1 + c == j:
-                break
-            j = r1 + c
-        return self.outer.nth(j)
+        return self.head[k] if k < len(self.head) else self.outer.nth(k)
 
     def prefix(self, k: int) -> List[Ordinal]:
-        n_ins = bisect_left(self.placed_ranks, k)
-        need = k - n_ins
-        j = need
-        while True:
-            c = bisect_right(self.removed_ranks, j - 1) if j else 0
-            if need + c == j:
-                break
-            j = need + c
-        raw = self.outer.prefix(j)
-        removed = set(r for r in self.removed_ranks if r < j)
-        base = [p for r, p in enumerate(raw) if r not in removed]
-        out: List[Ordinal] = []
-        bi = 0
-        for pos in range(k):
-            got = self.placed_at.get(pos)
-            if got is not None:
-                out.append(got)
-            else:
-                out.append(base[bi])
-                bi += 1
-        return out
+        n = len(self.head)
+        return self.head[:k] if k <= n else self.head + self.outer.prefix(k)[n:]
 
     def __contains__(self, x) -> bool:
         return _as_ord(x) in self.outer
@@ -360,12 +334,15 @@ class VerifyResult:
 def adjust_one(inner: OmegaOrder, outer: OmegaOrder, cert, spot_check: int = 0) -> OmegaOrder:
     """Rebuild outer so it extends inner exactly, given certified exceptions.
 
-    Processes the exception points in increasing order; each is deleted
-    and reinserted at the cut just after the last of its inner
-    predecessors still present.  With no points the outer order is
-    returned as is (the certificate claims the restriction already
-    matches).  ``spot_check`` compares the result against inner on that
-    many leading elements and raises CertificateViolation on a mismatch.
+    The exception points are taken out of outer and put back in
+    increasing order, each right after its anchor: its nearest inner
+    predecessor that is not moved later (the front when it has none).
+    Only the outer prefix up to the last point or anchor is rewritten,
+    so the result is a ``PatchedOrder`` over outer.  With no points the
+    outer order is returned as is (the certificate claims the restriction
+    already matches).  ``spot_check`` compares the result against inner on
+    that many leading elements and raises CertificateViolation on a
+    mismatch.
     """
     points = cert.points if isinstance(cert, ExceptionCert) else oset(cert)
     for p in points:
@@ -391,43 +368,21 @@ def adjust_one(inner: OmegaOrder, outer: OmegaOrder, cert, spot_check: int = 0) 
 def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: Tuple[Ordinal, ...]) -> OmegaOrder:
     if not points:
         return outer
-    removed_ranks = sorted(outer.rank(p) for p in points)
-    entries: List[List] = []  # [rank, point], sorted by rank
-    ranks: List[int] = []     # parallel rank list
-    placed: Dict[Ordinal, List] = {}
-    remaining = set(points)
-
-    def partial_rank(z: Ordinal) -> int:
-        e = placed.get(z)
-        if e is not None:
-            return e[0]
-        r0 = outer.rank(z)
-        r1 = r0 - bisect_left(removed_ranks, r0)
-        t = r1
-        while True:
-            c = bisect_right(ranks, t)
-            if r1 + c == t:
-                return t
-            t = r1 + c
-
+    anchors: Dict[Ordinal, Optional[Ordinal]] = {}  # keyed by the moved points
+    later = set(points)
     for x in points:
-        remaining.discard(x)
-        # nearest inner predecessor still present gives the cut
-        cut = 0
+        later.discard(x)
+        # the nearest inner predecessor not moved later
         j = inner.rank(x) - 1
-        while j >= 0:
-            z = inner.nth(j)
-            if z not in remaining:
-                cut = partial_rank(z) + 1
-                break
+        while j >= 0 and inner.nth(j) in later:
             j -= 1
-        pos = bisect_left(ranks, cut)
-        for e in entries[pos:]:
-            e[0] += 1
-        ranks[pos:] = [r + 1 for r in ranks[pos:]]
-        entries.insert(pos, [cut, x])
-        ranks.insert(pos, cut)
-    return PatchedOrder(outer, removed_ranks, {e[1]: e[0] for e in entries})
+        anchors[x] = inner.nth(j) if j >= 0 else None
+    n = 1 + max(outer.rank(z) for z in [*points, *anchors.values()] if z is not None)
+    head = [z for z in outer.prefix(n) if z not in anchors]
+    for x in points:
+        a = anchors[x]
+        head.insert(0 if a is None else head.index(a) + 1, x)
+    return PatchedOrder(outer, head)
 
 
 class AAOrders:
@@ -461,18 +416,11 @@ class AAOrders:
             else:
                 lam, m = alpha.split()
                 if m > 0:
-                    got = PrependOrder(self.order(lam), self._tail(lam, m + 1), m)
+                    got = PrependOrder(self.order(lam), self._tails.setdefault(lam, [lam]), m)
                 else:
                     got = LimitOrder(self, alpha)
             self._orders[alpha] = got
         return got
-
-    def _tail(self, lam: Ordinal, n: int) -> List[Ordinal]:
-        """The list [lam, lam+1, ...] shared by the orders above lam, grown
-        to at least n entries."""
-        tail = self._tails.setdefault(lam, [lam])
-        tail.extend(add(lam, ordinal(j)) for j in range(len(tail), n))
-        return tail
 
     def rank(self, alpha, x) -> int:
         alpha = self._check(alpha)
@@ -580,6 +528,8 @@ class AAOrders:
         """Sampled check of the defining property: orders agree on pairs
         outside the certificate points.  Order overrides let callers probe
         deliberately mismatched orders (negative control)."""
+        if samples < 0:
+            raise DomainError(f"sample count must be >= 0, got {samples}")
         lo = lower_order if lower_order is not None else self.order(cert.lower)
         hi = upper_order if upper_order is not None else self.order(cert.upper)
         excl = set(cert.points)

@@ -349,6 +349,8 @@ def _limit_enum_gen(eta: Ordinal) -> Iterator[Ordinal]:
 
 def enum_prefix(eta, n: int) -> list:
     """First n enumeration values of {gamma < eta} as a list."""
+    if n < 0:
+        raise DomainError(f"count must be >= 0, got {n}")
     return [enum_below(eta, i) for i in range(n)]
 
 

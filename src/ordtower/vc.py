@@ -130,6 +130,8 @@ def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
     refutes existence; above that a greedy point-by-point extension runs
     and None is merely inconclusive (found sets are always certified).
     """
+    if k < 0:
+        raise DomainError(f"set size must be >= 0, got {k}")
     if k > SHATTER_GUARD:
         raise GuardExceededError(f"hunt limited to k <= {SHATTER_GUARD}")
     if k == 0:
@@ -163,6 +165,8 @@ def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
 
 def sauer_check(sys_: SetSystemWindow, d: int) -> bool:
     """Distinct full-ground traces within the binomial bound for dimension d."""
+    if d < 0:
+        raise DomainError(f"dimension must be >= 0, got {d}")
     traces = len(set(sys_.masks))
     return traces <= sum(comb(sys_.n, i) for i in range(d + 1))
 

@@ -125,6 +125,17 @@ def test_error_exit_codes():
     assert run("nope").returncode == 2
 
 
+def test_negative_counts_are_domain_errors():
+    for argv in [("vc", "hunt", "-1", "--bound", "w", "--count", "12"),
+                 ("vc", "sauer", "-1"),
+                 ("aa", "verify", "w", "w*2", "--count", "-3"),
+                 ("ord", "enum", "w", "--count", "-2")]:
+        r = run(*argv)
+        assert r.returncode == 1, argv
+        assert r.stderr.startswith("error: domain:"), argv
+        assert "Traceback" not in r.stderr and r.stdout == "", argv
+
+
 def nested(depth):
     # canonical literal with `depth` nested parentheses: w^(w^(...w^w...))
     return "w^(" * depth + "w^w" + ")" * depth

@@ -1,6 +1,9 @@
 """Almost-agreeing omega-orders: prefixes, certificates, adjustment."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 from ordtower import omega
 from ordtower import (
@@ -79,6 +82,25 @@ def test_order_covers_every_point(orders, p):
         assert orders.nth(alpha, orders.rank(alpha, x)) == x
 
 
+def test_successor_order_far_above_limit(p):
+    # rank and nth at w+10^8 read offsets from w; no tail is materialised
+    orders = AAOrders()
+    alpha = p("w+100000000")
+    assert orders.rank(alpha, W) == 99999999
+    assert orders.rank(alpha, p("w+99999999")) == 0
+    assert orders.rank(alpha, 7) == 100000007
+    assert str(orders.nth(alpha, 0)) == "w+99999999"
+    assert orders.nth(alpha, 100000003) == 3
+    o = orders.order(alpha)
+    assert o.bound == alpha
+    assert p("w+99999999") in o and alpha not in o and p("w*2") not in o
+    with pytest.raises(DomainError):
+        o.rank(alpha)
+    with pytest.raises(DomainError):
+        o.rank(p("w*2"))
+    assert orders._tails[W] == [W]
+
+
 def test_rank_domain_checks(orders, p):
     with pytest.raises(DomainError):
         orders.rank(p("w*2"), p("w*2"))
@@ -133,6 +155,36 @@ def test_exception_set_frozen_values(orders, p):
         cert = orders.exception_set(p(lo), p(hi))
         assert strs(cert.points) == want
         assert cert.lower == p(lo) and cert.upper == p(hi)
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_limit_blocks_and_certificates_pinned(p):
+    # sizes and sha256 of the first 40 blocks and of six certificates
+    orders = AAOrders()
+    blocks = {
+        "w^2": (1561, "e7bf340c51661e97c2db4a7c84a998e43d9dfe1a377d3237b59c5af78f1a0239"),
+        "w^2+w*2": (1677, "b192fdfa4749260f5fed80a212fc41cad43fbe6aa9e8c3f6301555ef0706b796"),
+        "w^2*2": (3082, "5ff85e61ea27c4850236860a33c69e1c5302ec52ac67503f06a7ace2d26c529e"),
+    }
+    for name, (size, want) in blocks.items():
+        bs = orders.limit_blocks(p(name), 40)
+        assert sum(map(len, bs)) == size
+        assert digest(";".join(",".join(map(str, b)) for b in bs)) == want
+    certs = {
+        ("w*2", "w^2"): (3, "5f03773bbed4598ad0ea8b0f88e52fd980bbbed859c90044a35af5caec82c8f1"),
+        ("w*3+1", "w^2+w"): (11, "601234647f180b20cf54f9d9dc5c902c92d6d69ec216f0dc8f7b9dd7667d3db3"),
+        ("w^2", "w^2*2"): (4, "36fa8ca5261052aee847fdf404053b20d95e6400b3d032be3969f160b846d626"),
+        ("w+5", "w^2+w*3"): (10, "51a2aa86dc24fb0f9ff52ba3affe1572596573b6e681b757bf93ad0c863d1838"),
+        ("w*4", "w^2+5"): (13, "f897c1cc4c1e6f3eef9fd4d89b331bbe43ffb006faf2097cf25c328e1d50ed06"),
+        ("w^2+w", "w^2*2"): (11, "61ac39210221272e077230d8fd903952a07af03864ae61f4c509258c7b4c4683"),
+    }
+    for (lo, hi), (size, want) in certs.items():
+        pts = orders.exception_set(p(lo), p(hi)).points
+        assert len(pts) == size
+        assert digest(",".join(map(str, pts))) == want
 
 
 def test_exception_set_validation(orders, p):
@@ -212,6 +264,39 @@ def test_adjust_one_hand_example():
     assert strs([got.nth(k) for k in range(3)]) == ["1", "0", "2"]
     assert got.rank(1) == 0 and got.rank(0) == 1 and got.rank(2) == 2
     assert 2 in got and ordinal(5) not in got
+    # 1's anchor is 0, itself moved; 1 goes right after 0's new slot
+    got = adjust_one(ListOrder([0, 1, 2, 3]), ListOrder([0, 1, 2, 3, 4]),
+                     [ordinal(0), ordinal(1)])
+    assert strs(got.prefix(5)) == ["0", "1", "2", "3", "4"]
+    assert [got.rank(k) for k in range(5)] == [0, 1, 2, 3, 4]
+
+
+@st.composite
+def adjust_cases(draw):
+    # inner: a permutation of 0..n-1; outer: those points and up to 3 more,
+    # in any order; the certificate: the inner points outside a common
+    # subsequence of the two orders
+    n = draw(st.integers(1, 6))
+    inner = draw(st.permutations(range(n)))
+    outer = draw(st.permutations(range(n + draw(st.integers(0, 3)))))
+    keep = draw(st.sets(st.sampled_from(inner)))
+    common, last = set(), -1
+    for x in inner:
+        if x in keep and outer.index(x) > last:
+            common.add(x)
+            last = outer.index(x)
+    return inner, outer, [ordinal(x) for x in inner if x not in common]
+
+
+@given(adjust_cases())
+def test_adjusted_order_extends_any_inner(case):
+    inner, outer, points = case
+    got = adjust_one(ListOrder(inner), ListOrder(outer), points)
+    assert sorted(inner, key=got.rank) == list(inner)
+    listed = [got.nth(k) for k in range(len(outer))]
+    assert sorted(listed) == sorted(map(ordinal, outer))
+    assert [got.rank(x) for x in listed] == list(range(len(outer)))
+    assert got.prefix(len(outer)) == listed
 
 
 def test_adjust_one_spot_check_flags_bad_cert():
@@ -267,7 +352,7 @@ def test_successor_tails_are_shared_per_limit(p):
     for name in names:
         check(p(name))
     # w+3 reads its heads from the tail w+5 built
-    assert orders.order(p("w+3")).nth(0) is orders.order(p("w+5")).nth(2)
+    assert orders.order(p("w+3")).prefix(1)[0] is orders.order(p("w+5")).prefix(3)[2]
     # a longer tail appends; shorter orders keep their heads
     check(p("w+9"))
     for name in names:
