@@ -27,8 +27,6 @@ from .omega import (
     AAOrders,
     CanonicalOmega,
     ExceptionCert,
-    ListOrder,
-    OmegaOrder,
     VerifyResult,
     adjust_one,
 )
@@ -48,7 +46,7 @@ from .ordinals import (
     parse_ordinal,
 )
 from .rng import Lcg
-from .tower import Tower
+from .tower import ListOrder, OmegaOrder, Tower
 from .vc import (
     RmkResult,
     RmkValue,

@@ -1,24 +1,27 @@
 """Almost-agreeing omega-orders on the ordinals below a cap.
 
 Each alpha with omega <= alpha <= cap carries an order of type omega on
-{gamma < alpha}:
+{gamma < alpha}, built from the tower's ``PrependOrder`` and
+``BlockOrder`` just as the tower's own orders are:
 
   * base: the canonical order on the naturals;
-  * alpha = lam + m: the tail lam+m-1, ..., lam prepended to lam's order;
-    rank and nth read offsets from lam, and prefixes read the values
-    lam, lam+1, ... from one list per limit lam, built on demand and
+  * alpha = lam + m: a ``PrependOrder``, the tail lam+m-1, ..., lam in
+    front of lam's order, reading its points from one list per limit lam
     shared by every order above lam;
-  * alpha a limit: orders along the fundamental-sequence chain
-    alpha_0 = omega < alpha_1 < ... are adjusted one by one so each
+  * alpha a limit: a ``LimitOrder``, the ``BlockOrder`` whose next block
+    comes from the adjusted chain.  Orders along the fundamental-sequence
+    chain alpha_0 = omega < alpha_1 < ... are adjusted one by one so each
     extends the previous exactly: each certified exception point moves
     just after its anchor, its nearest predecessor in the previous order
     that is not moved later, which rewrites a finite head of the order
-    and keeps the rest in place.  Then alpha is split into finite blocks
-    b_i = {gamma < alpha_i strictly before the integer i} minus earlier
-    blocks, listed block by block in one sequence that keeps the block
-    ends.  These stage prefixes are nested, so b_i is usually the stage-i
-    prefix with the stage-(i-1) prefix cut out as one contiguous run;
-    when it is not a run, the placed points are filtered out instead.
+    and keeps the rest in place.  Block b_i is {gamma < alpha_i strictly
+    before the integer i} minus earlier blocks.  These stage prefixes are
+    nested, so b_i is usually the stage-i prefix with the stage-(i-1)
+    prefix cut out as one contiguous run; when it is not a run, the
+    placed points are filtered out instead.
+
+The two layers differ only in how a limit's next block is chosen: a
+closure step in the tower, the adjusted chain here.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -40,8 +43,6 @@ from .errors import (
 from .ordinals import (
     Ordinal,
     W,
-    add,
-    difference,
     enum_below,
     fund_seq,
     ordinal,
@@ -50,30 +51,7 @@ from .ordinals import (
     _as_ord,
 )
 from .rng import Lcg
-from .tower import CEILING, DEFAULT_CAP
-
-
-class OmegaOrder:
-    """A well-order of type omega given by a computable rank function."""
-
-    bound: Optional[Ordinal] = None
-
-    def rank(self, x) -> int:
-        raise NotImplementedError
-
-    def nth(self, k: int) -> Ordinal:
-        raise NotImplementedError
-
-    def __contains__(self, x) -> bool:
-        raise NotImplementedError
-
-    def before(self, x, y) -> bool:
-        """True when x strictly precedes y."""
-        return self.rank(_as_ord(x)) < self.rank(_as_ord(y))
-
-    def prefix(self, k: int) -> List[Ordinal]:
-        """First k elements; subclasses override with bulk versions."""
-        return [self.nth(i) for i in range(k)]
+from .tower import DEFAULT_CAP, BlockOrder, OmegaOrder, PrependOrder
 
 
 class CanonicalOmega(OmegaOrder):
@@ -96,84 +74,6 @@ class CanonicalOmega(OmegaOrder):
 
     def __contains__(self, x) -> bool:
         return _as_ord(x) < W
-
-
-class PrependOrder(OmegaOrder):
-    """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
-
-    ``tail`` is the list [lam, lam+1, ...] shared by every order above the
-    same limit lam.  Only ``prefix`` reads it, growing it to m entries;
-    ``rank`` and ``nth`` work on offsets from lam, so a large m costs
-    nothing until a prefix needs the whole tail.
-    """
-
-    def __init__(self, inner: OmegaOrder, tail: List[Ordinal], m: int):
-        self.inner = inner
-        self.lam = tail[0]
-        self.m = m
-        self._tail = tail
-
-    @property
-    def bound(self) -> Ordinal:
-        return add(self.lam, ordinal(self.m))
-
-    def _offset(self, x: Ordinal) -> Optional[int]:
-        """j with x == lam+j (m when x is lam+w or more); None below lam."""
-        if x < self.lam:
-            return None
-        d = difference(x, self.lam)
-        return d.natural() if d.is_natural() else self.m
-
-    def rank(self, x) -> int:
-        x = _as_ord(x)
-        j = self._offset(x)
-        if j is None:
-            return self.m + self.inner.rank(x)
-        if j >= self.m:
-            raise DomainError(f"{x} is not below {self.bound}")
-        return self.m - 1 - j
-
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
-        if k < self.m:
-            return add(self.lam, ordinal(self.m - 1 - k))
-        return self.inner.nth(k - self.m)
-
-    def prefix(self, k: int) -> List[Ordinal]:
-        m, tail = self.m, self._tail
-        tail.extend(add(self.lam, ordinal(j)) for j in range(len(tail), m))
-        if k <= m:
-            return tail[m - k:m][::-1]
-        return tail[m - 1::-1] + self.inner.prefix(k - m)
-
-    def __contains__(self, x) -> bool:
-        j = self._offset(_as_ord(x))
-        return j is None or j < self.m
-
-
-class ListOrder(OmegaOrder):
-    """An explicit finite order, mainly for unit-level checks."""
-
-    def __init__(self, elements):
-        self.elements = [_as_ord(x) for x in elements]
-        self._ranks = {x: i for i, x in enumerate(self.elements)}
-        if len(self._ranks) != len(self.elements):
-            raise DomainError("explicit order has duplicate elements")
-
-    def rank(self, x) -> int:
-        x = _as_ord(x)
-        if x not in self._ranks:
-            raise DomainError(f"{x} is not in this order")
-        return self._ranks[x]
-
-    def nth(self, k: int) -> Ordinal:
-        if not 0 <= k < len(self.elements):
-            raise DomainError(f"rank {k} out of range")
-        return self.elements[k]
-
-    def __contains__(self, x) -> bool:
-        return _as_ord(x) in self._ranks
 
 
 class PatchedOrder(OmegaOrder):
@@ -208,67 +108,25 @@ class PatchedOrder(OmegaOrder):
         return _as_ord(x) in self.outer
 
 
-class LimitOrder(OmegaOrder):
+class LimitOrder(BlockOrder):
     """Block order at a limit eta > omega, built over the adjusted chain."""
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
+        super().__init__(eta)
         self.ctx = ctx
-        self.eta = eta
-        self.bound = eta
-        self._seq: List[Ordinal] = []
-        self._ends: List[int] = [0]  # block i is _seq[_ends[i]:_ends[i + 1]]
-        self._placed: Dict[Ordinal, int] = {}
         self._last: List[Ordinal] = []  # the previous stage's prefix
-
-    def ensure_blocks(self, n: int) -> None:
-        while len(self._ends) <= n:
-            self._extend()
-
-    def block(self, i: int) -> Tuple[Ordinal, ...]:
-        self.ensure_blocks(i + 1)
-        return tuple(self._seq[self._ends[i]:self._ends[i + 1]])
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
-        if i >= CEILING:
-            raise IterationCeilingError(
-                f"block construction at {self.eta} exceeded {CEILING} stages")
         oi = self.ctx.chain_order(self.eta, i)
         pre = oi.prefix(oi.rank(ordinal(i)))
-        seq, placed = self._seq, self._placed
-        # placed always covers the previous prefix, so the two are equal
+        # the ranks always cover the previous prefix, so the two are equal
         # exactly when their sizes agree
-        fresh = _splice_out(pre, self._last) if len(self._last) == len(seq) else None
+        fresh = _splice_out(pre, self._last) if len(self._last) == len(self._seq) else None
         if fresh is None:
-            fresh = [p for p in pre if p not in placed]
-        n = len(seq)  # within a block, points keep their prefix order
-        placed.update(zip(fresh, range(n, n + len(fresh))))
-        seq.extend(fresh)
-        self._ends.append(len(seq))
+            fresh = [p for p in pre if p not in self._ranks]
+        self.append_block(fresh)  # within a block, points keep their prefix order
         self._last = pre
-
-    def rank(self, x) -> int:
-        x = _as_ord(x)
-        if not x < self.eta:
-            raise DomainError(f"{x} is not below {self.eta}")
-        while x not in self._placed:
-            self._extend()
-        return self._placed[x]
-
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
-        while len(self._seq) <= k:
-            self._extend()
-        return self._seq[k]
-
-    def prefix(self, k: int) -> List[Ordinal]:
-        while len(self._seq) < k:
-            self._extend()
-        return self._seq[:k]
-
-    def __contains__(self, x) -> bool:
-        return _as_ord(x) < self.eta
 
 
 def _splice_out(pre: List[Ordinal], run: List[Ordinal]) -> Optional[List[Ordinal]]:
@@ -438,8 +296,8 @@ class AAOrders:
         o = self.order(eta)
         if not isinstance(o, LimitOrder):
             raise DomainError(f"{eta} is not a limit above w")
-        o.ensure_blocks(n)
-        return [o.block(i) for i in range(n)]
+        seq, ends = o.ensure_blocks(n), o._ends
+        return [tuple(seq[ends[i]:ends[i + 1]]) for i in range(n)]
 
     # -- fundamental-sequence chain -----------------------------------------
 
@@ -506,8 +364,7 @@ class AAOrders:
                 i += 1
             o = self.order(alpha)
             assert isinstance(o, LimitOrder)
-            o.ensure_blocks(i + 1)
-            collected = {p for p in o._seq[:o._ends[i + 1]] if p < beta}
+            collected = {p for p in o.ensure_blocks(i + 1) if p < beta}
             collected.update(p for p in self.chain_cert(alpha, i) if p < beta)
             collected.update(self.exception_points(beta, self.chain(alpha, i)))
             pts = oset(collected)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Iterable, Iterator, Tuple
 
-from .errors import DomainError, NotALimitError, OrdinalSyntaxError
+from .errors import DomainError, GuardExceededError, NotALimitError, OrdinalSyntaxError
 
 Term = Tuple["Ordinal", int]
 
@@ -285,7 +285,11 @@ def fund_seq(lam, n: int) -> Ordinal:
 # [fund_seq(eta,i-1), fund_seq(eta,i)) are dovetailed along diagonals
 # i+j = d, skipping pairs whose block is already exhausted.  The walk is
 # memoized per limit so repeated queries only pay for the unseen prefix.
+# A walk at w*k opens one at w*(k-1), and so on: at most ENUM_DEPTH walks
+# may be open at once, so deep limits end in an error, not a stack overflow.
 
+ENUM_DEPTH = 200
+_enum_depth = 0
 _enum_lists: dict[Ordinal, list] = {}
 _enum_gens: dict[Ordinal, Iterator[Ordinal]] = {}
 
@@ -313,13 +317,24 @@ def enum_below(eta, n: int) -> Ordinal:
 
 
 def _limit_enum(eta: Ordinal, n: int) -> Ordinal:
+    global _enum_depth
     got = _enum_lists.get(eta)
     if got is None:
         got = _enum_lists[eta] = []
         _enum_gens[eta] = _limit_enum_gen(eta)
-    gen = _enum_gens[eta]
-    while len(got) <= n:
-        got.append(next(gen))
+    if len(got) <= n:
+        if _enum_depth >= ENUM_DEPTH:
+            raise GuardExceededError(
+                f"enumeration nests more than {ENUM_DEPTH} limits deep (at {eta})")
+        _enum_depth += 1
+        try:
+            while len(got) <= n:
+                got.append(next(_enum_gens[eta]))
+        except BaseException:
+            del _enum_lists[eta], _enum_gens[eta]  # the walk died with the error
+            raise
+        finally:
+            _enum_depth -= 1
     return got[n]
 
 

@@ -1,33 +1,33 @@
-"""A tower of well-orders on the ordinals below a cap.
+"""A tower of well-orders on the ordinals below a cap, and the two
+omega-order constructions it shares with the omega layer.
 
 For each alpha the tower carries a well-order of type omega (for infinite
-alpha; of type alpha for finite alpha) on {gamma < alpha}, built so that
-each order extends the structure of the previous ones:
+alpha; of type alpha for finite alpha) on {gamma < alpha}:
 
-  * alpha = lam + m with m > 0: the top elements lam+m-1, ..., lam are
-    prepended in front of the order at lam (handled in closed form, no
-    m-fold recursion);
-  * alpha a limit: an increasing chain of finite blocks S_0 = {} in
-    S_1 in S_2 in ... is generated; S_{n+1} closes S_n plus the n-th
-    enumerated predecessor of alpha below a fresh chain point alpha_n,
-    then adds alpha_n itself.  The order lists S_1, then S_2 \\ S_1, and
-    so on, each new batch in natural ordinal order, so alpha_n comes last.
-    Each limit keeps this one order list; S_n is its prefix of length
-    chain[n].
+  * alpha = lam + m with m > 0: a ``PrependOrder``, the top elements
+    lam+m-1, ..., lam in front of the order at lam;
+  * alpha a limit: a ``BlockOrder`` listing an increasing chain of finite
+    blocks S_0 = {} in S_1 in ... one after the other.  S_{n+1} closes
+    S_n plus the n-th enumerated predecessor of alpha below a fresh chain
+    point alpha_n, then adds alpha_n itself; each new batch is listed in
+    natural ordinal order, so alpha_n comes last.
 
-``rank`` and ``nth`` are total and inverse on {gamma < alpha}; the
-``turnstile`` relation compares ranks and is the closure notion used by
-the family layer.  All chains are memoized on the instance, and entries
-are only published once fully computed.
+``omega.AAOrders`` builds its orders from the same two classes; only the
+choice of a limit's next block differs (the adjusted chain there, a
+closure step here).  ``rank`` and ``nth`` are total and inverse on
+{gamma < alpha}; the ``turnstile`` relation compares ranks and is the
+closure notion used by the family layer.  All orders are memoized on the
+instance, and blocks are only published once fully computed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
+    ZERO,
     Ordinal,
     add,
     difference,
@@ -40,51 +40,220 @@ from .ordinals import (
 )
 
 DEFAULT_CAP = parse_ordinal("w^3")
-# most stages one limit's construction may take, in a Tower or an AAOrders
+# most blocks one limit's construction may take, in a Tower or an AAOrders
 CEILING = 20000
 
 OrdinalSet = Tuple[Ordinal, ...]
 
 
+class OmegaOrder:
+    """A well-order of type omega given by a computable rank function."""
+
+    bound: Optional[Ordinal] = None
+
+    def rank(self, x) -> int:
+        raise NotImplementedError
+
+    def nth(self, k: int) -> Ordinal:
+        raise NotImplementedError
+
+    def __contains__(self, x) -> bool:
+        raise NotImplementedError
+
+    def before(self, x, y) -> bool:
+        """True when x strictly precedes y."""
+        return self.rank(_as_ord(x)) < self.rank(_as_ord(y))
+
+    def prefix(self, k: int) -> List[Ordinal]:
+        """First k elements; subclasses override with bulk versions."""
+        return [self.nth(i) for i in range(k)]
+
+
+class ListOrder(OmegaOrder):
+    """An explicit finite order, mainly for unit-level checks."""
+
+    def __init__(self, elements):
+        self.elements = [_as_ord(x) for x in elements]
+        self._ranks = {x: i for i, x in enumerate(self.elements)}
+        if len(self._ranks) != len(self.elements):
+            raise DomainError("explicit order has duplicate elements")
+
+    def rank(self, x) -> int:
+        x = _as_ord(x)
+        if x not in self._ranks:
+            raise DomainError(f"{x} is not in this order")
+        return self._ranks[x]
+
+    def nth(self, k: int) -> Ordinal:
+        if not 0 <= k < len(self.elements):
+            raise DomainError(f"rank {k} out of range")
+        return self.elements[k]
+
+    def __contains__(self, x) -> bool:
+        return _as_ord(x) in self._ranks
+
+
+class PrependOrder(OmegaOrder):
+    """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
+
+    ``tail`` is the list [lam, lam+1, ...] shared by every order above the
+    same limit lam.  Only ``prefix`` reads it, growing it to m entries;
+    ``rank`` and ``nth`` work on offsets from lam, so a large m costs
+    nothing until a prefix needs the whole tail.
+    """
+
+    def __init__(self, inner: OmegaOrder, tail: List[Ordinal], m: int):
+        self.inner = inner
+        self.lam = tail[0]
+        self.m = m
+        self._tail = tail
+
+    @property
+    def bound(self) -> Ordinal:
+        return add(self.lam, ordinal(self.m))
+
+    def _offset(self, x: Ordinal) -> Optional[int]:
+        """j with x == lam+j (m when x is lam+w or more); None below lam."""
+        if x < self.lam:
+            return None
+        d = difference(x, self.lam)
+        return d.natural() if d.is_natural() else self.m
+
+    def rank(self, x) -> int:
+        x = _as_ord(x)
+        j = self._offset(x)
+        if j is None:
+            return self.m + self.inner.rank(x)
+        if j >= self.m:
+            raise DomainError(f"{x} is not below {self.bound}")
+        return self.m - 1 - j
+
+    def nth(self, k: int) -> Ordinal:
+        if k < 0:
+            raise DomainError(f"rank index must be >= 0, got {k}")
+        if k < self.m:
+            return add(self.lam, ordinal(self.m - 1 - k))
+        return self.inner.nth(k - self.m)
+
+    def prefix(self, k: int) -> List[Ordinal]:
+        m, tail = self.m, self._tail
+        tail.extend(add(self.lam, ordinal(j)) for j in range(len(tail), m))
+        if k <= m:
+            return tail[m - k:m][::-1]
+        return tail[m - 1::-1] + self.inner.prefix(k - m)
+
+    def __contains__(self, x) -> bool:
+        j = self._offset(_as_ord(x))
+        return j is None or j < self.m
+
+
+class BlockOrder(OmegaOrder):
+    """Order at a limit eta: finite blocks, listed one after the other.
+
+    The order is the list ``_seq``, block i is ``_seq[_ends[i]:_ends[i + 1]]``
+    and ``_ranks`` maps each listed point to its position.  Blocks are built
+    on demand, at most ``CEILING`` of them, by ``_extend``: ``grow(eta)``
+    here, overridden by subclasses; either appends through ``append_block``.
+    """
+
+    def __init__(self, eta: Ordinal, grow: Optional[Callable[[Ordinal], None]] = None):
+        self.eta = self.bound = eta
+        self.grow = grow
+        self._seq: List[Ordinal] = []
+        self._ranks: Dict[Ordinal, int] = {}
+        self._ends: List[int] = [0]
+
+    def _extend(self) -> None:
+        self.grow(self.eta)
+
+    def _next_block(self) -> None:
+        if len(self._ends) > CEILING:
+            raise IterationCeilingError(
+                f"block construction at {self.eta} exceeded {CEILING} stages")
+        self._extend()
+
+    def append_block(self, points: List[Ordinal]) -> None:
+        """List points, none of them listed yet, as the next block."""
+        n = len(self._seq)
+        self._ranks.update(zip(points, range(n, n + len(points))))
+        self._seq.extend(points)
+        self._ends.append(len(self._seq))
+
+    def ensure_blocks(self, n: int) -> List[Ordinal]:
+        """Build blocks 0..n-1 and return their points, in order."""
+        while len(self._ends) <= n:
+            self._next_block()
+        return self._seq[:self._ends[n]]
+
+    def rank(self, x) -> int:
+        x = _as_ord(x)
+        if not x < self.eta:
+            raise DomainError(f"{x} is not below {self.eta}")
+        while x not in self._ranks:
+            self._next_block()
+        return self._ranks[x]
+
+    def nth(self, k: int) -> Ordinal:
+        if k < 0:
+            raise DomainError(f"rank index must be >= 0, got {k}")
+        while len(self._seq) <= k:
+            self._next_block()
+        return self._seq[k]
+
+    def prefix(self, k: int) -> List[Ordinal]:
+        while len(self._seq) < k:
+            self._next_block()
+        return self._seq[:k]
+
+    def __contains__(self, x) -> bool:
+        return _as_ord(x) < self.eta
+
+
 class Tower:
     def __init__(self, cap: Ordinal | None = None):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
-        # per limit eta: the order, each point's rank in it, and the block
+        self._orders: Dict[Ordinal, OmegaOrder] = {ZERO: ListOrder(())}
+        self._tails: Dict[Ordinal, List[Ordinal]] = {}
+        # per limit eta whose order has grown: the order list and the block
         # chain as prefix lengths, S_i == set(order[:chain[i]])
         self._order: Dict[Ordinal, List[Ordinal]] = {}
-        self._ranks: Dict[Ordinal, Dict[Ordinal, int]] = {}
         self._chain: Dict[Ordinal, List[int]] = {}
 
     def _check_cap(self, alpha: Ordinal) -> None:
         if alpha > self.cap:
             raise CapExceededError(f"{alpha} exceeds the configured cap {self.cap}")
 
+    def order(self, alpha) -> OmegaOrder:
+        """The well-order attached to alpha, memoized."""
+        alpha = _as_ord(alpha)
+        self._check_cap(alpha)
+        got = self._orders.get(alpha)
+        if got is None:
+            lam, m = alpha.split()
+            got = self._orders[alpha] = (
+                PrependOrder(self.order(lam), self._tails.setdefault(lam, [lam]), m)
+                if m > 0 else BlockOrder(alpha, self._grow))
+        return got
+
     # -- rank / nth ----------------------------------------------------------
 
     def rank(self, alpha, x) -> int:
         """Position of x in the well-order attached to alpha; requires x < alpha."""
         alpha, x = _as_ord(alpha), _as_ord(x)
-        self._check_cap(alpha)
+        o = self.order(alpha)
         if not x < alpha:
             raise DomainError(f"rank needs x < alpha, got x={x}, alpha={alpha}")
-        lam, m = alpha.split()
-        if x >= lam:
-            j = difference(x, lam).natural()
-            return m - 1 - j
-        return m + self._limit_rank(lam, x)
+        return o.rank(x)
 
     def nth(self, alpha, k: int) -> Ordinal:
         """Inverse of rank: the element of {gamma < alpha} at position k."""
         alpha = _as_ord(alpha)
-        self._check_cap(alpha)
+        o = self.order(alpha)
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
-        lam, m = alpha.split()
-        if k < m:
-            return add(lam, ordinal(m - 1 - k))
-        if lam.is_zero():
+        if alpha.is_natural() and k >= alpha.natural():
             raise DomainError(f"rank {k} out of range for alpha={alpha}")
-        return self._limit_nth(lam, k - m)
+        return o.nth(k)
 
     def turnstile(self, alpha, beta, gamma) -> bool:
         """True when beta, gamma < alpha and gamma precedes beta in alpha's order."""
@@ -104,41 +273,31 @@ class Tower:
         is returned.
         """
         alpha = _as_ord(alpha)
-        self._check_cap(alpha)
+        o = self.order(alpha)
         a = [_as_ord(x) for x in a]
         for x in a:
             if not x < alpha:
                 raise DomainError(f"close needs elements < alpha, got {x} >= {alpha}")
         lam, m = alpha.split()
-        segment = [add(lam, ordinal(j)) for j in range(m)]
+        points = o.prefix(m)  # the segment [lam, alpha), from the shared tail
         below = [x for x in a if x < lam]
-        rest: List[Ordinal] = []
-        if below:
-            rest = self._close_limit(lam, below)
-        return oset(segment + rest)
+        if below:  # the shortest stage at lam covering them
+            blocks = self.order(lam)
+            top = 1 + max(blocks.rank(x) for x in below)
+            points += blocks.ensure_blocks(bisect_left(blocks._ends, top))
+        return oset(points)
 
     def blocks(self, eta, n: int) -> OrdinalSet:
         """The n-th closure block S_n of the chain at the limit eta."""
         eta = _as_ord(eta)
-        self._check_cap(eta)
+        o = self.order(eta)
         if not eta.is_limit():
             raise DomainError(f"blocks requires a limit ordinal, got {eta}")
         if n < 0:
             raise DomainError(f"block index must be >= 0, got {n}")
-        chain = self._ensure_chain(eta)
-        while len(chain) <= n:
-            self._grow(eta)
-        return tuple(sorted(self._order[eta][:chain[n]]))
+        return tuple(sorted(o.ensure_blocks(n)))
 
     # -- internals -----------------------------------------------------------
-
-    def _ensure_chain(self, eta: Ordinal) -> List[int]:
-        chain = self._chain.get(eta)
-        if chain is None:
-            chain = self._chain[eta] = [0]
-            self._order[eta] = []
-            self._ranks[eta] = {}
-        return chain
 
     def _next_chain_point(self, eta: Ordinal, mx: Ordinal) -> Ordinal:
         # least value of the fundamental sequence above mx, by doubling
@@ -156,49 +315,15 @@ class Tower:
         return fund_seq(eta, hi)
 
     def _grow(self, eta: Ordinal) -> None:
-        chain, order, ranks = self._chain[eta], self._order[eta], self._ranks[eta]
-        n = len(chain) - 1
-        if n >= CEILING:
-            raise IterationCeilingError(
-                f"chain at {eta} exceeded {CEILING} blocks")
-        e = enum_below(eta, n)
+        o = self._orders[eta]
+        order, chain = o._seq, o._ends
+        if not order:  # the first block: publish the limit's order
+            self._order[eta], self._chain[eta] = order, chain
+        e = enum_below(eta, len(chain) - 1)
         # order[-1] is the previous chain point, the largest point of S_n
         mx = e if not order or e > order[-1] else order[-1]
         alpha_n = self._next_chain_point(eta, mx)
         # close() is sorted and below alpha_n, which is new and comes last
-        new = [x for x in self.close(alpha_n, order + [e]) if x not in ranks]
+        new = [x for x in self.close(alpha_n, order + [e]) if x not in o._ranks]
         new.append(alpha_n)
-        for x in new:
-            ranks[x] = len(order)
-            order.append(x)
-        chain.append(len(order))
-
-    def _close_limit(self, eta: Ordinal, a) -> List[Ordinal]:
-        """The shortest block covering a, as the order prefix it is."""
-        self._ensure_chain(eta)
-        ranks = self._ranks[eta]
-        top = 0
-        for x in set(a):
-            while x not in ranks:
-                self._grow(eta)
-            r = ranks[x]
-            if r >= top:
-                top = r + 1
-        ends = self._chain[eta]
-        return self._order[eta][:ends[bisect_left(ends, top)]]
-
-    def _limit_rank(self, eta: Ordinal, x: Ordinal) -> int:
-        ranks = self._ranks.get(eta)
-        if ranks is None:
-            self._ensure_chain(eta)
-            ranks = self._ranks[eta]
-        while x not in ranks:
-            self._grow(eta)
-        return ranks[x]
-
-    def _limit_nth(self, eta: Ordinal, k: int) -> Ordinal:
-        self._ensure_chain(eta)
-        order = self._order[eta]
-        while len(order) <= k:
-            self._grow(eta)
-        return order[k]
+        o.append_block(new)

@@ -95,7 +95,7 @@ def is_shattered(sys_: SetSystemWindow, a) -> bool:
     k = bin(amask).count("1")
     if k > SHATTER_GUARD:
         raise GuardExceededError(f"shattering check limited to {SHATTER_GUARD} points")
-    return len({m & amask for m in sys_.masks}) == 1 << k
+    return _shattered_mask(sys_.masks, amask, k)
 
 
 def _shattered_mask(masks: Sequence[int], amask: int, k: int) -> bool:

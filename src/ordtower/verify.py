@@ -12,10 +12,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError
 from .family import cofinal_extend, enumerate_family, is_closed, ladder
-from .omega import AAOrders, ExceptionCert, ListOrder, adjust_one
+from .omega import AAOrders, ExceptionCert, adjust_one
 from .ordinals import Ordinal, W, add, enum_below, ordinal, parse_ordinal
 from .rng import Lcg
-from .tower import Tower
+from .tower import ListOrder, Tower
 from .vc import (
     SetSystemWindow,
     cond4_check,
@@ -90,7 +90,7 @@ def _check_trichotomy(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "500 pairs below w^2+w*5 ordered and inverted exactly")
 
 
-def _check_literal_roundtrip(cfg: VerifyConfig, tower: Tower) -> CheckResult:
+def _check_literal_roundtrip(cfg: VerifyConfig) -> CheckResult:
     rng = Lcg(cfg.seed + 1)
     for _ in range(100):
         x = enum_below(cfg.cap, rng.below(500))
@@ -101,10 +101,10 @@ def _check_literal_roundtrip(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "100 canonical literals round-tripped")
 
 
-def suite_tower(cfg: VerifyConfig, tower: Tower, ctx: AAOrders) -> List[CheckResult]:
+def suite_tower(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
     return [
         _check_trichotomy(cfg, tower),
-        _check_literal_roundtrip(cfg, tower),
+        _check_literal_roundtrip(cfg),
     ]
 
 
@@ -191,7 +191,7 @@ def _check_closed_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "500 sets judged identically by both closure routes")
 
 
-def suite_family(cfg: VerifyConfig, tower: Tower, ctx: AAOrders) -> List[CheckResult]:
+def suite_family(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
     return [
         _check_extend_sound(cfg, tower),
         _check_close_sound(cfg, tower),
@@ -322,7 +322,7 @@ def _check_trace_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "100 random systems match the direct set enumerator")
 
 
-def suite_vc(cfg: VerifyConfig, tower: Tower, ctx: AAOrders) -> List[CheckResult]:
+def suite_vc(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
     return [
         _check_cond4(cfg, tower),
         _check_window_vc(cfg, tower),
@@ -407,7 +407,7 @@ def _check_adjust_unit(cfg: VerifyConfig, ctx: AAOrders) -> CheckResult:
                        "empty certificate is identity; hand example reproduced")
 
 
-def suite_aa(cfg: VerifyConfig, tower: Tower, ctx: AAOrders) -> List[CheckResult]:
+def suite_aa(cfg: VerifyConfig, ctx: AAOrders) -> List[CheckResult]:
     return [
         _check_order_type(cfg, ctx),
         _check_almost_agree(cfg, ctx),
@@ -415,7 +415,7 @@ def suite_aa(cfg: VerifyConfig, tower: Tower, ctx: AAOrders) -> List[CheckResult
     ]
 
 
-SUITES: Dict[str, Callable[[VerifyConfig, Tower, AAOrders], List[CheckResult]]] = {
+SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
     "tower": suite_tower,
     "family": suite_family,
     "vc": suite_vc,
@@ -424,12 +424,14 @@ SUITES: Dict[str, Callable[[VerifyConfig, Tower, AAOrders], List[CheckResult]]] 
 
 
 def run_suites(names, cfg: Optional[VerifyConfig] = None) -> List[CheckResult]:
+    """Run the named suites; "aa" gets an AAOrders, the others share a Tower."""
     cfg = cfg or VerifyConfig()
-    tower = Tower(cap=cfg.cap)
-    ctx = AAOrders(cap=cfg.cap)
+    names = list(names)
+    tower = Tower(cap=cfg.cap) if set(names) - {"aa"} else None
+    ctx = AAOrders(cap=cfg.cap) if "aa" in names else None
     results: List[CheckResult] = []
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
-        results.extend(SUITES[name](cfg, tower, ctx))
+        results.extend(SUITES[name](cfg, ctx if name == "aa" else tower))
     return results

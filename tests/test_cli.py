@@ -152,6 +152,15 @@ def test_nesting_bound():
         assert "Traceback" not in r.stderr
 
 
+def test_deep_enumeration_ends_in_an_error():
+    for alpha in ["w*99999999999999", "w*400"]:
+        r = run("ord", "enum", alpha, "3")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: guard:")
+        assert "Traceback" not in r.stderr
+    assert run("ord", "enum", "w*200", "3").stdout.strip() == "w*198"
+
+
 def test_verify_suite_deterministic():
     a = run("verify", "vc", "--seed", "1")
     b = run("verify", "vc", "--seed", "1")

@@ -364,9 +364,9 @@ def _filter_extend(self):
     # minus every point placed by an earlier stage
     i = len(self._ends) - 1
     oi = self.ctx.chain_order(self.eta, i)
-    fresh = [x for x in oi.prefix(oi.rank(ordinal(i))) if x not in self._placed]
+    fresh = [x for x in oi.prefix(oi.rank(ordinal(i))) if x not in self._ranks]
     for x in fresh:
-        self._placed[x] = len(self._seq)
+        self._ranks[x] = len(self._seq)
         self._seq.append(x)
     self._ends.append(len(self._seq))
 
@@ -396,12 +396,12 @@ def test_limit_blocks_match_filter_rule(p, monkeypatch):
 
 
 def test_ceiling_stops_both_block_constructions(p, monkeypatch):
-    # omega imports the one constant by name, so both bindings are lowered
+    # both constructions read the one constant in tower
     monkeypatch.setattr("ordtower.tower.CEILING", 3)
-    monkeypatch.setattr(omega, "CEILING", 3)
     t = Tower()
     assert len(t.blocks(W, 3)) == 4
-    with pytest.raises(IterationCeilingError, match="chain at w exceeded 3 blocks"):
+    with pytest.raises(IterationCeilingError,
+                       match="block construction at w exceeded 3 stages"):
         t.blocks(W, 4)
     orders = AAOrders()
     assert len(orders.limit_blocks(p("w*2"), 3)) == 3

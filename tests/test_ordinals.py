@@ -8,6 +8,7 @@ from ordtower import (
     W,
     ZERO,
     DomainError,
+    GuardExceededError,
     NotALimitError,
     Ordinal,
     OrdinalSyntaxError,
@@ -164,3 +165,14 @@ def test_add_right_monotone(a, b):
 def test_difference_inverts_add(a, b):
     # left cancellation: a + d = a + b forces d = b
     assert difference(add(a, b), a) == b
+
+
+def test_deep_enumeration_leaves_the_cache_usable():
+    p = parse_ordinal
+    with pytest.raises(GuardExceededError):
+        enum_below(p("w*400"), 3)
+    # the walks the error cut short are dropped, not left as dead
+    # generators that would end later calls in a bare StopIteration
+    with pytest.raises(GuardExceededError):
+        enum_below(p("w*300"), 3)
+    assert enum_below(p("w*100"), 3) == p("w*98")

@@ -11,6 +11,7 @@ from ordtower import (
     Tower,
     W,
     add,
+    enum_below,
     ordinal,
     parse_ordinal,
 )
@@ -174,3 +175,34 @@ def test_rank_domain(tower):
         tower.rank(W, W)
     with pytest.raises(DomainError):
         tower.nth(W, -1)
+
+
+def test_orders_pinned_across_levels():
+    # the first 30 points (all of them below 30) of 200 orders below
+    # w^2+w*5+1, finite, successor and limit alike; sha256 captured before
+    # the tower and the omega layer shared one order implementation
+    eta, t = p("w^2+w*5+1"), Tower()
+    alphas, i = [], 0
+    while len(alphas) < 200:
+        alpha = enum_below(eta, i)
+        i += 1
+        if alpha >= ordinal(2):
+            alphas.append(alpha)
+    assert {a.is_natural() for a in alphas} == {True, False}
+    assert any(a.is_limit() for a in alphas)
+    lines = []
+    for alpha in alphas:
+        n = 30 if not alpha.is_natural() else min(30, alpha.natural())
+        lines.append(f"{alpha}:" + ",".join(str(t.nth(alpha, k)) for k in range(n)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "24aad7c9091c4e2d89bda604c434ae21c76a790faf5e877890cfe944bcd5c634"
+
+
+def test_tower_suite_builds_no_omega_context(monkeypatch):
+    from ordtower import verify
+
+    def unused(*args, **kwargs):
+        raise AssertionError("AAOrders built for the tower suite")
+
+    monkeypatch.setattr(verify, "AAOrders", unused)
+    assert all(r.passed for r in verify.run_suites(["tower"]))
