@@ -164,6 +164,8 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
     tower._check_cap(bound)
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
+    if count > 0 and not ZERO < bound:
+        raise DomainError(f"family window needs bound > 0, got {bound}")
     members: List[OrdinalSet] = []
     seen = set()
 

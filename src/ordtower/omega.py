@@ -330,18 +330,22 @@ class AAOrders:
         return got
 
     def chain_order(self, eta: Ordinal, i: int) -> OmegaOrder:
-        for j in range(i + 1):
-            key = (eta, j)
-            if key in self._chain_orders:
-                continue
+        got = self._chain_orders.get((eta, i))
+        if got is not None:
+            return got
+        # stages are built in order, so the cached ones at eta are 0..j-1
+        j = i
+        while j > 0 and (eta, j - 1) not in self._chain_orders:
+            j -= 1
+        for j in range(j, i + 1):
             if j == 0:
                 got = self.order(W)
             else:
                 inner = self._chain_orders[(eta, j - 1)]
                 outer = self.order(self.chain(eta, j))
                 got = _adjust(inner, outer, self.chain_cert(eta, j))
-            self._chain_orders[key] = got
-        return self._chain_orders[(eta, i)]
+            self._chain_orders[(eta, j)] = got
+        return got
 
     # -- exception certificates ----------------------------------------------
 

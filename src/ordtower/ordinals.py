@@ -281,12 +281,18 @@ def fund_seq(lam, n: int) -> Ordinal:
 
 # -- canonical enumeration of {gamma < eta} --------------------------------
 #
-# Successors peel the top element first; at a limit the interval blocks
+# At eta = lam + m the top elements lam+m-1, ..., lam come first, then
+# lam's enumeration.  At a limit the interval blocks
 # [fund_seq(eta,i-1), fund_seq(eta,i)) are dovetailed along diagonals
-# i+j = d, skipping pairs whose block is already exhausted.  The walk is
-# memoized per limit so repeated queries only pay for the unseen prefix.
-# A walk at w*k opens one at w*(k-1), and so on: at most ENUM_DEPTH walks
-# may be open at once, so deep limits end in an error, not a stack overflow.
+# i+j = d: diagonal d takes element j = d-i of every block i < d that is
+# not yet exhausted, in increasing i, then element 0 of block d, computed
+# only when the walk reaches it.  A finite block leaves the live list once
+# the walk passes its last element, so each value costs the live blocks of
+# its diagonal, not all d+1 of them (at w every block has one element).  The
+# walk is memoized per limit so repeated queries only pay for the unseen
+# prefix.  A walk at w*k opens one at w*(k-1), and so on: at most
+# ENUM_DEPTH walks may be open at once, so deep limits end in an error,
+# not a stack overflow.
 
 ENUM_DEPTH = 200
 _enum_depth = 0
@@ -303,17 +309,14 @@ def enum_below(eta, n: int) -> Ordinal:
     eta = _as_ord(eta)
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    while True:
-        if eta.is_zero():
-            raise DomainError("enum_below requires eta > 0")
-        if eta.is_limit():
-            return _limit_enum(eta, n)
-        prev = eta.pred()
-        if n == 0:
-            return prev
-        if prev.is_zero():
-            return ZERO
-        eta, n = prev, n - 1
+    if eta.is_zero():
+        raise DomainError("enum_below requires eta > 0")
+    lam, m = eta.split()
+    if n < m:
+        return add(lam, ordinal(m - 1 - n))
+    if lam.is_zero():
+        return ZERO
+    return _limit_enum(lam, n - m)
 
 
 def _limit_enum(eta: Ordinal, n: int) -> Ordinal:
@@ -339,27 +342,22 @@ def _limit_enum(eta: Ordinal, n: int) -> Ordinal:
 
 
 def _limit_enum_gen(eta: Ordinal) -> Iterator[Ordinal]:
-    starts: list[Ordinal] = []
-    diffs: list[Ordinal] = []
-
-    def ensure(i: int) -> None:
-        while len(starts) <= i:
-            k = len(starts)
-            lo = ZERO if k == 0 else fund_seq(eta, k - 1)
-            hi = fund_seq(eta, k)
-            starts.append(lo)
-            diffs.append(difference(hi, lo))
-
+    live: list = []  # (i, start, length) of the blocks not yet exhausted
+    lo = ZERO
     for d in count(0):
-        for i in range(d + 1):
-            j = d - i
-            ensure(i)
-            diff = diffs[i]
-            if diff.is_zero():
+        kept = []
+        for blk in live:
+            i, start, length = blk
+            if length.is_natural() and d - i >= length.natural():
                 continue
-            if diff.is_natural() and j >= diff.natural():
-                continue
-            yield add(starts[i], enum_below(diff, j))
+            kept.append(blk)
+            yield add(start, enum_below(length, d - i))
+        hi = fund_seq(eta, d)  # block d, reached as the diagonal's last entry
+        length = difference(hi, lo)
+        if length:
+            kept.append((d, lo, length))
+            yield add(lo, enum_below(length, 0))
+        live, lo = kept, hi
 
 
 def enum_prefix(eta, n: int) -> list:

@@ -12,6 +12,18 @@ alpha; of type alpha for finite alpha) on {gamma < alpha}:
     point alpha_n, then adds alpha_n itself; each new batch is listed in
     natural ordinal order, so alpha_n comes last.
 
+Each stage is built from its new points only.  With alpha_n = lam + m,
+S_n plus e, closed below alpha_n, is the tail lam .. lam+m-1 plus the
+shortest stage prefix of lam's order covering the points below lam.
+While lam repeats, that prefix only moves past the previous stage's end,
+to the first block end covering e when e < lam, so the new block is those
+points of lam's order, sorted, then the tail past the previous chain
+point, then alpha_n.  Only a stage above a new lam closes all placed
+points (all of them below lam).  So a limit's order costs time linear in
+its length; the length itself grows fast: the least closed superset of
+{3, w*k+1} has 6, 11, 20, 38, 72, 138, 268 and 526 points for
+k = 1..8, so the blocks at w^2 double with each step of w.
+
 ``omega.AAOrders`` builds its orders from the same two classes; only the
 choice of a limit's next block differs (the adjusted chain there, a
 closure step here).  ``rank`` and ``nth`` are total and inverse on
@@ -97,7 +109,8 @@ class PrependOrder(OmegaOrder):
     """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
 
     ``tail`` is the list [lam, lam+1, ...] shared by every order above the
-    same limit lam.  Only ``prefix`` reads it, growing it to m entries;
+    same limit lam.  Only ``prefix`` and ``segment`` read it, growing it to
+    m entries;
     ``rank`` and ``nth`` work on offsets from lam, so a large m costs
     nothing until a prefix needs the whole tail.
     """
@@ -135,12 +148,20 @@ class PrependOrder(OmegaOrder):
             return add(self.lam, ordinal(self.m - 1 - k))
         return self.inner.nth(k - self.m)
 
-    def prefix(self, k: int) -> List[Ordinal]:
+    def _grown_tail(self) -> List[Ordinal]:
         m, tail = self.m, self._tail
         tail.extend(add(self.lam, ordinal(j)) for j in range(len(tail), m))
+        return tail
+
+    def prefix(self, k: int) -> List[Ordinal]:
+        m, tail = self.m, self._grown_tail()
         if k <= m:
             return tail[m - k:m][::-1]
         return tail[m - 1::-1] + self.inner.prefix(k - m)
+
+    def segment(self, j: int) -> List[Ordinal]:
+        """The tail points lam+j .. lam+m-1, increasing."""
+        return self._grown_tail()[j:self.m]
 
     def __contains__(self, x) -> bool:
         j = self._offset(_as_ord(x))
@@ -162,6 +183,7 @@ class BlockOrder(OmegaOrder):
         self._seq: List[Ordinal] = []
         self._ranks: Dict[Ordinal, int] = {}
         self._ends: List[int] = [0]
+        self._last = None  # what _extend keeps of the previous stage
 
     def _extend(self) -> None:
         self.grow(self.eta)
@@ -299,20 +321,23 @@ class Tower:
 
     # -- internals -----------------------------------------------------------
 
-    def _next_chain_point(self, eta: Ordinal, mx: Ordinal) -> Ordinal:
-        # least value of the fundamental sequence above mx, by doubling
-        if fund_seq(eta, 0) > mx:
-            return fund_seq(eta, 0)
-        lo, hi = 0, 1
-        while not fund_seq(eta, hi) > mx:
-            lo, hi = hi, hi * 2
+    def _next_chain_point(self, eta: Ordinal, mx: Ordinal, k: int) -> Tuple[int, Ordinal]:
+        """The least i > k with fund_seq(eta, i) > mx, and that value.
+
+        fund_seq(eta, k) <= mx unless k == -1; the search gallops up from k.
+        """
+        lo, step = k, 1
+        while not (top := fund_seq(eta, lo + step)) > mx:
+            lo, step = lo + step, 2 * step
+        hi = lo + step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if fund_seq(eta, mid) > mx:
-                hi = mid
+            v = fund_seq(eta, mid)
+            if v > mx:
+                hi, top = mid, v
             else:
                 lo = mid
-        return fund_seq(eta, hi)
+        return hi, top
 
     def _grow(self, eta: Ordinal) -> None:
         o = self._orders[eta]
@@ -322,8 +347,27 @@ class Tower:
         e = enum_below(eta, len(chain) - 1)
         # order[-1] is the previous chain point, the largest point of S_n
         mx = e if not order or e > order[-1] else order[-1]
-        alpha_n = self._next_chain_point(eta, mx)
-        # close() is sorted and below alpha_n, which is new and comes last
-        new = [x for x in self.close(alpha_n, order + [e]) if x not in o._ranks]
+        # the previous stage: the index of its chain point lam0 + m0 in the
+        # fundamental sequence, and the stage prefix at lam0 it covered
+        k0, lam0, m0, end0 = o._last or (-1, None, 0, 0)
+        k, alpha_n = self._next_chain_point(eta, mx, k0)
+        lam, m = alpha_n.split()
+        if lam != lam0:
+            # every placed point is below the new lam, so close them all;
+            # close() is sorted and below alpha_n, which is new and comes last
+            closed = self.close(alpha_n, order + [e])
+            new = [x for x in closed if x not in o._ranks]
+            end = len(closed) - m  # the points below lam: a stage prefix at lam
+        else:
+            # only lam's points past end0, up to the first block end covering
+            # e, and the tail past lam+m0 are new; they sort in that order
+            end, new = end0, []
+            if e < lam:
+                below = self.order(lam)
+                ends = below._ends
+                end = max(end0, ends[bisect_left(ends, below.rank(e) + 1)])
+                new = sorted(below._seq[end0:end])
+            new += self.order(alpha_n).segment(m0 + 1)
         new.append(alpha_n)
         o.append_block(new)
+        o._last = (k, lam, m, end)

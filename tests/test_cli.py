@@ -136,6 +136,18 @@ def test_negative_counts_are_domain_errors():
         assert "Traceback" not in r.stderr and r.stdout == "", argv
 
 
+def test_zero_bound_window_is_a_domain_error():
+    for argv in [("family", "window", "--bound", "0", "--count", "3"),
+                 ("vc", "dim", "0,1", "--bound", "0", "--count", "3")]:
+        r = run(*argv)
+        assert r.returncode == 1, argv
+        assert r.stderr.startswith("error: domain: family window needs bound > 0"), argv
+        assert "Traceback" not in r.stderr and r.stdout == "", argv
+    r = run("family", "window", "--bound", "0", "--count", "0")
+    assert r.returncode == 0
+    assert r.stdout.strip() == "bound: 0  seed: 1  members: 0"
+
+
 def nested(depth):
     # canonical literal with `depth` nested parentheses: w^(w^(...w^w...))
     return "w^(" * depth + "w^w" + ")" * depth

@@ -1,5 +1,7 @@
 """Arithmetic, literals and enumeration of the CNF ordinals."""
 
+from itertools import count
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,6 +132,57 @@ def test_enum_injective_at_limits():
     pre = enum_prefix(p("w^2"), 300)
     assert len(set(pre)) == 300
     assert all(x < p("w^2") for x in pre)
+
+
+_ref_lists: dict = {}
+_ref_walks: dict = {}
+
+
+def ref_enum_below(eta, n):
+    """The enumeration as first written: peel one successor per step, then
+    scan every block i <= d on diagonal d, exhausted ones included."""
+    while not eta.is_limit():
+        prev = eta.pred()
+        if n == 0:
+            return prev
+        if prev.is_zero():
+            return ZERO
+        eta, n = prev, n - 1
+    got = _ref_lists.setdefault(eta, [])
+    if eta not in _ref_walks:
+        _ref_walks[eta] = _ref_walk(eta)
+    while len(got) <= n:
+        got.append(next(_ref_walks[eta]))
+    return got[n]
+
+
+def _ref_walk(eta):
+    for d in count(0):
+        for i in range(d + 1):
+            lo = ZERO if i == 0 else fund_seq(eta, i - 1)
+            diff = difference(fund_seq(eta, i), lo)
+            j = d - i
+            if diff.is_zero() or (diff.is_natural() and j >= diff.natural()):
+                continue
+            yield add(lo, ref_enum_below(diff, j))
+
+
+ENUM_ETAS = [x for x in enum_prefix(p("w^3+w*2+3"), 200) if x > ZERO]
+
+
+@given(st.sampled_from(ENUM_ETAS), st.integers(0, 199))
+def test_enum_below_matches_full_diagonal_walk(eta, n):
+    got = enum_below(eta, n)
+    assert got == ref_enum_below(eta, n)
+    if eta.is_natural() and n >= eta.natural():
+        assert got == ZERO
+
+
+def test_enum_below_finite_repeats_zero():
+    assert enum_prefix(ordinal(3), 6) == [ordinal(k) for k in [2, 1, 0, 0, 0, 0]]
+    assert enum_below(ordinal(1), 5) == ZERO
+    with pytest.raises(DomainError):
+        enum_below(ZERO, 0)
 
 
 def test_oset():

@@ -12,6 +12,7 @@ from ordtower import (
     W,
     add,
     enum_below,
+    fund_seq,
     ordinal,
     parse_ordinal,
 )
@@ -206,3 +207,63 @@ def test_tower_suite_builds_no_omega_context(monkeypatch):
 
     monkeypatch.setattr(verify, "AAOrders", unused)
     assert all(r.passed for r in verify.run_suites(["tower"]))
+
+
+class FullCloseTower(Tower):
+    """The block rule as first written: every stage closes all placed points."""
+
+    def _grow(self, eta):
+        o = self._orders[eta]
+        order = o._seq
+        e = enum_below(eta, len(o._ends) - 1)
+        mx = e if not order or e > order[-1] else order[-1]
+        k = 0
+        while not fund_seq(eta, k) > mx:
+            k += 1
+        alpha_n = fund_seq(eta, k)
+        new = [x for x in self.close(alpha_n, order + [e]) if x not in o._ranks]
+        o.append_block(new + [alpha_n])
+
+
+def test_grow_matches_full_close_rule(monkeypatch):
+    # the first blocks at each limit, as many as the inherent growth of
+    # closed sets allows: at w^3 the fifth block already needs more than
+    # CEILING stages at w^2*4+w*13
+    cases = [("w", 60), ("w*2", 60), ("w*5", 60), ("w^2+w*2", 30),
+             ("w^2", 8), ("w^2*2", 8), ("w^3", 4)]
+    closes = []
+    full_close = Tower.close
+
+    def counting(self, alpha, a):
+        if type(self) is Tower:
+            closes.append(alpha)
+        return full_close(self, alpha, a)
+
+    monkeypatch.setattr(Tower, "close", counting)
+    stages = 0
+    for s, n in cases:
+        eta, t, ref = p(s), Tower(), FullCloseTower()
+        assert t.order(eta).ensure_blocks(n) == ref.order(eta).ensure_blocks(n), s
+        assert t.order(eta)._ends[:n + 1] == ref.order(eta)._ends[:n + 1], s
+        stages += sum(len(ends) - 1 for ends in t._chain.values())
+    # a stage above a new lam takes the full close, a repeated lam does not
+    assert 0 < len(closes) < stages
+
+
+def test_grow_work_is_linear_in_the_order(monkeypatch):
+    # close() receives the whole placed order, so it may run only when a
+    # stage starts above a new lam; per-stage calls would make this sum
+    # quadratic in the order length
+    passed = [0]
+    full_close = Tower.close
+
+    def counting(self, alpha, a):
+        passed[0] += len(a)
+        return full_close(self, alpha, a)
+
+    monkeypatch.setattr(Tower, "close", counting)
+    for s, k in [("w^2", 1600), ("w", 4000)]:
+        passed[0] = 0
+        t = Tower()
+        t.nth(p(s), k)
+        assert passed[0] <= 2 * len(t._order[p(s)]), s
