@@ -19,6 +19,7 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    enum_below,
     enum_prefix,
     ordinal,
     oset,
@@ -186,7 +187,7 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
     attempts = 0
     while len(members) < count:
         size = 1 + rng.below(4)
-        a = [rng.sample_ordinal(bound, pool=200) for _ in range(size)]
+        a = [enum_below(bound, rng.below(200)) for _ in range(size)]
         push(cofinal_extend(a, tower))
         attempts += 1
         if attempts > 200 * count + 1000:

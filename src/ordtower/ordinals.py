@@ -2,8 +2,11 @@
 
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with strictly
 decreasing ordinal exponents and positive integer coefficients; the empty
-sum is 0.  Values are immutable and hashable, so they can serve as dict
-keys for the memoized structures built on top of them.
+sum is 0.  Values are hash-consed: every construction goes through one
+intern table keyed by the terms, so each value exists as exactly one
+immutable object.  Equality and hashing are object identity, which makes
+ordinals cheap dict keys for the memoized structures built on top of
+them; an ``int`` compares equal to the finite ordinal of the same value.
 
 The literal grammar (used by both the parser and ``str``):
 
@@ -26,15 +29,25 @@ from .errors import DomainError, GuardExceededError, NotALimitError, OrdinalSynt
 
 Term = Tuple["Ordinal", int]
 
+_TABLE: dict = {}  # terms -> the one Ordinal with those terms
+
 
 class Ordinal:
-    __slots__ = ("_terms", "_key", "_hash")
+    __slots__ = ("_terms", "_key")
 
-    def __init__(self, terms: Tuple[Term, ...] = ()):
-        self._terms = terms
-        # nested-tuple image of the CNF; tuple order coincides with ordinal order
-        self._key = tuple((e._key, c) for e, c in terms)
-        self._hash = hash(terms)
+    def __new__(cls, terms: Tuple[Term, ...] = ()):
+        o = _TABLE.get(terms)
+        if o is None:
+            o = _TABLE[terms] = object.__new__(cls)
+            o._terms = terms
+            # nested-tuple image of the CNF; tuple order coincides with ordinal order
+            o._key = tuple((e._key, c) for e, c in terms)
+        return o
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the table; the default would build
+        # Ordinal(), which is ZERO, and then overwrite its slots
+        return Ordinal, (self._terms,)
 
     @property
     def terms(self) -> Tuple[Term, ...]:
@@ -91,12 +104,13 @@ class Ordinal:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if type(other) is Ordinal:
-            return self._terms == other._terms
-        other = _maybe_ord(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
+        return self is other
+
+    __hash__ = object.__hash__
 
     def __lt__(self, other) -> bool:
         if type(other) is Ordinal:
@@ -130,9 +144,6 @@ class Ordinal:
             return NotImplemented
         return self._key >= other._key
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __add__(self, other) -> "Ordinal":
         other = _maybe_ord(other)
         if other is None:
@@ -163,8 +174,8 @@ def _term_str(e: Ordinal, c: int) -> str:
     if e.is_zero():
         return str(c)
     s = "w"
-    if e != ONE:
-        if e.is_natural() or e == W:
+    if e is not ONE:
+        if e.is_natural() or e is W:
             s += "^" + str(e)
         else:
             s += "^(" + str(e) + ")"
@@ -177,8 +188,6 @@ ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 W = Ordinal(((ONE, 1),))
 
-_NATS = {0: ZERO, 1: ONE}
-
 
 def ordinal(n: int) -> Ordinal:
     """The finite ordinal n."""
@@ -186,12 +195,7 @@ def ordinal(n: int) -> Ordinal:
         return n
     if n < 0:
         raise DomainError(f"ordinals are non-negative, got {n}")
-    o = _NATS.get(n)
-    if o is None:
-        o = Ordinal(((ZERO, n),))
-        if n < 4096:
-            _NATS[n] = o
-    return o
+    return Ordinal(((ZERO, n),)) if n else ZERO
 
 
 def _maybe_ord(x):
@@ -229,7 +233,7 @@ def add(a, b) -> Ordinal:
     ts = a._terms
     while i < len(ts) and compare(ts[i][0], e0) > 0:
         i += 1
-    if i < len(ts) and ts[i][0] == e0:
+    if i < len(ts) and ts[i][0] is e0:
         head = ts[:i] + ((e0, ts[i][1] + c0),)
     else:
         head = ts[:i] + ((e0, c0),)

@@ -5,10 +5,6 @@ from the high bits.  Every randomized routine in the package draws from
 one of these so runs are reproducible from the seed alone.
 """
 
-from __future__ import annotations
-
-from .ordinals import Ordinal, enum_below
-
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
@@ -29,8 +25,3 @@ class Lcg:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return (self.next_raw() >> 33) % n
-
-    def sample_ordinal(self, bound: Ordinal, pool: int = 256) -> Ordinal:
-        """A pseudo-random ordinal below bound, drawn from the first
-        `pool` canonical enumeration indices."""
-        return enum_below(bound, self.below(pool))

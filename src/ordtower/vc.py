@@ -22,6 +22,7 @@ from .tower import Tower
 
 SHATTER_GUARD = 25
 EXACT_LIMIT = 16
+RMK_MAX_K = 3  # rmk_eval patterns span at most this many points after the first
 
 
 class SetSystemWindow:
@@ -226,7 +227,7 @@ class RmkResult:
         return self.value is RmkValue.TRUE_IN_WINDOW
 
 
-def rmk_eval(m: int, k: int, points, window: FamilyWindow, n: int = 3) -> RmkResult:
+def rmk_eval(m: int, k: int, points, window: FamilyWindow) -> RmkResult:
     """Evaluate the two-clause pattern relation over the window.
 
     Pattern: the first m of points[1:] lie in the member, the rest stay
@@ -235,8 +236,8 @@ def rmk_eval(m: int, k: int, points, window: FamilyWindow, n: int = 3) -> RmkRes
     so the result is window-relative (a positive exists-witness is sound
     for any larger family; the universal clause is not).
     """
-    if not 0 <= m <= k <= n:
-        raise DomainError(f"need 0 <= m <= k <= {n}, got m={m}, k={k}")
+    if not 0 <= m <= k <= RMK_MAX_K:
+        raise DomainError(f"need 0 <= m <= k <= {RMK_MAX_K}, got m={m}, k={k}")
     pts = [_as_ord(p) for p in points]
     if len(pts) != k + 1:
         raise DomainError(f"pattern over m={m}, k={k} needs {k + 1} points, got {len(pts)}")

@@ -214,17 +214,17 @@ def _check_cond4(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "300 seeded triples admit an ordered arrangement")
 
 
-def _mixed_ground(window, k: int = 12):
+def _mixed_ground(window):
+    # 12 ground points: the 6 least naturals and the 6 least infinite points
     pool = set()
     for mem in window.members:
         pool.update(mem)
     pts = sorted(pool)
     nats = [x for x in pts if x.is_natural()]
     lims = [x for x in pts if not x.is_natural()]
-    half = k // 2
-    ground = nats[:half] + lims[:half]
+    ground = nats[:6] + lims[:6]
     for x in pts:  # top up if either side ran short
-        if len(ground) >= k:
+        if len(ground) >= 12:
             break
         if x not in ground:
             ground.append(x)
@@ -233,7 +233,7 @@ def _mixed_ground(window, k: int = 12):
 
 def _check_window_vc(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     window = enumerate_family(cfg.bound, 30, cfg.seed, tower)
-    ground = _mixed_ground(window, 12)
+    ground = _mixed_ground(window)
     sys_ = SetSystemWindow.from_window(window, ground)
     triple = hunt_shattered(sys_, 3)
     if triple is not None:
@@ -252,7 +252,7 @@ def _check_window_vc(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 def _check_sauer(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     for s in range(50):
         window = enumerate_family(cfg.bound, 12, cfg.seed + s, tower)
-        sys_ = SetSystemWindow.from_window(window, _mixed_ground(window, 12))
+        sys_ = SetSystemWindow.from_window(window, _mixed_ground(window))
         if not sauer_check(sys_, 2):
             return CheckResult("sauer-windows", False,
                                f"trace count exceeds the bound at seed {cfg.seed + s}")

@@ -187,3 +187,27 @@ def test_verify_json_output():
     doc = json.loads(r.stdout)
     assert doc["results"]
     assert all(d["passed"] for d in doc["results"])
+
+
+_RUN_AFTER_INTERNING = """
+import sys
+from ordtower import cli, ordinal
+if sys.argv[1] == "intern":
+    # throwaway values move every later allocation, so every identity hash
+    [ordinal(n) for n in range(10_000, 20_000)]
+sys.exit(cli.run(sys.argv[2:]))
+"""
+
+
+def test_output_does_not_depend_on_identity_hashes():
+    for argv in (["family", "window", "--bound", "w^2", "--count", "12", "--output", "json"],
+                 ["aa", "exceptions", "w*2", "w^2*2"],
+                 ["aa", "exceptions", "w+3", "w*3"],
+                 ["vc", "hunt", "2"],
+                 ["verify", "vc"]):
+        plain, interned = (
+            subprocess.run([sys.executable, "-c", _RUN_AFTER_INTERNING, mode, *argv],
+                           capture_output=True, text=True)
+            for mode in ("plain", "intern"))
+        assert plain.returncode == interned.returncode == 0, argv
+        assert plain.stdout and plain.stdout == interned.stdout, argv

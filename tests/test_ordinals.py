@@ -1,5 +1,7 @@
 """Arithmetic, literals and enumeration of the CNF ordinals."""
 
+import copy
+import pickle
 from itertools import count
 
 import pytest
@@ -61,6 +63,40 @@ def test_not_equal_follows_eq():
     assert W != 3
     assert ordinal(3) != "3"
     assert not (ordinal(3) != 3)
+
+
+def test_equal_values_are_one_object():
+    assert ordinal(5000) is ordinal(5000)
+    assert parse_ordinal("w+w") is add(W, W)
+    assert Ordinal.from_terms([(p("w+1"), 3), (0, 2)]) is p("w^(w+1)*3+2")
+    assert Ordinal.__hash__ is object.__hash__
+
+
+@given(small_ordinals(), small_ordinals())
+def test_equality_is_identity(a, b):
+    assert (a == b) == (a is b)
+    assert parse_ordinal(str(a)) is a
+
+
+def test_int_interop():
+    assert ordinal(3) == 3
+    assert 3 == ordinal(3)
+    assert ordinal(3) < 5
+    assert W != 3
+    assert W != "w"
+
+
+def _pickle_roundtrip(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy, _pickle_roundtrip])
+def test_copy_and_pickle_keep_identity(roundtrip):
+    for x in [ZERO, ONE, W, ordinal(5000), p("w^(w+1)*3+w*2+5")]:
+        assert roundtrip(x) is x
+    xs = [W, (ONE, p("w^w"))]
+    assert roundtrip(xs) == xs and roundtrip(xs)[1][1] is xs[1][1]
+    assert ZERO == 0 and ZERO.is_zero() and str(ZERO) == "0"
 
 
 def test_compare_basics():
