@@ -1,7 +1,10 @@
 """Well-orders, finite closures and almost-agreeing omega-orders on ordinals.
 
 Arithmetic and literals cover the ordinals below epsilon_0; towers, families
-and omega-orders work up to their cap, which defaults to w^3 inclusive.
+and omega-orders accept ordinals up to their cap, w^3 by default.  The one
+work bound ``CEILING`` (20,000 blocks per limit's order or descent steps per
+enumeration, then ``IterationCeilingError``) sets the real reach: closed sets
+double per step of w, so the order at w^3 lists only its first 7 points.
 """
 
 from .errors import (

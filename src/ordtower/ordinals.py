@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Iterable, Iterator, Tuple
 
-from .errors import DomainError, GuardExceededError, NotALimitError, OrdinalSyntaxError
+from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalSyntaxError
 
 Term = Tuple["Ordinal", int]
 
@@ -289,19 +289,21 @@ def fund_seq(lam, n: int) -> Ordinal:
 # lam's enumeration.  At a limit the interval blocks
 # [fund_seq(eta,i-1), fund_seq(eta,i)) are dovetailed along diagonals
 # i+j = d: diagonal d takes element j = d-i of every block i < d that is
-# not yet exhausted, in increasing i, then element 0 of block d, computed
-# only when the walk reaches it.  A finite block leaves the live list once
-# the walk passes its last element, so each value costs the live blocks of
-# its diagonal, not all d+1 of them (at w every block has one element).  The
-# walk is memoized per limit so repeated queries only pay for the unseen
-# prefix.  A walk at w*k opens one at w*(k-1), and so on: at most
-# ENUM_DEPTH walks may be open at once, so deep limits end in an error,
-# not a stack overflow.
+# not yet exhausted, in increasing i, then element 0 of block d.  A finite
+# block leaves the live list once the walk passes its last element.
+#
+# The walk is kept as positions: position n of lam's walk is block
+# [start, start+lam'+m') at offset j, with value start + enum_below(lam'+m', j).
+# Positions need only fund_seq and difference, so a generator that never
+# enumerates fills _enum_lists[lam] in order.  As addition is associative,
+# enum_below descends one block at a time with a running left summand.  Each
+# step lands strictly lower and the steps depend only on (eta, n), not on
+# what is cached; past CEILING steps the call raises (index 0 at w*k takes k).
 
-ENUM_DEPTH = 200
-_enum_depth = 0
-_enum_lists: dict[Ordinal, list] = {}
-_enum_gens: dict[Ordinal, Iterator[Ordinal]] = {}
+CEILING = 20000  # the one work bound: descent steps, and blocks per limit's order
+_enum_lists: dict[Ordinal, list] = {}  # limit -> (start, lam', m', j) per position
+_enum_gens: dict[Ordinal, Iterator[tuple]] = {}
+_enum_answers: dict = {}  # (eta, n) -> enum_below(eta, n)
 
 
 def enum_below(eta, n: int) -> Ordinal:
@@ -311,56 +313,47 @@ def enum_below(eta, n: int) -> Ordinal:
     finite ordinal (indices past eta-1 then repeat 0).
     """
     eta = _as_ord(eta)
+    got = _enum_answers.get((eta, n))
+    if got is not None:
+        return got
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     if eta.is_zero():
         raise DomainError("enum_below requires eta > 0")
-    lam, m = eta.split()
-    if n < m:
-        return add(lam, ordinal(m - 1 - n))
-    if lam.is_zero():
-        return ZERO
-    return _limit_enum(lam, n - m)
+    base, (lam, m), j, steps = ZERO, eta.split(), n, 0
+    while j >= m and lam is not ZERO:  # base + enum_below(lam + m, j) is the answer
+        if steps == CEILING:
+            raise IterationCeilingError(
+                f"enumeration below {eta} exceeded {CEILING} descent steps")
+        steps, j = steps + 1, j - m
+        if lam not in _enum_lists:
+            _enum_lists[lam], _enum_gens[lam] = [], _positions(lam)
+        pos = _enum_lists[lam]
+        while len(pos) <= j:
+            pos.append(next(_enum_gens[lam]))
+        start, lam, m, j = pos[j]
+        base = add(base, start)
+    got = _enum_answers[eta, n] = add(base, add(lam, ordinal(m - 1 - j))) if j < m else base
+    return got
 
 
-def _limit_enum(eta: Ordinal, n: int) -> Ordinal:
-    global _enum_depth
-    got = _enum_lists.get(eta)
-    if got is None:
-        got = _enum_lists[eta] = []
-        _enum_gens[eta] = _limit_enum_gen(eta)
-    if len(got) <= n:
-        if _enum_depth >= ENUM_DEPTH:
-            raise GuardExceededError(
-                f"enumeration nests more than {ENUM_DEPTH} limits deep (at {eta})")
-        _enum_depth += 1
-        try:
-            while len(got) <= n:
-                got.append(next(_enum_gens[eta]))
-        except BaseException:
-            del _enum_lists[eta], _enum_gens[eta]  # the walk died with the error
-            raise
-        finally:
-            _enum_depth -= 1
-    return got[n]
-
-
-def _limit_enum_gen(eta: Ordinal) -> Iterator[Ordinal]:
-    live: list = []  # (i, start, length) of the blocks not yet exhausted
+def _positions(eta: Ordinal) -> Iterator[tuple]:
+    live: list = []  # (i, start, lam', m') of the blocks not yet exhausted
     lo = ZERO
     for d in count(0):
         kept = []
         for blk in live:
-            i, start, length = blk
-            if length.is_natural() and d - i >= length.natural():
+            i, start, lam, m = blk
+            if lam is ZERO and d - i >= m:
                 continue
             kept.append(blk)
-            yield add(start, enum_below(length, d - i))
+            yield start, lam, m, d - i
         hi = fund_seq(eta, d)  # block d, reached as the diagonal's last entry
         length = difference(hi, lo)
         if length:
-            kept.append((d, lo, length))
-            yield add(lo, enum_below(length, 0))
+            lam, m = length.split()
+            kept.append((d, lo, lam, m))
+            yield lo, lam, m, 0
         live, lo = kept, hi
 
 

@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
+    CEILING,
     ZERO,
     Ordinal,
     add,
@@ -52,8 +53,6 @@ from .ordinals import (
 )
 
 DEFAULT_CAP = parse_ordinal("w^3")
-# most blocks one limit's construction may take, in a Tower or an AAOrders
-CEILING = 20000
 
 OrdinalSet = Tuple[Ordinal, ...]
 

@@ -190,7 +190,9 @@ def shatter_certificate(sys_: SetSystemWindow, a) -> dict:
                     witnesses[str(sub)] = idx
                     break
             else:
-                raise DomainError(f"{pts} is not shattered: trace {want} unrealized")
+                missing = ",".join(str(pts[c]) for c in chosen)
+                raise DomainError(f"{{{','.join(map(str, pts))}}} is not shattered: "
+                                  f"subset {{{missing}}} unrealized")
     return {"set": [str(p) for p in pts], "witnesses": witnesses}
 
 

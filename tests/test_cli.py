@@ -165,12 +165,22 @@ def test_nesting_bound():
 
 
 def test_deep_enumeration_ends_in_an_error():
-    for alpha in ["w*99999999999999", "w*400"]:
-        r = run("ord", "enum", alpha, "3")
-        assert r.returncode == 1
-        assert r.stderr.startswith("error: guard:")
-        assert "Traceback" not in r.stderr
-    assert run("ord", "enum", "w*200", "3").stdout.strip() == "w*198"
+    assert run("ord", "enum", "w*99999999999999", "3").stdout.strip() == "w*99999999999997"
+    assert run("ord", "enum", "w*400", "3").stdout.strip() == "w*398"
+    # index 0 descends once per w below the top: past CEILING steps it stops
+    r = run("ord", "enum", "w*99999999999999", "0")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ceiling:")
+    assert "Traceback" not in r.stderr
+
+
+def test_vc_shatter_failure_names_literals():
+    r = run("vc", "shatter", "0", "--bound", "w", "--count", "5")
+    assert r.returncode == 1
+    assert r.stderr.strip() == "error: domain: {0} is not shattered: subset {} unrealized"
+    r = run("vc", "shatter", "w,w+1", "--bound", "w^2", "--count", "8")
+    assert r.stderr.strip() == (
+        "error: domain: {w,w+1} is not shattered: subset {w+1} unrealized")
 
 
 def test_verify_suite_deterministic():

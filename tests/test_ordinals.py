@@ -1,6 +1,7 @@
 """Arithmetic, literals and enumeration of the CNF ordinals."""
 
 import copy
+import hashlib
 import pickle
 from itertools import count
 
@@ -12,7 +13,7 @@ from ordtower import (
     W,
     ZERO,
     DomainError,
-    GuardExceededError,
+    IterationCeilingError,
     NotALimitError,
     Ordinal,
     OrdinalSyntaxError,
@@ -256,12 +257,39 @@ def test_difference_inverts_add(a, b):
     assert difference(add(a, b), a) == b
 
 
-def test_deep_enumeration_leaves_the_cache_usable():
-    p = parse_ordinal
-    with pytest.raises(GuardExceededError):
-        enum_below(p("w*400"), 3)
-    # the walks the error cut short are dropped, not left as dead
-    # generators that would end later calls in a bare StopIteration
-    with pytest.raises(GuardExceededError):
-        enum_below(p("w*300"), 3)
-    assert enum_below(p("w*100"), 3) == p("w*98")
+def test_deep_enumeration_does_not_depend_on_history(monkeypatch):
+    # the descent takes the same steps whatever the memos hold: an answer
+    # does not turn into an error, or back, after other enumerations
+    from ordtower import ordinals
+
+    deep = p("w*99999999999999")  # index 0 needs about 10^14 steps
+    for memo in ["_enum_lists", "_enum_gens", "_enum_answers"]:
+        monkeypatch.setattr(ordinals, memo, {}, raising=False)
+    assert enum_below(p("w*300"), 3) == p("w*298")
+    with pytest.raises(IterationCeilingError, match="20000 descent steps"):
+        enum_below(deep, 0)
+    enum_prefix(p("w*100"), 50)
+    assert enum_below(p("w*300"), 3) == p("w*298")
+    with pytest.raises(IterationCeilingError, match="20000 descent steps"):
+        enum_below(deep, 0)
+    assert enum_below(deep, 3) == p("w*99999999999997")
+
+
+# sha256 over str(x) + ";" for the first 1,500 values; ENUM_ETAS above
+# never reaches a limit exponent
+ENUM_PREFIX_DIGESTS = {
+    "w^w*3+w^2+4": "0fd9db78a286c475bff071bb5926a18a737555feb3381d473ec80b888319ff86",
+    "w^(w+1)*2": "e04726b358fc21b908c29629953533070daf2327a1ffd1efe61b482e171f91dd",
+    "w^(w^2)": "d689abc1172757014d776931be2619d8c35d5a1975e7e9a3de803639f0e9d9ec",
+    "w^(w^w)+w": "56c259c86cb8ce3f65d6a34aaba64439bede6f56a985ce38349e50a8855f2b97",
+    "w^3*5+w*7": "af9d1d431ad0d7399c2fcb0dc3ba2bafd3e6bcaf9588f6bdb0186d4f9d57f472",
+    "w^(w*2+3)": "ea667d64ebe8fb86872c44567827118fef1ec96bbc9494a2be0eb563ab72a209",
+    "w*150": "cb411800e3aba6af55d22c629027ca337fb1c8e108c2be0fc7aab7e8b426991e",
+    "w^2*60+w*3": "b21a42c04f82d331059dccbc328c88af0eb123736a257a20d10d6d6e114e2b06",
+}
+
+
+@pytest.mark.parametrize("eta", sorted(ENUM_PREFIX_DIGESTS))
+def test_enum_prefixes_pinned(eta):
+    text = "".join(str(x) + ";" for x in enum_prefix(p(eta), 1500))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUM_PREFIX_DIGESTS[eta]

@@ -7,6 +7,7 @@ import pytest
 from ordtower import (
     CapExceededError,
     DomainError,
+    IterationCeilingError,
     Lcg,
     Tower,
     W,
@@ -267,3 +268,13 @@ def test_grow_work_is_linear_in_the_order(monkeypatch):
         t = Tower()
         t.nth(p(s), k)
         assert passed[0] <= 2 * len(t._order[p(s)]), s
+
+
+def test_reach_at_the_default_cap():
+    # the order at w^3 lists its first 7 points; the eighth needs the
+    # order at w^2*4+w*13 past CEILING blocks
+    t = Tower()
+    assert t.nth(p("w^3"), 6) == p("w^2*4")
+    with pytest.raises(IterationCeilingError,
+                       match=r"block construction at w\^2\*4\+w\*13 exceeded 20000 stages"):
+        t.nth(p("w^3"), 7)
