@@ -10,7 +10,9 @@ usage problems exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -299,7 +301,10 @@ def _cmd_verify(ctx: _Ctx, args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # the common options go on each leaf (and on ``verify``), not on the
+    # groups: a group's values would be overwritten by the leaf's defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", default="w^3", help="largest ordinal handled (default w^3)")
     common.add_argument("--seed", type=int, default=1, help="seed for all sampling (default 1)")
@@ -313,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="well-orders, closures and omega-orders on small ordinals")
     sub = p.add_subparsers(dest="group", required=True)
 
-    po = sub.add_parser("ord", help="ordinal arithmetic", parents=[common])
+    po = sub.add_parser("ord", help="ordinal arithmetic")
     so = po.add_subparsers(dest="op", required=True)
     q = so.add_parser("cmp", parents=[common]); q.add_argument("a"); q.add_argument("b")
     q = so.add_parser("add", parents=[common]); q.add_argument("a"); q.add_argument("b")
@@ -322,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("n", type=int, nargs="?", default=0)
     q = so.add_parser("parse", parents=[common]); q.add_argument("a")
 
-    pt = sub.add_parser("tower", help="tower well-orders", parents=[common])
+    pt = sub.add_parser("tower", help="tower well-orders")
     st = pt.add_subparsers(dest="op", required=True)
     q = st.add_parser("rank", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("x")
     q = st.add_parser("nth", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("k", type=int)
@@ -331,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("beta"); q.add_argument("gamma")
     q = st.add_parser("blocks", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("k", type=int)
 
-    pf = sub.add_parser("family", help="the closed cofinal family", parents=[common])
+    pf = sub.add_parser("family", help="the closed cofinal family")
     sf = pf.add_subparsers(dest="op", required=True)
     q = sf.add_parser("extend", parents=[common]); q.add_argument("set")
     q = sf.add_parser("check", parents=[common]); q.add_argument("set")
@@ -339,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sf.add_parser("window", parents=[common])
     q = sf.add_parser("entails", parents=[common]); q.add_argument("a"); q.add_argument("b")
 
-    pv = sub.add_parser("vc", help="trace and shattering analytics", parents=[common])
+    pv = sub.add_parser("vc", help="trace and shattering analytics")
     sv = pv.add_subparsers(dest="op", required=True)
     q = sv.add_parser("dim", parents=[common]); q.add_argument("ground", nargs="?", default=None)
     q = sv.add_parser("shatter", parents=[common]); q.add_argument("set")
@@ -352,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sv.add_parser("rmk", parents=[common])
     q.add_argument("m", type=int); q.add_argument("k", type=int); q.add_argument("points")
 
-    pa = sub.add_parser("aa", help="almost-agreeing omega-orders", parents=[common])
+    pa = sub.add_parser("aa", help="almost-agreeing omega-orders")
     sa = pa.add_subparsers(dest="op", required=True)
     q = sa.add_parser("rank", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("x")
     q = sa.add_parser("nth", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("k", type=int)
@@ -375,8 +380,17 @@ _HANDLERS = {
 
 
 def run(argv: List[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; usage errors and ``--help``
+    raise SystemExit (2 and 0).
+
+    The argparse tree is built on the first call and reused by every later
+    call in the process; it holds no answers or per-call state, and each call
+    gets a fresh namespace and fresh contexts.  No package code uses threads,
+    so sharing it needs no lock.
+    Reuse only saves in-process callers: a ``python -m ordtower`` process
+    builds the parser once either way, so shell start-up does not change.
+    """
+    args = _build_parser().parse_args(argv)
     ctx = _Ctx(args)
     try:
         if args.group == "verify":
@@ -388,7 +402,15 @@ def run(argv: List[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at interpreter exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from ordtower import cli
 
 CMD = [sys.executable, "-m", "ordtower"]
 
@@ -221,3 +225,61 @@ def test_output_does_not_depend_on_identity_hashes():
             for mode in ("plain", "intern"))
         assert plain.returncode == interned.returncode == 0, argv
         assert plain.stdout and plain.stdout == interned.stdout, argv
+
+
+def test_options_go_after_the_subcommand():
+    # a group takes no options of its own, so none is parsed and then lost
+    for argv in (("tower", "--cap", "w", "rank", "--alpha", "w*2", "3"),
+                 ("ord", "--output", "json", "add", "1", "2")):
+        r = run(*argv)
+        assert r.returncode == 2, argv
+        assert r.stderr.startswith("usage: ordtower "), argv
+        assert r.stdout == "", argv
+    r = run("tower", "rank", "--alpha", "w*2", "3", "--cap", "w")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: cap-exceeded:")
+    assert run("ord", "add", "1", "2", "--output", "json").stdout.strip() == '{"sum": "3"}'
+
+
+_MIXED_ARGVS = (
+    ["ord", "add", "w+1", "w"],
+    ["tower", "rank", "--alpha", "w", "w+1"],
+    ["ord", "cmp", "w"],
+    ["ord", "cmp", "w", "w+1", "--output", "json"],
+    ["ord", "cmp", "w", "w+1"],
+    ["tower", "rank", "--alpha", "w*2", "w+3", "--cap", "w"],
+    ["tower", "rank", "--alpha", "w*2", "w+3"],
+)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch):
+    # argparse wraps usage lines to COLUMNS; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = [run(*argv) for argv in _MIXED_ARGVS]
+    fresh = [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in fresh] == [0, 1, 2, 0, 0, 1, 0]
+    assert fresh[1][2].startswith("error: domain:")
+    for _ in range(2):
+        assert [_run_in_process(argv) for argv in _MIXED_ARGVS] == fresh
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_closed_stdout_ends_quietly():
+    # the listing is far past a pipe buffer, so the write after close fails
+    p = subprocess.Popen(CMD + ["ord", "enum", "w^2", "--count", "100000"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert p.stdout.readline() == "0\n"
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=60) == 1
+    assert "Traceback" not in err
