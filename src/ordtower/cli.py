@@ -399,6 +399,9 @@ def run(argv: List[str]) -> int:
     except OrdTowerError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:  # a limit's blocks nest once per limit below it
+        print(f"error: ceiling: limit orders nested too deeply ({exc})", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

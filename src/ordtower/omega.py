@@ -15,10 +15,12 @@ Each alpha with omega <= alpha <= cap carries an order of type omega on
     just after its anchor, its nearest predecessor in the previous order
     that is not moved later, which rewrites a finite head of the order
     and keeps the rest in place.  Block b_i is {gamma < alpha_i strictly
-    before the integer i} minus earlier blocks.  These stage prefixes are
-    nested, so b_i is usually the stage-i prefix with the stage-(i-1)
-    prefix cut out as one contiguous run; when it is not a run, the
-    placed points are filtered out instead.
+    before the integer i} minus earlier blocks.  Most stages read it off
+    the structure: an unadjusted alpha_i = lam + m lists lam+m-1, ..., lam
+    and then q points of lam's order, so when the previous stage listed
+    m0 <= m and q0 <= q over the same lam and nothing else is placed, b_i
+    is lam+m-1, ..., lam+m0 and then lam's positions q0..q-1.  Every other
+    stage filters its prefix by the definition.
 
 The two layers differ only in how a limit's next block is chosen: a
 closure step in the tower, the adjusted chain here.
@@ -34,22 +36,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    CapExceededError,
-    CertificateViolation,
-    DomainError,
-    IterationCeilingError,
-)
-from .ordinals import (
-    Ordinal,
-    W,
-    enum_below,
-    fund_seq,
-    ordinal,
-    oset,
-    parse_ordinal,
-    _as_ord,
-)
+from .errors import CapExceededError, CertificateViolation, DomainError, IterationCeilingError
+from .ordinals import Ordinal, W, enum_below, fund_seq, ordinal, oset, parse_ordinal, _as_ord
 from .rng import Lcg
 from .tower import DEFAULT_CAP, BlockOrder, OmegaOrder, PrependOrder
 
@@ -114,33 +102,30 @@ class LimitOrder(BlockOrder):
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
-        self._last: List[Ordinal] = []  # the previous stage's prefix
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
         oi = self.ctx.chain_order(self.eta, i)
-        pre = oi.prefix(oi.rank(ordinal(i)))
-        # the ranks always cover the previous prefix, so the two are equal
-        # exactly when their sizes agree
-        fresh = _splice_out(pre, self._last) if len(self._last) == len(self._seq) else None
-        if fresh is None:
-            fresh = [p for p in pre if p not in self._ranks]
+        r = oi.rank(ordinal(i))
+        fresh = self._chain_block(oi, r)
+        if fresh is None:  # the defining rule
+            fresh = [p for p in oi.prefix(r) if p not in self._ranks]
         self.append_block(fresh)  # within a block, points keep their prefix order
-        self._last = pre
 
-
-def _splice_out(pre: List[Ordinal], run: List[Ordinal]) -> Optional[List[Ordinal]]:
-    """pre with run cut out, or None unless run is one contiguous slice of pre."""
-    if not run:
-        return pre
-    try:
-        s = pre.index(run[0])
-    except ValueError:
-        return None
-    n = len(run)
-    if pre[s:s + n] != run:
-        return None
-    return pre[:s] + pre[s + n:]
+    def _chain_block(self, oi: OmegaOrder, r: int) -> Optional[List[Ordinal]]:
+        """oi's first r points not yet placed, read off oi = lam+m when they
+        extend the previous stage's prefix over the same lam; else None."""
+        last = self._last
+        self._last = (oi.inner, oi.m, r - oi.m) if isinstance(oi, PrependOrder) else None
+        if last is None or self._last is None:
+            return None
+        (inner0, m0, q0), (inner, m, q) = last, self._last
+        if inner0 is not inner or m < m0 or q < q0 or len(self._seq) != m0 + q0:
+            return None
+        # oi.rank built a block inner far enough to hold its first q points
+        rest = (inner._seq[q0:q] if isinstance(inner, BlockOrder)
+                else [inner.nth(j) for j in range(q0, q)])
+        return oi.segment(m0)[::-1] + rest
 
 
 @dataclass(frozen=True)

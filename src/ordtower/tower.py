@@ -56,6 +56,10 @@ DEFAULT_CAP = parse_ordinal("w^3")
 
 OrdinalSet = Tuple[Ordinal, ...]
 
+# positions 0..N-1 of the longest order built so far, one int each shared by
+# every rank dict; it holds no answers, so it is no context's warm state
+_POSITIONS: List[int] = []
+
 
 class OmegaOrder:
     """A well-order of type omega given by a computable rank function."""
@@ -195,8 +199,9 @@ class BlockOrder(OmegaOrder):
 
     def append_block(self, points: List[Ordinal]) -> None:
         """List points, none of them listed yet, as the next block."""
-        n = len(self._seq)
-        self._ranks.update(zip(points, range(n, n + len(points))))
+        n, k = len(self._seq), len(self._seq) + len(points)
+        _POSITIONS.extend(range(len(_POSITIONS), k))
+        self._ranks.update(zip(points, _POSITIONS[n:k]))
         self._seq.extend(points)
         self._ends.append(len(self._seq))
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import traceback
 
 from ordtower import cli
 
@@ -283,3 +284,20 @@ def test_closed_stdout_ends_quietly():
     err = p.stderr.read()
     assert p.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_deep_limit_chain_ends_in_a_ceiling_error():
+    # each limit w*k below w^2+w nests a few frames deeper; a low frame
+    # limit makes the chain too deep within a fraction of a second
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 150)
+    try:
+        code, out, err = _run_in_process(["aa", "rank", "--alpha", "w^2+w", "60"])
+    finally:
+        sys.setrecursionlimit(old)
+    assert sys.getrecursionlimit() == old
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ceiling: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # with the usual limit the same process answers a shallower rank
+    assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")

@@ -360,7 +360,7 @@ def test_successor_tails_are_shared_per_limit(p):
 
 
 def _filter_extend(self):
-    # the block rule the run shortcut must reproduce: the stage-i prefix
+    # the block rule the structural path must reproduce: the stage-i prefix
     # minus every point placed by an earlier stage
     i = len(self._ends) - 1
     oi = self.ctx.chain_order(self.eta, i)
@@ -378,21 +378,37 @@ def test_limit_blocks_match_filter_rule(p, monkeypatch):
     want = {eta: ref.limit_blocks(eta, 40) for eta in limits}
     monkeypatch.undo()
 
-    paths = {"run": 0, "filter": 0}
-    splice = omega._splice_out
+    paths = {"structural": 0, "filter": 0}
+    chain_block = omega.LimitOrder._chain_block
 
-    def counting_splice(pre, run):
-        got = splice(pre, run)
-        paths["run" if got is not None else "filter"] += 1
+    def counting_chain_block(self, oi, r):
+        got = chain_block(self, oi, r)
+        paths["structural" if got is not None else "filter"] += 1
         return got
 
-    monkeypatch.setattr(omega, "_splice_out", counting_splice)
+    monkeypatch.setattr(omega.LimitOrder, "_chain_block", counting_chain_block)
     orders = AAOrders()
     for eta in limits:
         assert orders.limit_blocks(eta, 40) == want[eta]
         o = orders.order(eta)
         assert o.prefix(len(o._seq)) == [x for b in want[eta] for x in b]
-    assert paths["run"] > 0 and paths["filter"] > 0
+    assert paths["structural"] > 0 and paths["filter"] > 0
+
+
+def test_limit_orders_build_only_what_a_certificate_needs(p):
+    # the work done is pinned: a change that over-builds shows up here
+    orders = AAOrders()
+    cert = orders.exception_set(p("w*2"), p("w^2"))
+    assert orders.verify_exception(cert, 100, 3)
+    limits = [o for o in orders._orders.values() if isinstance(o, omega.LimitOrder)]
+    assert len(limits) == 33
+    assert sum(len(o._ends) - 1 for o in limits) == 1617
+    assert sum(len(o._seq) for o in limits) == 25489
+    # two orders listing a point at the same position share its int object
+    a, b = orders.order(p("w*32")), orders.order(p("w*33"))
+    k = len(a._seq) - 1
+    assert k > 1000 and len(b._seq) > k
+    assert a._ranks[a._seq[k]] is b._ranks[b._seq[k]]
 
 
 def test_ceiling_stops_both_block_constructions(p, monkeypatch):
