@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
 from .errors import DomainError, OrdTowerError
 from .family import (
@@ -26,7 +26,7 @@ from .family import (
     ladder,
 )
 from .omega import AAOrders
-from .ordinals import Ordinal, compare, enum_below, enum_prefix, fund_seq, oset, parse_ordinal
+from .ordinals import compare, enum_below, enum_prefix, fund_seq, oset, parse_ordinal
 from .tower import Tower
 from .vc import (
     SetSystemWindow,
@@ -39,8 +39,6 @@ from .vc import (
     vc_dim,
 )
 from .verify import SUITES, VerifyConfig, run_suites
-
-DEFAULT_WINDOW_COUNT = 30
 
 
 def _parse_set(text: str):
@@ -60,50 +58,24 @@ def _emit(args, text_line: str, payload: dict) -> None:
         print(text_line)
 
 
-class _Ctx:
-    """Lazily built shared state for one invocation."""
+def _tower(args) -> Tower:
+    return Tower(cap=parse_ordinal(args.cap))
 
-    def __init__(self, args):
-        self.args = args
-        self._tower: Optional[Tower] = None
-        self._orders: Optional[AAOrders] = None
 
-    @property
-    def cap(self) -> Ordinal:
-        return parse_ordinal(self.args.cap)
-
-    @property
-    def bound(self) -> Ordinal:
-        return parse_ordinal(self.args.bound)
-
-    @property
-    def tower(self) -> Tower:
-        if self._tower is None:
-            self._tower = Tower(cap=self.cap)
-        return self._tower
-
-    @property
-    def orders(self) -> AAOrders:
-        if self._orders is None:
-            self._orders = AAOrders(cap=self.cap)
-        return self._orders
-
-    def window(self) -> FamilyWindow:
-        path = self.args.window
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return FamilyWindow.from_json(fh.read())
-            except OSError as exc:
-                raise DomainError(f"cannot read window file {path}: {exc}") from exc
-        count = self.args.count if self.args.count is not None else DEFAULT_WINDOW_COUNT
-        return enumerate_family(self.bound, count, self.args.seed, self.tower)
+def _window(args) -> FamilyWindow:
+    if args.window is not None:
+        try:
+            with open(args.window, "r", encoding="utf-8") as fh:
+                return FamilyWindow.from_json(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read window file {args.window}: {exc}") from exc
+    return enumerate_family(parse_ordinal(args.bound), args.count, args.seed, _tower(args))
 
 
 # -- ord -------------------------------------------------------------------
 
 
-def _cmd_ord(ctx: _Ctx, args) -> int:
+def _cmd_ord(args) -> int:
     if args.op == "cmp":
         c = compare(parse_ordinal(args.a), parse_ordinal(args.b))
         word = {-1: "LT", 0: "EQ", 1: "GT"}[c]
@@ -135,9 +107,9 @@ def _cmd_ord(ctx: _Ctx, args) -> int:
 # -- tower -----------------------------------------------------------------
 
 
-def _cmd_tower(ctx: _Ctx, args) -> int:
+def _cmd_tower(args) -> int:
     alpha = parse_ordinal(args.alpha)
-    t = ctx.tower
+    t = _tower(args)
     if args.op == "rank":
         r = t.rank(alpha, parse_ordinal(args.x))
         _emit(args, str(r), {"rank": r})
@@ -159,16 +131,15 @@ def _cmd_tower(ctx: _Ctx, args) -> int:
 # -- family ----------------------------------------------------------------
 
 
-def _cmd_family(ctx: _Ctx, args) -> int:
-    t = ctx.tower
+def _cmd_family(args) -> int:
     if args.op == "extend":
-        ext = cofinal_extend(_parse_set(args.set), t)
+        ext = cofinal_extend(_parse_set(args.set), _tower(args))
         _emit(args, _fmt_set(ext), {"member": [str(x) for x in ext]})
     elif args.op == "check":
-        ok = is_closed(_parse_set(args.set), t)
+        ok = is_closed(_parse_set(args.set), _tower(args))
         _emit(args, "CLOSED" if ok else "NOT_CLOSED", {"closed": ok})
     elif args.op == "ladder":
-        pts, sets = ladder(args.n, ctx.bound, t)
+        pts, sets = ladder(args.n, parse_ordinal(args.bound), _tower(args))
         if args.output == "json":
             print(json.dumps({
                 "points": [str(x) for x in pts],
@@ -179,7 +150,7 @@ def _cmd_family(ctx: _Ctx, args) -> int:
             for j, s in enumerate(sets):
                 print(f"s{j}:", _fmt_set(s))
     elif args.op == "window":
-        window = ctx.window()
+        window = _window(args)
         if args.output == "json":
             print(window.to_json())
         else:
@@ -187,7 +158,7 @@ def _cmd_family(ctx: _Ctx, args) -> int:
             for m in window.members:
                 print(_fmt_set(m))
     else:  # entails
-        verdict, witness = entails(_parse_set(args.a), _parse_set(args.b), ctx.window())
+        verdict, witness = entails(_parse_set(args.a), _parse_set(args.b), _window(args))
         if args.output == "json":
             print(json.dumps({
                 "verdict": verdict.value,
@@ -203,20 +174,20 @@ def _cmd_family(ctx: _Ctx, args) -> int:
 # -- vc --------------------------------------------------------------------
 
 
-def _vc_system(ctx: _Ctx, ground_text: Optional[str]) -> SetSystemWindow:
-    ground = _parse_set(ground_text) if ground_text else None
-    return SetSystemWindow.from_window(ctx.window(), ground)
+def _vc_system(args) -> SetSystemWindow:
+    ground = _parse_set(args.ground) if args.ground else None
+    return SetSystemWindow.from_window(_window(args), ground)
 
 
-def _cmd_vc(ctx: _Ctx, args) -> int:
+def _cmd_vc(args) -> int:
     if args.op == "dim":
-        d = vc_dim(_vc_system(ctx, args.ground))
+        d = vc_dim(_vc_system(args))
         _emit(args, str(d), {"vc_dim": d})
     elif args.op == "shatter":
-        cert = shatter_certificate(_vc_system(ctx, args.ground), _parse_set(args.set))
+        cert = shatter_certificate(_vc_system(args), _parse_set(args.set))
         print(certificate_json(cert))
     elif args.op == "hunt":
-        found = hunt_shattered(_vc_system(ctx, args.ground), args.k)
+        found = hunt_shattered(_vc_system(args), args.k)
         if args.output == "json":
             print(json.dumps(
                 {"found": None if found is None else [str(x) for x in found]},
@@ -224,14 +195,14 @@ def _cmd_vc(ctx: _Ctx, args) -> int:
         else:
             print("NONE" if found is None else _fmt_set(found))
     elif args.op == "sauer":
-        ok = sauer_check(_vc_system(ctx, args.ground), args.d)
+        ok = sauer_check(_vc_system(args), args.d)
         _emit(args, "OK" if ok else "VIOLATION", {"within_bound": ok})
     elif args.op == "cond4":
-        ok = cond4_check(_parse_set(args.set), ctx.tower)
+        ok = cond4_check(_parse_set(args.set), _tower(args))
         _emit(args, "true" if ok else "false", {"holds": ok})
     else:  # rmk
         pts = [parse_ordinal(p) for p in args.points.split(",")]
-        res = rmk_eval(args.m, args.k, pts, ctx.window())
+        res = rmk_eval(args.m, args.k, pts, _window(args))
         payload = {
             "value": res.value.value,
             "window_relative": res.window_relative,
@@ -247,8 +218,8 @@ def _cmd_vc(ctx: _Ctx, args) -> int:
 # -- aa --------------------------------------------------------------------
 
 
-def _cmd_aa(ctx: _Ctx, args) -> int:
-    orders = ctx.orders
+def _cmd_aa(args) -> int:
+    orders = AAOrders(cap=parse_ordinal(args.cap))
     if args.op == "rank":
         r = orders.rank(parse_ordinal(args.alpha), parse_ordinal(args.x))
         _emit(args, str(r), {"rank": r})
@@ -264,14 +235,12 @@ def _cmd_aa(ctx: _Ctx, args) -> int:
             if cert.points:
                 print(_fmt_set(cert.points))
     else:  # verify
-        beta, alpha = parse_ordinal(args.beta), parse_ordinal(args.a)
-        cert = orders.exception_set(beta, alpha)
-        samples = args.count if args.count is not None else 200
-        res = orders.verify_exception(cert, samples, args.seed)
+        cert = orders.exception_set(parse_ordinal(args.beta), parse_ordinal(args.a))
+        res = orders.verify_exception(cert, args.count, args.seed)
         if res.ok:
             _emit(args,
-                  f"OK {samples} samples agree off {len(cert.points)} exception points",
-                  {"ok": True, "samples": samples, "exceptions": len(cert.points)})
+                  f"OK {args.count} samples agree off {len(cert.points)} exception points",
+                  {"ok": True, "samples": args.count, "exceptions": len(cert.points)})
             return 0
         x, y = res.witness
         _emit(args, f"DISAGREE on ({x}, {y})",
@@ -283,9 +252,10 @@ def _cmd_aa(ctx: _Ctx, args) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _cmd_verify(ctx: _Ctx, args) -> int:
+def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    cfg = VerifyConfig(seed=args.seed, bound=ctx.bound, cap=ctx.cap)
+    cfg = VerifyConfig(seed=args.seed, bound=parse_ordinal(args.bound),
+                       cap=parse_ordinal(args.cap))
     results = run_suites(names, cfg)
     if args.output == "json":
         print(json.dumps({"results": [
@@ -301,72 +271,82 @@ def _cmd_verify(ctx: _Ctx, args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+# Each command's positionals, as (name, add_argument keywords), and the
+# options it reads, with their defaults.  Options sit on the leaves, not on
+# the groups: a group's values would be overwritten by the leaf's defaults.
+_OPTIONS = {
+    "cap": {"help": "largest ordinal handled"},
+    "seed": {"type": int, "help": "seed for all sampling"},
+    "bound": {"help": "family bound"},
+    "count": {"type": int, "help": "values to list, window members or samples"},
+    "window": {"metavar": "FILE", "help": "JSON family window to read instead of generating one"},
+    "output": {"choices": ["text", "json"], "help": "output format"},
+}
+_OUT = {"output": "text"}
+_CAP = {"cap": "w^3", "output": "text"}
+_WINDOW_SOURCE = {"cap": "w^3", "bound": "w^2", "count": 30, "seed": 1, "window": None}
+_WINDOW = {**_WINDOW_SOURCE, "output": "text"}
+_ALPHA = ("--alpha", {"required": True})
+_GROUND = ("ground", {"nargs": "?"})
+
+_COMMANDS = {
+    ("ord", "cmp"): ([("a", {}), ("b", {})], _OUT),
+    ("ord", "add"): ([("a", {}), ("b", {})], _OUT),
+    ("ord", "fund"): ([("a", {}), ("n", {"type": int})], _OUT),
+    ("ord", "enum"): ([("a", {}), ("n", {"type": int, "nargs": "?", "default": 0})],
+                      {"count": None, "output": "text"}),
+    ("ord", "parse"): ([("a", {})], _OUT),
+    ("tower", "rank"): ([_ALPHA, ("x", {})], _CAP),
+    ("tower", "nth"): ([_ALPHA, ("k", {"type": int})], _CAP),
+    ("tower", "close"): ([_ALPHA, ("set", {})], _CAP),
+    ("tower", "turnstile"): ([_ALPHA, ("beta", {}), ("gamma", {})], _CAP),
+    ("tower", "blocks"): ([_ALPHA, ("k", {"type": int})], _CAP),
+    ("family", "extend"): ([("set", {})], _CAP),
+    ("family", "check"): ([("set", {})], _CAP),
+    ("family", "ladder"): ([("n", {"type": int})], {**_CAP, "bound": "w^2"}),
+    ("family", "window"): ([], _WINDOW),
+    ("family", "entails"): ([("a", {}), ("b", {})], _WINDOW),
+    ("vc", "dim"): ([_GROUND], _WINDOW),
+    ("vc", "shatter"): ([("set", {}), _GROUND], _WINDOW_SOURCE),
+    ("vc", "hunt"): ([("k", {"type": int}), _GROUND], _WINDOW),
+    ("vc", "sauer"): ([("d", {"type": int}), _GROUND], _WINDOW),
+    ("vc", "cond4"): ([("set", {})], _CAP),
+    ("vc", "rmk"): ([("m", {"type": int}), ("k", {"type": int}), ("points", {})], _WINDOW),
+    ("aa", "rank"): ([_ALPHA, ("x", {})], _CAP),
+    ("aa", "nth"): ([_ALPHA, ("k", {"type": int})], _CAP),
+    ("aa", "exceptions"): ([("beta", {}), ("a", {})], _CAP),
+    ("aa", "verify"): ([("beta", {}), ("a", {})],
+                       {"cap": "w^3", "count": 200, "seed": 1, "output": "text"}),
+    ("verify",): ([("suite", {"choices": ["all", *SUITES]})],
+                  {"cap": "w^3", "seed": 1, "bound": "w^2", "output": "text"}),
+}
+_GROUPS = {
+    "ord": "ordinal arithmetic",
+    "tower": "tower well-orders",
+    "family": "the closed cofinal family",
+    "vc": "trace and shattering analytics",
+    "aa": "almost-agreeing omega-orders",
+    "verify": "seeded verification suites",
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # the common options go on each leaf (and on ``verify``), not on the
-    # groups: a group's values would be overwritten by the leaf's defaults
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", default="w^3", help="largest ordinal handled (default w^3)")
-    common.add_argument("--seed", type=int, default=1, help="seed for all sampling (default 1)")
-    common.add_argument("--bound", default="w^2", help="family bound (default w^2)")
-    common.add_argument("--count", type=int, default=None, help="sample/window size override")
-    common.add_argument("--output", choices=["text", "json"], default="text")
-    common.add_argument("--window", default=None, metavar="FILE",
-                        help="JSON family window file (default: generate from bound/seed)")
-
     p = argparse.ArgumentParser(prog="ordtower",
                                 description="well-orders, closures and omega-orders on small ordinals")
-    sub = p.add_subparsers(dest="group", required=True)
-
-    po = sub.add_parser("ord", help="ordinal arithmetic")
-    so = po.add_subparsers(dest="op", required=True)
-    q = so.add_parser("cmp", parents=[common]); q.add_argument("a"); q.add_argument("b")
-    q = so.add_parser("add", parents=[common]); q.add_argument("a"); q.add_argument("b")
-    q = so.add_parser("fund", parents=[common]); q.add_argument("a"); q.add_argument("n", type=int)
-    q = so.add_parser("enum", parents=[common]); q.add_argument("a")
-    q.add_argument("n", type=int, nargs="?", default=0)
-    q = so.add_parser("parse", parents=[common]); q.add_argument("a")
-
-    pt = sub.add_parser("tower", help="tower well-orders")
-    st = pt.add_subparsers(dest="op", required=True)
-    q = st.add_parser("rank", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("x")
-    q = st.add_parser("nth", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("k", type=int)
-    q = st.add_parser("close", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("set")
-    q = st.add_parser("turnstile", parents=[common]); q.add_argument("--alpha", required=True)
-    q.add_argument("beta"); q.add_argument("gamma")
-    q = st.add_parser("blocks", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("k", type=int)
-
-    pf = sub.add_parser("family", help="the closed cofinal family")
-    sf = pf.add_subparsers(dest="op", required=True)
-    q = sf.add_parser("extend", parents=[common]); q.add_argument("set")
-    q = sf.add_parser("check", parents=[common]); q.add_argument("set")
-    q = sf.add_parser("ladder", parents=[common]); q.add_argument("n", type=int)
-    q = sf.add_parser("window", parents=[common])
-    q = sf.add_parser("entails", parents=[common]); q.add_argument("a"); q.add_argument("b")
-
-    pv = sub.add_parser("vc", help="trace and shattering analytics")
-    sv = pv.add_subparsers(dest="op", required=True)
-    q = sv.add_parser("dim", parents=[common]); q.add_argument("ground", nargs="?", default=None)
-    q = sv.add_parser("shatter", parents=[common]); q.add_argument("set")
-    q.add_argument("ground", nargs="?", default=None)
-    q = sv.add_parser("hunt", parents=[common]); q.add_argument("k", type=int)
-    q.add_argument("ground", nargs="?", default=None)
-    q = sv.add_parser("sauer", parents=[common]); q.add_argument("d", type=int)
-    q.add_argument("ground", nargs="?", default=None)
-    q = sv.add_parser("cond4", parents=[common]); q.add_argument("set")
-    q = sv.add_parser("rmk", parents=[common])
-    q.add_argument("m", type=int); q.add_argument("k", type=int); q.add_argument("points")
-
-    pa = sub.add_parser("aa", help="almost-agreeing omega-orders")
-    sa = pa.add_subparsers(dest="op", required=True)
-    q = sa.add_parser("rank", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("x")
-    q = sa.add_parser("nth", parents=[common]); q.add_argument("--alpha", required=True); q.add_argument("k", type=int)
-    q = sa.add_parser("exceptions", parents=[common]); q.add_argument("beta"); q.add_argument("a")
-    q = sa.add_parser("verify", parents=[common]); q.add_argument("beta"); q.add_argument("a")
-
-    pr = sub.add_parser("verify", help="seeded verification suites", parents=[common])
-    pr.add_argument("suite", choices=["all"] + list(SUITES))
-
+    groups = p.add_subparsers(dest="group", required=True)
+    ops = {}
+    leaf = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+    for (group, *op), (positionals, options) in _COMMANDS.items():
+        if op and group not in ops:
+            g = groups.add_parser(group, help=_GROUPS[group])
+            ops[group] = g.add_subparsers(dest="op", required=True)
+        q = (ops[group].add_parser(*op, **leaf) if op
+             else groups.add_parser(group, help=_GROUPS[group], **leaf))
+        for name, kw in positionals:
+            q.add_argument(name, **kw)
+        for name, default in options.items():
+            q.add_argument("--" + name, default=default, **_OPTIONS[name])
     return p
 
 
@@ -376,6 +356,7 @@ _HANDLERS = {
     "family": _cmd_family,
     "vc": _cmd_vc,
     "aa": _cmd_aa,
+    "verify": _cmd_verify,
 }
 
 
@@ -391,11 +372,8 @@ def run(argv: List[str]) -> int:
     builds the parser once either way, so shell start-up does not change.
     """
     args = _build_parser().parse_args(argv)
-    ctx = _Ctx(args)
     try:
-        if args.group == "verify":
-            return _cmd_verify(ctx, args)
-        return _HANDLERS[args.group](ctx, args)
+        return _HANDLERS[args.group](args)
     except OrdTowerError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 1

@@ -140,7 +140,7 @@ class FamilyWindow:
             bound = parse_ordinal(d["bound"])
             seed = int(d["seed"])
             members = tuple(oset(parse_ordinal(x) for x in m) for m in d["members"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed family window: {exc}") from exc
         return FamilyWindow(bound=bound, seed=seed, members=members)
 

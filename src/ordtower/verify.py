@@ -111,18 +111,13 @@ def suite_tower(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
 # -- family ---------------------------------------------------------------
 
 
-def _closed_by_counting(a, tower: Tower) -> bool:
-    # second route: count in-set predecessors instead of enumerating them
+def _closed_by_rank_counts(a, tower: Tower) -> bool:
+    # second route, for a in increasing order: closed when the ranks of the
+    # k points below each alpha are 0..k-1, i.e. (being distinct) max is k-1
     pts = list(a)
-    for alpha in pts:
-        for beta in pts:
-            if not beta < alpha:
-                continue
-            need = tower.rank(alpha, beta)
-            got = sum(1 for g in pts
-                      if g < alpha and tower.rank(alpha, g) < need)
-            if got != need:
-                return False
+    for k, alpha in enumerate(pts):
+        if k and max(tower.rank(alpha, beta) for beta in pts[:k]) != k - 1:
+            return False
     return True
 
 
@@ -183,7 +178,7 @@ def _check_closed_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         size = 1 + rng.below(6)
         a = tuple(sorted({enum_below(cfg.bound, rng.below(16))
                           for _ in range(size)}))
-        if is_closed(a, tower) != _closed_by_counting(a, tower):
+        if is_closed(a, tower) != _closed_by_rank_counts(a, tower):
             return CheckResult("closed-alltriples-oracle", False,
                                f"routes disagree on {list(map(str, a))}")
         agree += 1

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 import traceback
@@ -47,9 +49,7 @@ def test_tower_close_and_blocks():
     r = run("tower", "close", "--alpha", "w", "2,5")
     assert r.stdout.strip() == "0,1,2,3,4,5"
     r = run("tower", "blocks", "--alpha", "w", "3")
-    lines = r.stdout.splitlines()
-    assert lines[0].endswith(": ") or lines[0].endswith(":") or lines[0]
-    assert r.returncode == 0
+    assert (r.returncode, r.stdout) == (0, "0,1,2,3\n")
 
 
 def test_tower_turnstile():
@@ -301,3 +301,59 @@ def test_deep_limit_chain_ends_in_a_ceiling_error():
     assert "Traceback" not in err
     # with the usual limit the same process answers a shallower rank
     assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")
+
+
+def test_malformed_window_files_are_domain_errors(tmp_path):
+    bad = {"seed-not-a-number.json": '{"bound": "w", "seed": "abc", "members": []}',
+           "seed-out-of-range.json": '{"bound": "w", "seed": 1e400, "members": []}'}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "binary.json").write_bytes(bytes(range(256)))
+    for name in [*bad, "binary.json"]:
+        code, out, err = _run_in_process(["vc", "dim", "--window", str(tmp_path / name)])
+        assert (code, out) == (1, ""), name
+        assert err.startswith("error: domain: ") and err.count("\n") == 1, name
+
+
+def _sample_argv(words, positionals):
+    # a value each positional and required option accepts at parse time
+    argv = list(words)
+    for name, kw in positionals:
+        argv += [name, "1"] if name.startswith("--") else [kw.get("choices", ["1"])[0]]
+    return argv
+
+
+def test_every_command_has_help():
+    for words in cli._COMMANDS:
+        code, out, err = _run_in_process([*words, "--help"])
+        assert (code, err) == (0, ""), words
+        assert out.startswith("usage: ordtower " + " ".join(words)), words
+
+
+def test_options_a_command_does_not_read_are_usage_errors():
+    parser = cli._build_parser()
+    for words, (positionals, options) in cli._COMMANDS.items():
+        argv = _sample_argv(words, positionals)
+        parser.parse_args(argv)  # the argv is valid without the extra option
+        for name in cli._OPTIONS.keys() - options.keys():
+            code, out, err = _run_in_process([*argv, "--" + name, "1"])
+            assert (code, out) == (2, ""), (words, name)
+            assert err.startswith("usage: ordtower "), (words, name)
+            assert f"unrecognized arguments: --{name} 1" in err, (words, name)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("ordtower ")]
+    assert len(examples) > 20
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        code, out, err = _run_in_process(argv)
+        assert (code, err) == (0, ""), argv
+        if target:
+            (tmp_path / target).write_text(out)

@@ -17,6 +17,7 @@ from ordtower import (
     oset,
     parse_ordinal,
 )
+from ordtower import verify
 
 p = parse_ordinal
 
@@ -71,6 +72,19 @@ def test_closed_agrees_with_triples_oracle(tower):
         a = {enum_below(p("w^2"), rng.below(16)) for _ in range(1 + rng.below(6))}
         a = tuple(sorted(a))
         assert is_closed(a, tower) == closed_by_triples(a, tower)
+        assert verify._closed_by_rank_counts(a, tower) == closed_by_triples(a, tower)
+
+
+def test_closed_oracle_check_catches_an_off_by_one(tower, monkeypatch):
+    def largest_rank_is_k(a, tower):
+        pts = list(a)
+        return all(max(tower.rank(alpha, beta) for beta in pts[:k]) == k
+                   for k, alpha in enumerate(pts) if k)
+
+    assert verify._check_closed_oracle(verify.VerifyConfig(), tower).passed
+    monkeypatch.setattr(verify, "_closed_by_rank_counts", largest_rank_is_k)
+    res = verify._check_closed_oracle(verify.VerifyConfig(), tower)
+    assert res.line().startswith("FAIL closed-alltriples-oracle: routes disagree on ")
 
 
 def test_cofinal_extend_sound(tower):
