@@ -138,9 +138,13 @@ class FamilyWindow:
     def from_dict(d: dict) -> "FamilyWindow":
         try:
             bound = parse_ordinal(d["bound"])
-            seed = int(d["seed"])
-            members = tuple(oset(parse_ordinal(x) for x in m) for m in d["members"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            seed, members = d["seed"], d["members"]
+            if type(seed) is not int or not isinstance(members, list) \
+                    or not all(isinstance(m, list) for m in members):
+                raise DomainError("malformed family window: the seed must be an integer "
+                                  "and the members lists of literals")
+            members = tuple(oset(parse_ordinal(x) for x in m) for m in members)
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed family window: {exc}") from exc
         return FamilyWindow(bound=bound, seed=seed, members=members)
 

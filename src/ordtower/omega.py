@@ -149,6 +149,8 @@ class ExceptionCert:
     @staticmethod
     def from_dict(d: dict) -> "ExceptionCert":
         try:
+            if not isinstance(d["points"], list):
+                raise DomainError("malformed exception certificate: points must be a list")
             return ExceptionCert(
                 lower=parse_ordinal(d["lower"]),
                 upper=parse_ordinal(d["upper"]),

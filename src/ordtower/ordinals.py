@@ -369,6 +369,7 @@ def enum_prefix(eta, n: int) -> list:
 
 class _Parser:
     max_depth = 100  # deeper parentheses would exhaust the stack here or in str()
+    max_digits = 1000  # far below the 4300 digits int() and str() convert, even for a sum
 
     def __init__(self, text: str):
         self.text = text
@@ -394,10 +395,12 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
+        if self.pos - start > self.max_digits:
+            raise self.error(f"natural number longer than {self.max_digits} digits")
         return int(self.text[start:self.pos])
 
     def ordinal_expr(self) -> Ordinal:

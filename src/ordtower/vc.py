@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, GuardExceededError
 from .family import FamilyWindow
@@ -26,20 +26,13 @@ RMK_MAX_K = 3  # rmk_eval patterns span at most this many points after the first
 
 
 class SetSystemWindow:
-    """A finite ground list with member sets stored as bitmasks.
-
-    Ground points are sorted ordinals when ordinal-valued, otherwise an
-    explicit duplicate-free ordering of opaque labels.
-    """
+    """A finite ground of sorted ordinals with member sets stored as bitmasks."""
 
     def __init__(self, ground: Sequence, sets: Sequence):
-        pts = list(ground)
-        if pts and all(isinstance(p, (Ordinal, int)) for p in pts):
-            pts = sorted(_as_ord(p) for p in pts)
-        if len(set(pts)) != len(pts):
+        self.ground: Tuple[Ordinal, ...] = tuple(sorted(_as_ord(p) for p in ground))
+        if len(set(self.ground)) != len(self.ground):
             raise DomainError("ground has duplicate points")
-        self.ground: Tuple = tuple(pts)
-        self._index: Dict = {p: i for i, p in enumerate(self.ground)}
+        self._index: Dict[Ordinal, int] = {p: i for i, p in enumerate(self.ground)}
         masks = []
         for s in sets:
             if isinstance(s, int):
@@ -55,17 +48,9 @@ class SetSystemWindow:
         """Trace a family window onto a ground set (default: all points
         appearing in members)."""
         if ground is None:
-            pool: Set[Ordinal] = set()
-            for mem in window.members:
-                pool.update(mem)
-            ground = sorted(pool)
-        gset = set(_as_ord(p) if isinstance(p, (Ordinal, int)) else p for p in ground)
-        sys_ = SetSystemWindow(ground, [])
-        masks = []
-        for mem in window.members:
-            masks.append(sys_.subset_mask([p for p in mem if p in gset]))
-        sys_.masks = tuple(masks)
-        return sys_
+            ground = {p for mem in window.members for p in mem}
+        gset = {_as_ord(p) for p in ground}
+        return SetSystemWindow(ground, [[p for p in mem if p in gset] for mem in window.members])
 
     @property
     def n(self) -> int:
@@ -73,9 +58,7 @@ class SetSystemWindow:
 
     def subset_mask(self, points) -> int:
         mask = 0
-        for p in points:
-            if isinstance(p, (Ordinal, int)):
-                p = _as_ord(p)
+        for p in map(_as_ord, points):
             if p not in self._index:
                 raise DomainError(f"{p} is not a ground point")
             mask |= 1 << self._index[p]
@@ -103,33 +86,33 @@ def _shattered_mask(masks: Sequence[int], amask: int, k: int) -> bool:
     return len({m & amask for m in masks}) == 1 << k
 
 
+def _shattered_levels(sys_: SetSystemWindow) -> Iterator[List[int]]:
+    """Level k: the masks of the shattered k-subsets, in lexicographic index
+    order.  Subsets of shattered sets stay shattered, so each level only
+    extends the previous one by indices past its highest."""
+    masks, n = sys_.masks, sys_.n
+    level, k = ([0] if masks else []), 0
+    while level:
+        yield level
+        k += 1
+        level = [ext for amask in level for i in range(amask.bit_length(), n)
+                 if _shattered_mask(masks, ext := amask | 1 << i, k)]
+
+
 def vc_dim(sys_: SetSystemWindow) -> int:
     """Largest size of a shattered subset, by exact level-wise search."""
     if sys_.n > EXACT_LIMIT:
         raise GuardExceededError(f"exact search limited to {EXACT_LIMIT} ground points")
-    if not sys_.masks:
-        return 0
-    level = [0]  # shattered k-subset masks; subsets of shattered sets stay shattered
-    d = 0
-    while True:
-        nxt = []
-        for amask in level:
-            for i in range(amask.bit_length(), sys_.n):
-                ext = amask | 1 << i
-                if _shattered_mask(sys_.masks, ext, d + 1):
-                    nxt.append(ext)
-        if not nxt:
-            return d
-        level = nxt
-        d += 1
+    return max(sum(1 for _ in _shattered_levels(sys_)) - 1, 0)  # 0 with no members
 
 
 def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
     """Search for a shattered k-subset.
 
-    Up to EXACT_LIMIT ground points the search is exhaustive, so None
-    refutes existence; above that a greedy point-by-point extension runs
-    and None is merely inconclusive (found sets are always certified).
+    Up to EXACT_LIMIT ground points the search is exhaustive and returns
+    the lexicographically first shattered k-subset, so None refutes
+    existence; above that a greedy point-by-point extension runs and None
+    is merely inconclusive (found sets are always certified).
     """
     if k < 0:
         raise DomainError(f"set size must be >= 0, got {k}")
@@ -137,18 +120,10 @@ def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
         raise GuardExceededError(f"hunt limited to k <= {SHATTER_GUARD}")
     if k == 0:
         return () if sys_.masks else None
-    masks = sys_.masks
     if sys_.n <= EXACT_LIMIT:
-        # depth-first over index-increasing extensions of shattered sets
-        stack: List[Tuple[int, int, int]] = [(0, -1, 0)]  # (mask, max index, size)
-        while stack:
-            amask, top, size = stack.pop()
+        for size, level in enumerate(_shattered_levels(sys_)):
             if size == k:
-                return sys_.mask_points(amask)
-            for i in range(sys_.n - 1, top, -1):
-                ext = amask | 1 << i
-                if _shattered_mask(masks, ext, size + 1):
-                    stack.append((ext, i, size + 1))
+                return sys_.mask_points(level[0])
         return None
     amask, size = 0, 0
     while size < k:
@@ -156,7 +131,7 @@ def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
             if amask >> i & 1:
                 continue
             ext = amask | 1 << i
-            if _shattered_mask(masks, ext, size + 1):
+            if _shattered_mask(sys_.masks, ext, size + 1):
                 amask, size = ext, size + 1
                 break
         else:
@@ -174,25 +149,21 @@ def sauer_check(sys_: SetSystemWindow, d: int) -> bool:
 
 def shatter_certificate(sys_: SetSystemWindow, a) -> dict:
     """JSON-ready witness map: every subset of a realized by some member."""
-    points = tuple(a)
-    amask = sys_.subset_mask(points)
+    amask = sys_.subset_mask(a)
     pts = sys_.mask_points(amask)
     bits = [1 << sys_._index[p] for p in pts]
+    first: Dict[int, int] = {}  # trace on a -> index of the first member cutting it
+    for idx, m in enumerate(sys_.masks):
+        first.setdefault(m & amask, idx)
     witnesses = {}
     for r in range(len(pts) + 1):
         for chosen in combinations(range(len(pts)), r):
-            want = 0
-            for c in chosen:
-                want |= bits[c]
-            for idx, m in enumerate(sys_.masks):
-                if m & amask == want:
-                    sub = sum(1 << c for c in chosen)
-                    witnesses[str(sub)] = idx
-                    break
-            else:
+            want = sum(bits[c] for c in chosen)
+            if want not in first:
                 missing = ",".join(str(pts[c]) for c in chosen)
                 raise DomainError(f"{{{','.join(map(str, pts))}}} is not shattered: "
                                   f"subset {{{missing}}} unrealized")
+            witnesses[str(sum(1 << c for c in chosen))] = first[want]
     return {"set": [str(p) for p in pts], "witnesses": witnesses}
 
 
@@ -244,24 +215,16 @@ def rmk_eval(m: int, k: int, points, window: FamilyWindow) -> RmkResult:
     if len(pts) != k + 1:
         raise DomainError(f"pattern over m={m}, k={k} needs {k + 1} points, got {len(pts)}")
 
-    def matches(member: Tuple[Ordinal, ...]) -> bool:
-        ms = set(member)
-        for i in range(1, m + 1):
-            if pts[i] not in ms:
-                return False
-        for i in range(m + 1, k + 1):
-            if pts[i] in ms:
-                return False
-        return True
-
+    inside, outside = set(pts[1:m + 1]), set(pts[m + 1:])
     witness = None
     counter = None
     for member in window.members:
-        if not matches(member):
+        ms = set(member)
+        if not inside <= ms or not outside.isdisjoint(ms):
             continue
         if witness is None:
             witness = member
-        if pts[0] not in set(member):
+        if pts[0] not in ms:
             counter = member
             break
     ok = witness is not None and counter is None

@@ -218,12 +218,7 @@ def _mixed_ground(window):
     nats = [x for x in pts if x.is_natural()]
     lims = [x for x in pts if not x.is_natural()]
     ground = nats[:6] + lims[:6]
-    for x in pts:  # top up if either side ran short
-        if len(ground) >= 12:
-            break
-        if x not in ground:
-            ground.append(x)
-    return ground
+    return ground + (nats[6:] + lims[6:])[:12 - len(ground)]  # top up if either side ran short
 
 
 def _check_window_vc(cfg: VerifyConfig, tower: Tower) -> CheckResult:
@@ -304,8 +299,7 @@ def _check_trace_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         for _ in range(4):
             amask = rng.below(1 << n)
             a = [p for p in ground if amask >> p & 1]
-            got = {frozenset(int(q.natural()) if hasattr(q, "natural") else q
-                             for q in t) for t in trace(sys_, a)}
+            got = {frozenset(q.natural() for q in t) for t in trace(sys_, a)}
             want = _brute_trace(plain, frozenset(a))
             if got != want:
                 return CheckResult("trace-brute-oracle", False,

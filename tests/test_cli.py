@@ -169,6 +169,18 @@ def test_nesting_bound():
         assert "Traceback" not in r.stderr
 
 
+def test_long_naturals_are_syntax_errors():
+    # int() refuses to convert past 4300 digits; the parser stops far below
+    nines = "9" * 1000
+    assert _run_in_process(["ord", "add", "w*" + nines, "w*" + nines]) == (
+        0, "w*1" + "9" * 999 + "8\n", "")
+    for argv in (["ord", "parse", "9" * 5000], ["ord", "add", "w*" + "9" * 5000, "1"],
+                 ["ord", "parse", "9" * 1001], ["ord", "parse", "\u00b2"]):
+        code, out, err = _run_in_process(argv)
+        assert (code, out) == (1, ""), argv[-1][:20]
+        assert err.startswith("error: syntax: ") and err.count("\n") == 1, argv[-1][:20]
+
+
 def test_deep_enumeration_ends_in_an_error():
     assert run("ord", "enum", "w*99999999999999", "3").stdout.strip() == "w*99999999999997"
     assert run("ord", "enum", "w*400", "3").stdout.strip() == "w*398"
@@ -305,7 +317,10 @@ def test_deep_limit_chain_ends_in_a_ceiling_error():
 
 def test_malformed_window_files_are_domain_errors(tmp_path):
     bad = {"seed-not-a-number.json": '{"bound": "w", "seed": "abc", "members": []}',
-           "seed-out-of-range.json": '{"bound": "w", "seed": 1e400, "members": []}'}
+           "seed-out-of-range.json": '{"bound": "w", "seed": 1e400, "members": []}',
+           "seed-fraction.json": '{"bound": "w", "seed": 1.5, "members": [["1", "2"]]}',
+           "seed-bool.json": '{"bound": "w", "seed": true, "members": [["1", "2"]]}',
+           "member-string.json": '{"bound": "w", "seed": 1, "members": ["12", "w"]}'}
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "binary.json").write_bytes(bytes(range(256)))

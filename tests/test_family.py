@@ -144,6 +144,13 @@ def test_window_malformed_json():
         FamilyWindow.from_json("{nope")
     with pytest.raises(DomainError):
         FamilyWindow.from_json('{"bound": "w"}')
+    good = {"bound": "w", "seed": 1, "members": [["1", "2"], ["w"]]}
+    assert FamilyWindow.from_dict(good).members == (oset([1, 2]), (W,))
+    for field, value in [("seed", 1.5), ("seed", True), ("seed", "1"),
+                         ("members", ["12", "w"]), ("members", [["1"], "2"]),
+                         ("members", "12"), ("members", [[1]])]:
+        with pytest.raises(DomainError, match="malformed family window"):
+            FamilyWindow.from_dict({**good, field: value})
 
 
 def test_entails_refuted(tower):

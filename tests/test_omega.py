@@ -249,6 +249,11 @@ def test_cert_json_malformed():
         ExceptionCert.from_json("{nope")
     with pytest.raises(DomainError):
         ExceptionCert.from_dict({"lower": "w"})
+    good = {"lower": "w", "upper": "w*2", "points": ["1", "2"]}
+    assert ExceptionCert.from_dict(good).points == oset([1, 2])
+    for points in ("12", [1], None):
+        with pytest.raises(DomainError, match="malformed exception certificate"):
+            ExceptionCert.from_dict({**good, "points": points})
 
 
 def test_adjust_one_empty_cert_is_identity():

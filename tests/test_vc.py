@@ -70,8 +70,8 @@ def test_ground_sorted_and_indexed():
 def test_ground_rejects_duplicates():
     with pytest.raises(DomainError):
         SetSystemWindow([1, 2, ordinal(1)], [])
-    with pytest.raises(DomainError):
-        SetSystemWindow(["a", "a"], [])
+    with pytest.raises(DomainError, match="duplicate"):
+        SetSystemWindow.from_window(segment_window(3), [1, 1])
 
 
 def test_bad_bitmask_and_foreign_point():
@@ -82,10 +82,12 @@ def test_bad_bitmask_and_foreign_point():
         sys_.subset_mask([7])
 
 
-def test_opaque_labels_keep_order():
-    sys_ = SetSystemWindow(["b", "a"], [["a"]])
-    assert sys_.ground == ("b", "a")
-    assert sys_.masks == (0b10,)
+def test_ground_points_are_ordinals():
+    for ground in (["b", "a"], [0, "a"], [0, True]):
+        with pytest.raises(DomainError, match="not an ordinal"):
+            SetSystemWindow(ground, [])
+    with pytest.raises(DomainError, match="not an ordinal"):
+        SetSystemWindow([0, 1], [["a"]])
 
 
 def test_trace_matches_enumeration():
@@ -143,6 +145,18 @@ def test_hunt_none_is_sound_when_exhaustive():
         assert hunt_shattered(sys_, d + 1) is None
         if d:
             assert hunt_shattered(sys_, d) is not None
+
+
+def test_hunt_returns_the_first_shattered_set():
+    found = 0
+    for seed in range(40):
+        sys_, masks = random_system(seed, 7, 5 + seed % 20)
+        for k in range(5):
+            want = next((c for c in combinations(sys_.ground, k)
+                         if brute_shattered(sys_.ground, masks, c)), None)
+            assert hunt_shattered(sys_, k) == want, (seed, k)
+            found += k >= 2 and want is not None
+    assert found > 40
 
 
 def test_hunt_k_zero():
