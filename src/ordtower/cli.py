@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from typing import List
 
 from .errors import DomainError, OrdTowerError
 from .family import (
@@ -360,7 +359,7 @@ _HANDLERS = {
 }
 
 
-def run(argv: List[str]) -> int:
+def run(argv: list[str]) -> int:
     """Run one command and return its exit code; usage errors and ``--help``
     raise SystemExit (2 and 0).
 

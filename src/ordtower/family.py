@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 from .errors import DomainError, IterationCeilingError
 from .ordinals import (
@@ -31,17 +30,25 @@ from .tower import OrdinalSet, Tower
 
 
 def is_closed(a, tower: Tower) -> bool:
-    """Decide membership in the family: every predecessor set stays inside a."""
+    """Decide membership in the family: every predecessor set stays inside a.
+
+    For each alpha in a, the predecessor sets of the betas below it are
+    prefixes of alpha's order, so their union is the prefix of the largest
+    rank.  Each position of that prefix is therefore checked once, as the
+    ranks climb: the ranks are asked for in the same order as a check per
+    pair would, a missing point fails at the same beta, and every ``nth``
+    lies below a rank already computed, so no order grows further.
+    """
     a = oset(a)
     members = set(a)
-    for alpha in a:
-        for beta in a:
-            if not beta < alpha:
-                continue
+    for k, alpha in enumerate(a):
+        seen = 0  # alpha's first `seen` positions are known to lie in a
+        for beta in a[:k]:
             r = tower.rank(alpha, beta)
-            for i in range(r):
-                if tower.nth(alpha, i) not in members:
+            while seen < r:
+                if tower.nth(alpha, seen) not in members:
                     return False
+                seen += 1
     return True
 
 
@@ -54,7 +61,7 @@ def cofinal_extend(a, tower: Tower) -> OrdinalSet:
     return oset(out)
 
 
-def ladder(length: int, bound, tower: Tower) -> Tuple[List[Ordinal], List[OrdinalSet]]:
+def ladder(length: int, bound, tower: Tower) -> tuple[list[Ordinal], list[OrdinalSet]]:
     """Points x_i and members s_i with x_i in s_j exactly when i <= j.
 
     x_0 = 0, s_i = cofinal_extend({x_0..x_i}), and x_{i+1} is the least
@@ -98,7 +105,7 @@ class Entailment(enum.Enum):
     NO_WITNESS_IN_WINDOW = "NO_WITNESS_IN_WINDOW"
 
 
-def entails(a, b, window: "FamilyWindow") -> Tuple[Entailment, Optional[OrdinalSet]]:
+def entails(a, b, window: "FamilyWindow") -> tuple[Entailment, OrdinalSet | None]:
     """Windowed refutation of "every member containing a meets b".
 
     REFUTED comes with a witness member and is sound for the full family;
@@ -118,7 +125,7 @@ class FamilyWindow:
 
     bound: Ordinal
     seed: int
-    members: Tuple[OrdinalSet, ...]
+    members: tuple[OrdinalSet, ...]
 
     @property
     def count(self) -> int:
@@ -171,7 +178,7 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
         raise DomainError(f"count must be >= 0, got {count}")
     if count > 0 and not ZERO < bound:
         raise DomainError(f"family window needs bound > 0, got {bound}")
-    members: List[OrdinalSet] = []
+    members: list[OrdinalSet] = []
     seen = set()
 
     def push(m: OrdinalSet) -> None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 from .errors import CapExceededError, CertificateViolation, DomainError, IterationCeilingError
 from .ordinals import Ordinal, W, enum_below, fund_seq, ordinal, oset, parse_ordinal, _as_ord
@@ -57,7 +56,7 @@ class CanonicalOmega(OmegaOrder):
             raise DomainError(f"rank index must be >= 0, got {k}")
         return ordinal(k)
 
-    def prefix(self, k: int) -> List[Ordinal]:
+    def prefix(self, k: int) -> list[Ordinal]:
         return [ordinal(i) for i in range(k)]
 
     def __contains__(self, x) -> bool:
@@ -72,7 +71,7 @@ class PatchedOrder(OmegaOrder):
     itself, ranks included.
     """
 
-    def __init__(self, outer: OmegaOrder, head: List[Ordinal]):
+    def __init__(self, outer: OmegaOrder, head: list[Ordinal]):
         self.outer = outer
         self.bound = outer.bound
         self.head = head
@@ -88,7 +87,7 @@ class PatchedOrder(OmegaOrder):
             raise DomainError(f"rank index must be >= 0, got {k}")
         return self.head[k] if k < len(self.head) else self.outer.nth(k)
 
-    def prefix(self, k: int) -> List[Ordinal]:
+    def prefix(self, k: int) -> list[Ordinal]:
         n = len(self.head)
         return self.head[:k] if k <= n else self.head + self.outer.prefix(k)[n:]
 
@@ -112,7 +111,7 @@ class LimitOrder(BlockOrder):
             fresh = [p for p in oi.prefix(r) if p not in self._ranks]
         self.append_block(fresh)  # within a block, points keep their prefix order
 
-    def _chain_block(self, oi: OmegaOrder, r: int) -> Optional[List[Ordinal]]:
+    def _chain_block(self, oi: OmegaOrder, r: int) -> list[Ordinal] | None:
         """oi's first r points not yet placed, read off oi = lam+m when they
         extend the previous stage's prefix over the same lam; else None."""
         last = self._last
@@ -134,7 +133,7 @@ class ExceptionCert:
 
     lower: Ordinal
     upper: Ordinal
-    points: Tuple[Ordinal, ...]
+    points: tuple[Ordinal, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +169,7 @@ class ExceptionCert:
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
-    witness: Optional[Tuple[Ordinal, Ordinal]] = None
+    witness: tuple[Ordinal, Ordinal] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -210,10 +209,10 @@ def adjust_one(inner: OmegaOrder, outer: OmegaOrder, cert, spot_check: int = 0) 
     return result
 
 
-def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: Tuple[Ordinal, ...]) -> OmegaOrder:
+def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: tuple[Ordinal, ...]) -> OmegaOrder:
     if not points:
         return outer
-    anchors: Dict[Ordinal, Optional[Ordinal]] = {}  # keyed by the moved points
+    anchors: dict[Ordinal, Ordinal | None] = {}  # keyed by the moved points
     later = set(points)
     for x in points:
         later.discard(x)
@@ -235,12 +234,12 @@ class AAOrders:
 
     def __init__(self, cap: Ordinal | None = None):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
-        self._orders: Dict[Ordinal, OmegaOrder] = {}
-        self._tails: Dict[Ordinal, List[Ordinal]] = {}
-        self._chains: Dict[Ordinal, Tuple[List[Ordinal], List[int]]] = {}
-        self._chain_orders: Dict[Tuple[Ordinal, int], OmegaOrder] = {}
-        self._chain_certs: Dict[Tuple[Ordinal, int], Tuple[Ordinal, ...]] = {}
-        self._exc: Dict[Tuple[Ordinal, Ordinal], Tuple[Ordinal, ...]] = {}
+        self._orders: dict[Ordinal, OmegaOrder] = {}
+        self._tails: dict[Ordinal, list[Ordinal]] = {}
+        self._chains: dict[Ordinal, tuple[list[Ordinal], list[int]]] = {}
+        self._chain_orders: dict[tuple[Ordinal, int], OmegaOrder] = {}
+        self._chain_certs: dict[tuple[Ordinal, int], tuple[Ordinal, ...]] = {}
+        self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}
 
     def _check(self, alpha) -> Ordinal:
         alpha = _as_ord(alpha)
@@ -277,7 +276,7 @@ class AAOrders:
     def nth(self, alpha, k: int) -> Ordinal:
         return self.order(alpha).nth(k)
 
-    def limit_blocks(self, eta, n: int) -> List[Tuple[Ordinal, ...]]:
+    def limit_blocks(self, eta, n: int) -> list[tuple[Ordinal, ...]]:
         """First n blocks b_0..b_{n-1} of the limit construction at eta."""
         eta = self._check(eta)
         o = self.order(eta)
@@ -302,7 +301,7 @@ class AAOrders:
                 lst.append(v)
         return lst[i]
 
-    def chain_cert(self, eta: Ordinal, i: int) -> Tuple[Ordinal, ...]:
+    def chain_cert(self, eta: Ordinal, i: int) -> tuple[Ordinal, ...]:
         # composed certificate between the adjusted order at stage i-1
         # and the plain order at stage i
         if i == 0:
@@ -336,7 +335,7 @@ class AAOrders:
 
     # -- exception certificates ----------------------------------------------
 
-    def exception_points(self, beta: Ordinal, alpha: Ordinal) -> Tuple[Ordinal, ...]:
+    def exception_points(self, beta: Ordinal, alpha: Ordinal) -> tuple[Ordinal, ...]:
         """Certified superset of {x < beta : the orders at beta and alpha
         place x differently relative to other points < beta}."""
         if beta == alpha:

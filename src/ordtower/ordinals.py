@@ -22,12 +22,12 @@ and normalizes it through ordinal addition.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import count
-from typing import Iterable, Iterator, Tuple
 
 from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalSyntaxError
 
-Term = Tuple["Ordinal", int]
+Term = tuple["Ordinal", int]
 
 _TABLE: dict = {}  # terms -> the one Ordinal with those terms
 
@@ -35,7 +35,7 @@ _TABLE: dict = {}  # terms -> the one Ordinal with those terms
 class Ordinal:
     __slots__ = ("_terms", "_key")
 
-    def __new__(cls, terms: Tuple[Term, ...] = ()):
+    def __new__(cls, terms: tuple[Term, ...] = ()):
         o = _TABLE.get(terms)
         if o is None:
             o = _TABLE[terms] = object.__new__(cls)
@@ -50,7 +50,7 @@ class Ordinal:
         return Ordinal, (self._terms,)
 
     @property
-    def terms(self) -> Tuple[Term, ...]:
+    def terms(self) -> tuple[Term, ...]:
         return self._terms
 
     @staticmethod
@@ -80,7 +80,7 @@ class Ordinal:
             return self._terms[0][1]
         raise DomainError(f"{self} is not a natural number")
 
-    def split(self) -> Tuple["Ordinal", int]:
+    def split(self) -> tuple["Ordinal", int]:
         """Decompose as lam + m with lam limit-or-zero and m natural."""
         if self._terms and self._terms[-1][0].is_zero():
             return Ordinal(self._terms[:-1]), self._terms[-1][1]
@@ -377,7 +377,10 @@ class _Parser:
         self.depth = 0
 
     def error(self, msg: str) -> OrdinalSyntaxError:
-        return OrdinalSyntaxError(f"{msg} in {self.text!r}", self.pos)
+        # quote a long input by its head only, so the message stays one short line
+        text = self.text
+        shown = repr(text[:40]) + ("…" if len(text) > 40 else "")
+        return OrdinalSyntaxError(f"{msg} in {shown}", self.pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -458,6 +461,6 @@ def parse_ordinal(text: str) -> Ordinal:
     return o
 
 
-def oset(items) -> Tuple[Ordinal, ...]:
+def oset(items) -> tuple[Ordinal, ...]:
     """Normalize an iterable of ordinals to a sorted duplicate-free tuple."""
     return tuple(sorted({_as_ord(x) for x in items}))

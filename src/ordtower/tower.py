@@ -35,7 +35,7 @@ instance, and blocks are only published once fully computed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
+from collections.abc import Callable
 
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
@@ -54,17 +54,17 @@ from .ordinals import (
 
 DEFAULT_CAP = parse_ordinal("w^3")
 
-OrdinalSet = Tuple[Ordinal, ...]
+OrdinalSet = tuple[Ordinal, ...]
 
 # positions 0..N-1 of the longest order built so far, one int each shared by
 # every rank dict; it holds no answers, so it is no context's warm state
-_POSITIONS: List[int] = []
+_POSITIONS: list[int] = []
 
 
 class OmegaOrder:
     """A well-order of type omega given by a computable rank function."""
 
-    bound: Optional[Ordinal] = None
+    bound: Ordinal | None = None
 
     def rank(self, x) -> int:
         raise NotImplementedError
@@ -79,7 +79,7 @@ class OmegaOrder:
         """True when x strictly precedes y."""
         return self.rank(_as_ord(x)) < self.rank(_as_ord(y))
 
-    def prefix(self, k: int) -> List[Ordinal]:
+    def prefix(self, k: int) -> list[Ordinal]:
         """First k elements; subclasses override with bulk versions."""
         return [self.nth(i) for i in range(k)]
 
@@ -118,7 +118,7 @@ class PrependOrder(OmegaOrder):
     nothing until a prefix needs the whole tail.
     """
 
-    def __init__(self, inner: OmegaOrder, tail: List[Ordinal], m: int):
+    def __init__(self, inner: OmegaOrder, tail: list[Ordinal], m: int):
         self.inner = inner
         self.lam = tail[0]
         self.m = m
@@ -128,7 +128,7 @@ class PrependOrder(OmegaOrder):
     def bound(self) -> Ordinal:
         return add(self.lam, ordinal(self.m))
 
-    def _offset(self, x: Ordinal) -> Optional[int]:
+    def _offset(self, x: Ordinal) -> int | None:
         """j with x == lam+j (m when x is lam+w or more); None below lam."""
         if x < self.lam:
             return None
@@ -151,18 +151,18 @@ class PrependOrder(OmegaOrder):
             return add(self.lam, ordinal(self.m - 1 - k))
         return self.inner.nth(k - self.m)
 
-    def _grown_tail(self) -> List[Ordinal]:
+    def _grown_tail(self) -> list[Ordinal]:
         m, tail = self.m, self._tail
         tail.extend(add(self.lam, ordinal(j)) for j in range(len(tail), m))
         return tail
 
-    def prefix(self, k: int) -> List[Ordinal]:
+    def prefix(self, k: int) -> list[Ordinal]:
         m, tail = self.m, self._grown_tail()
         if k <= m:
             return tail[m - k:m][::-1]
         return tail[m - 1::-1] + self.inner.prefix(k - m)
 
-    def segment(self, j: int) -> List[Ordinal]:
+    def segment(self, j: int) -> list[Ordinal]:
         """The tail points lam+j .. lam+m-1, increasing."""
         return self._grown_tail()[j:self.m]
 
@@ -180,12 +180,12 @@ class BlockOrder(OmegaOrder):
     here, overridden by subclasses; either appends through ``append_block``.
     """
 
-    def __init__(self, eta: Ordinal, grow: Optional[Callable[[Ordinal], None]] = None):
+    def __init__(self, eta: Ordinal, grow: Callable[[Ordinal], None] | None = None):
         self.eta = self.bound = eta
         self.grow = grow
-        self._seq: List[Ordinal] = []
-        self._ranks: Dict[Ordinal, int] = {}
-        self._ends: List[int] = [0]
+        self._seq: list[Ordinal] = []
+        self._ranks: dict[Ordinal, int] = {}
+        self._ends: list[int] = [0]
         self._last = None  # what _extend keeps of the previous stage
 
     def _extend(self) -> None:
@@ -197,7 +197,7 @@ class BlockOrder(OmegaOrder):
                 f"block construction at {self.eta} exceeded {CEILING} stages")
         self._extend()
 
-    def append_block(self, points: List[Ordinal]) -> None:
+    def append_block(self, points: list[Ordinal]) -> None:
         """List points, none of them listed yet, as the next block."""
         n, k = len(self._seq), len(self._seq) + len(points)
         _POSITIONS.extend(range(len(_POSITIONS), k))
@@ -205,7 +205,7 @@ class BlockOrder(OmegaOrder):
         self._seq.extend(points)
         self._ends.append(len(self._seq))
 
-    def ensure_blocks(self, n: int) -> List[Ordinal]:
+    def ensure_blocks(self, n: int) -> list[Ordinal]:
         """Build blocks 0..n-1 and return their points, in order."""
         while len(self._ends) <= n:
             self._next_block()
@@ -226,7 +226,7 @@ class BlockOrder(OmegaOrder):
             self._next_block()
         return self._seq[k]
 
-    def prefix(self, k: int) -> List[Ordinal]:
+    def prefix(self, k: int) -> list[Ordinal]:
         while len(self._seq) < k:
             self._next_block()
         return self._seq[:k]
@@ -238,12 +238,12 @@ class BlockOrder(OmegaOrder):
 class Tower:
     def __init__(self, cap: Ordinal | None = None):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
-        self._orders: Dict[Ordinal, OmegaOrder] = {ZERO: ListOrder(())}
-        self._tails: Dict[Ordinal, List[Ordinal]] = {}
+        self._orders: dict[Ordinal, OmegaOrder] = {ZERO: ListOrder(())}
+        self._tails: dict[Ordinal, list[Ordinal]] = {}
         # per limit eta whose order has grown: the order list and the block
         # chain as prefix lengths, S_i == set(order[:chain[i]])
-        self._order: Dict[Ordinal, List[Ordinal]] = {}
-        self._chain: Dict[Ordinal, List[int]] = {}
+        self._order: dict[Ordinal, list[Ordinal]] = {}
+        self._chain: dict[Ordinal, list[int]] = {}
 
     def _check_cap(self, alpha: Ordinal) -> None:
         if alpha > self.cap:
@@ -325,7 +325,7 @@ class Tower:
 
     # -- internals -----------------------------------------------------------
 
-    def _next_chain_point(self, eta: Ordinal, mx: Ordinal, k: int) -> Tuple[int, Ordinal]:
+    def _next_chain_point(self, eta: Ordinal, mx: Ordinal, k: int) -> tuple[int, Ordinal]:
         """The least i > k with fund_seq(eta, i) > mx, and that value.
 
         fund_seq(eta, k) <= mx unless k == -1; the search gallops up from k.

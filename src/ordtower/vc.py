@@ -9,11 +9,11 @@ windowed pattern relations R_{m,k}.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, GuardExceededError
 from .family import FamilyWindow
@@ -29,10 +29,10 @@ class SetSystemWindow:
     """A finite ground of sorted ordinals with member sets stored as bitmasks."""
 
     def __init__(self, ground: Sequence, sets: Sequence):
-        self.ground: Tuple[Ordinal, ...] = tuple(sorted(_as_ord(p) for p in ground))
+        self.ground: tuple[Ordinal, ...] = tuple(sorted(_as_ord(p) for p in ground))
         if len(set(self.ground)) != len(self.ground):
             raise DomainError("ground has duplicate points")
-        self._index: Dict[Ordinal, int] = {p: i for i, p in enumerate(self.ground)}
+        self._index: dict[Ordinal, int] = {p: i for i, p in enumerate(self.ground)}
         masks = []
         for s in sets:
             if isinstance(s, int):
@@ -41,7 +41,7 @@ class SetSystemWindow:
                 masks.append(s)
             else:
                 masks.append(self.subset_mask(s))
-        self.masks: Tuple[int, ...] = tuple(masks)
+        self.masks: tuple[int, ...] = tuple(masks)
 
     @staticmethod
     def from_window(window: FamilyWindow, ground: Sequence | None = None) -> "SetSystemWindow":
@@ -64,11 +64,11 @@ class SetSystemWindow:
             mask |= 1 << self._index[p]
         return mask
 
-    def mask_points(self, mask: int) -> Tuple:
+    def mask_points(self, mask: int) -> tuple:
         return tuple(p for i, p in enumerate(self.ground) if mask >> i & 1)
 
 
-def trace(sys_: SetSystemWindow, a) -> Set[FrozenSet]:
+def trace(sys_: SetSystemWindow, a) -> set[frozenset]:
     """The distinct intersections of the members with a."""
     amask = sys_.subset_mask(a)
     return {frozenset(sys_.mask_points(m & amask)) for m in sys_.masks}
@@ -86,7 +86,7 @@ def _shattered_mask(masks: Sequence[int], amask: int, k: int) -> bool:
     return len({m & amask for m in masks}) == 1 << k
 
 
-def _shattered_levels(sys_: SetSystemWindow) -> Iterator[List[int]]:
+def _shattered_levels(sys_: SetSystemWindow) -> Iterator[list[int]]:
     """Level k: the masks of the shattered k-subsets, in lexicographic index
     order.  Subsets of shattered sets stay shattered, so each level only
     extends the previous one by indices past its highest."""
@@ -106,7 +106,7 @@ def vc_dim(sys_: SetSystemWindow) -> int:
     return max(sum(1 for _ in _shattered_levels(sys_)) - 1, 0)  # 0 with no members
 
 
-def hunt_shattered(sys_: SetSystemWindow, k: int) -> Optional[Tuple]:
+def hunt_shattered(sys_: SetSystemWindow, k: int) -> tuple | None:
     """Search for a shattered k-subset.
 
     Up to EXACT_LIMIT ground points the search is exhaustive and returns
@@ -152,7 +152,7 @@ def shatter_certificate(sys_: SetSystemWindow, a) -> dict:
     amask = sys_.subset_mask(a)
     pts = sys_.mask_points(amask)
     bits = [1 << sys_._index[p] for p in pts]
-    first: Dict[int, int] = {}  # trace on a -> index of the first member cutting it
+    first: dict[int, int] = {}  # trace on a -> index of the first member cutting it
     for idx, m in enumerate(sys_.masks):
         first.setdefault(m & amask, idx)
     witnesses = {}
@@ -192,8 +192,8 @@ class RmkValue(Enum):
 @dataclass(frozen=True)
 class RmkResult:
     value: RmkValue
-    exists_witness: Optional[Tuple[Ordinal, ...]]
-    universal_counterexample: Optional[Tuple[Ordinal, ...]]
+    exists_witness: tuple[Ordinal, ...] | None
+    universal_counterexample: tuple[Ordinal, ...] | None
     window_relative: bool = True
 
     def __bool__(self) -> bool:

@@ -7,8 +7,8 @@ PASS/FAIL line.  Output is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError
 from .family import cofinal_extend, enumerate_family, is_closed, ladder
@@ -45,8 +45,8 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _draw_distinct(rng: Lcg, bound: Ordinal, pool: int, n: int) -> List[Ordinal]:
-    got: List[Ordinal] = []
+def _draw_distinct(rng: Lcg, bound: Ordinal, pool: int, n: int) -> list[Ordinal]:
+    got: list[Ordinal] = []
     seen = set()
     guard = 0
     while len(got) < n:
@@ -101,7 +101,7 @@ def _check_literal_roundtrip(cfg: VerifyConfig) -> CheckResult:
                        "100 canonical literals round-tripped")
 
 
-def suite_tower(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
+def suite_tower(cfg: VerifyConfig, tower: Tower) -> list[CheckResult]:
     return [
         _check_trichotomy(cfg, tower),
         _check_literal_roundtrip(cfg),
@@ -186,7 +186,7 @@ def _check_closed_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "500 sets judged identically by both closure routes")
 
 
-def suite_family(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
+def suite_family(cfg: VerifyConfig, tower: Tower) -> list[CheckResult]:
     return [
         _check_extend_sound(cfg, tower),
         _check_close_sound(cfg, tower),
@@ -284,7 +284,7 @@ def _check_section(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "100 sections enumerate to exactly their rank size")
 
 
-def _brute_trace(members: List[frozenset], a: frozenset):
+def _brute_trace(members: list[frozenset], a: frozenset):
     return {m & a for m in members}
 
 
@@ -311,7 +311,7 @@ def _check_trace_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "100 random systems match the direct set enumerator")
 
 
-def suite_vc(cfg: VerifyConfig, tower: Tower) -> List[CheckResult]:
+def suite_vc(cfg: VerifyConfig, tower: Tower) -> list[CheckResult]:
     return [
         _check_cond4(cfg, tower),
         _check_window_vc(cfg, tower),
@@ -396,7 +396,7 @@ def _check_adjust_unit(cfg: VerifyConfig, ctx: AAOrders) -> CheckResult:
                        "empty certificate is identity; hand example reproduced")
 
 
-def suite_aa(cfg: VerifyConfig, ctx: AAOrders) -> List[CheckResult]:
+def suite_aa(cfg: VerifyConfig, ctx: AAOrders) -> list[CheckResult]:
     return [
         _check_order_type(cfg, ctx),
         _check_almost_agree(cfg, ctx),
@@ -404,7 +404,7 @@ def suite_aa(cfg: VerifyConfig, ctx: AAOrders) -> List[CheckResult]:
     ]
 
 
-SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "tower": suite_tower,
     "family": suite_family,
     "vc": suite_vc,
@@ -412,13 +412,13 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-def run_suites(names, cfg: Optional[VerifyConfig] = None) -> List[CheckResult]:
+def run_suites(names, cfg: VerifyConfig | None = None) -> list[CheckResult]:
     """Run the named suites; "aa" gets an AAOrders, the others share a Tower."""
     cfg = cfg or VerifyConfig()
     names = list(names)
     tower = Tower(cap=cfg.cap) if set(names) - {"aa"} else None
     ctx = AAOrders(cap=cfg.cap) if "aa" in names else None
-    results: List[CheckResult] = []
+    results: list[CheckResult] = []
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")

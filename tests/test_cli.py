@@ -181,6 +181,26 @@ def test_long_naturals_are_syntax_errors():
         assert err.startswith("error: syntax: ") and err.count("\n") == 1, argv[-1][:20]
 
 
+def test_syntax_error_quotes_only_the_head_of_a_long_input():
+    code, out, err = _run_in_process(["ord", "parse", "9" * 5000])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: syntax: ") and err.endswith("(at position 5000)\n")
+    assert "'" + "9" * 40 + "'…" in err
+    assert len(err.encode("utf-8")) < 200
+    code, out, err = _run_in_process(["ord", "parse", "w+"])
+    assert err == "error: syntax: expected a term in 'w+' (at position 2)\n"
+
+
+def test_the_cli_never_imports_typing():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import ordtower.cli; "
+         "print('typing' in sys.modules)", src],
+        capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
+
+
 def test_deep_enumeration_ends_in_an_error():
     assert run("ord", "enum", "w*99999999999999", "3").stdout.strip() == "w*99999999999997"
     assert run("ord", "enum", "w*400", "3").stdout.strip() == "w*398"

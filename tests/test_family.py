@@ -18,6 +18,7 @@ from ordtower import (
     parse_ordinal,
 )
 from ordtower import verify
+from ordtower.tower import BlockOrder, Tower
 
 p = parse_ordinal
 
@@ -85,6 +86,82 @@ def test_closed_oracle_check_catches_an_off_by_one(tower, monkeypatch):
     monkeypatch.setattr(verify, "_closed_by_rank_counts", largest_rank_is_k)
     res = verify._check_closed_oracle(verify.VerifyConfig(), tower)
     assert res.line().startswith("FAIL closed-alltriples-oracle: routes disagree on ")
+
+
+def seeded_closed_and_open_sets(seed, n, tower):
+    # drawn as in the triples test, plus each set's closure and that closure
+    # with one of its added points dropped; small, for the cubic oracle
+    rng = Lcg(seed)
+    from ordtower import enum_below
+    sets = []
+    for _ in range(n):
+        a = tuple(sorted({enum_below(p("w^2"), rng.below(16))
+                          for _ in range(1 + rng.below(6))}))
+        ext = cofinal_extend(a, tower)
+        added = [x for x in ext if x not in a]
+        gone = added[rng.below(len(added))]
+        sets += [a, ext, tuple(x for x in ext if x != gone)]
+    return sets
+
+
+def test_closed_agrees_with_triples_on_closures(tower):
+    sets = seeded_closed_and_open_sets(7, 40, tower)
+    verdicts = [is_closed(a, tower) for a in sets]
+    assert verdicts == [closed_by_triples(a, tower) for a in sets]
+    assert True in verdicts and False in verdicts
+
+
+def test_closed_asks_the_ranks_and_grows_the_orders_of_the_triples(tower, monkeypatch):
+    sets = seeded_closed_and_open_sets(8, 25, tower)
+    calls = []
+    rank = Tower.rank
+
+    def recorded(self, alpha, x):
+        calls.append((alpha, x))
+        return rank(self, alpha, x)
+
+    monkeypatch.setattr(Tower, "rank", recorded)
+    routes = []
+    for route in (is_closed, closed_by_triples):
+        calls.clear()
+        fresh = Tower()
+        verdicts = [route(a, fresh) for a in sets]
+        lengths = {eta: len(o._seq) for eta, o in fresh._orders.items()
+                   if isinstance(o, BlockOrder)}
+        routes.append((verdicts, list(calls), lengths))
+    assert routes[0] == routes[1]
+    assert routes[0][1] and routes[0][2]
+
+
+def test_closure_checks_catch_planted_faults(tower, monkeypatch):
+    cfg = verify.VerifyConfig()
+
+    def one_position_short(a, tower):
+        a = oset(a)
+        members = set(a)
+        for k, alpha in enumerate(a):
+            seen = 0
+            for beta in a[:k]:
+                r = tower.rank(alpha, beta)
+                while seen < r - 1:
+                    if tower.nth(alpha, seen) not in members:
+                        return False
+                    seen += 1
+        return True
+
+    def drops_least_added(a, tower):
+        ext = cofinal_extend(a, tower)
+        least = min(x for x in ext if x not in set(a))
+        return tuple(x for x in ext if x != least)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "is_closed", one_position_short)
+        assert verify._check_closed_oracle(cfg, tower).line() == (
+            "FAIL closed-alltriples-oracle: routes disagree on ['1', 'w*3']")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "cofinal_extend", drops_least_added)
+        res = verify._check_extend_sound(cfg, tower)
+        assert res.line().startswith("FAIL closure-extend-sound: extension of ")
 
 
 def test_cofinal_extend_sound(tower):
