@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, IterationCeilingError
 from .ordinals import (
@@ -119,13 +119,11 @@ def entails(a, b, window: "FamilyWindow") -> tuple[Entailment, OrdinalSet | None
     return Entailment.NO_WITNESS_IN_WINDOW, None
 
 
-@dataclass(frozen=True)
-class FamilyWindow:
-    """A finite, deterministically regenerable slice of the family."""
+class FamilyWindow(namedtuple("FamilyWindow", "bound seed members")):
+    """A finite, deterministically regenerable slice of the family: members
+    (a tuple of ordinal sets) drawn below bound with the seed."""
 
-    bound: Ordinal
-    seed: int
-    members: tuple[OrdinalSet, ...]
+    __slots__ = ()
 
     @property
     def count(self) -> int:

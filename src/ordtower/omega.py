@@ -20,7 +20,9 @@ Each alpha with omega <= alpha <= cap carries an order of type omega on
     and then q points of lam's order, so when the previous stage listed
     m0 <= m and q0 <= q over the same lam and nothing else is placed, b_i
     is lam+m-1, ..., lam+m0 and then lam's positions q0..q-1.  Every other
-    stage filters its prefix by the definition.
+    stage filters its prefix by the definition.  Stage i's composed
+    certificate is stage i-1's joined with the step's exception points,
+    and is the previous one itself when the step adds no point.
 
 The two layers differ only in how a limit's next block is chosen: a
 closure step in the tower, the adjusted chain here.
@@ -33,7 +35,7 @@ the same recursion that builds the orders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceededError, CertificateViolation, DomainError, IterationCeilingError
 from .ordinals import Ordinal, W, enum_below, fund_seq, ordinal, oset, parse_ordinal, _as_ord
@@ -127,13 +129,11 @@ class LimitOrder(BlockOrder):
         return oi.segment(m0)[::-1] + rest
 
 
-@dataclass(frozen=True)
-class ExceptionCert:
-    """Finite certified superset of where two orders may disagree."""
+class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
+    """Finite certified superset (the sorted tuple points) of where the
+    orders at lower and upper may disagree."""
 
-    lower: Ordinal
-    upper: Ordinal
-    points: tuple[Ordinal, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -166,10 +166,8 @@ class ExceptionCert:
             raise DomainError(f"malformed certificate JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    witness: tuple[Ordinal, Ordinal] | None = None
+class VerifyResult(namedtuple("VerifyResult", "ok witness", defaults=(None,))):
+    __slots__ = ()  # witness: the disagreeing pair, when not ok
 
     def __bool__(self) -> bool:
         return self.ok
@@ -222,10 +220,16 @@ def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: tuple[Ordinal, ...]) -
             j -= 1
         anchors[x] = inner.nth(j) if j >= 0 else None
     n = 1 + max(outer.rank(z) for z in [*points, *anchors.values()] if z is not None)
-    head = [z for z in outer.prefix(n) if z not in anchors]
+    # putting the points back one by one lists each z, then the points anchored
+    # at z, latest first, each followed by its own: a stack walks that order
+    after: dict[Ordinal | None, list[Ordinal]] = {}
     for x in points:
-        a = anchors[x]
-        head.insert(0 if a is None else head.index(a) + 1, x)
+        after.setdefault(anchors[x], []).append(x)
+    head, todo = [], [z for z in outer.prefix(n) if z not in anchors][::-1] + after.get(None, [])
+    while todo:
+        z = todo.pop()
+        head.append(z)
+        todo += after.get(z, ())
     return PatchedOrder(outer, head)
 
 
@@ -238,7 +242,7 @@ class AAOrders:
         self._tails: dict[Ordinal, list[Ordinal]] = {}
         self._chains: dict[Ordinal, tuple[list[Ordinal], list[int]]] = {}
         self._chain_orders: dict[tuple[Ordinal, int], OmegaOrder] = {}
-        self._chain_certs: dict[tuple[Ordinal, int], tuple[Ordinal, ...]] = {}
+        self._chain_certs: dict[Ordinal, list[tuple[Ordinal, ...]]] = {}
         self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}
 
     def _check(self, alpha) -> Ordinal:
@@ -252,17 +256,19 @@ class AAOrders:
     # -- the orders ----------------------------------------------------------
 
     def order(self, alpha) -> OmegaOrder:
-        alpha = self._check(alpha)
+        return self._order(self._check(alpha))
+
+    def _order(self, alpha: Ordinal) -> OmegaOrder:
+        # order() for an alpha already known to lie in [w, cap]
         got = self._orders.get(alpha)
         if got is None:
-            if alpha == W:
+            lam, m = alpha.split()
+            if alpha is W:
                 got = CanonicalOmega()
+            elif m > 0:
+                got = PrependOrder(self._order(lam), self._tails.setdefault(lam, [lam]), m)
             else:
-                lam, m = alpha.split()
-                if m > 0:
-                    got = PrependOrder(self.order(lam), self._tails.setdefault(lam, [lam]), m)
-                else:
-                    got = LimitOrder(self, alpha)
+                got = LimitOrder(self, alpha)
             self._orders[alpha] = got
         return got
 
@@ -303,17 +309,16 @@ class AAOrders:
 
     def chain_cert(self, eta: Ordinal, i: int) -> tuple[Ordinal, ...]:
         # composed certificate between the adjusted order at stage i-1
-        # and the plain order at stage i
-        if i == 0:
-            return ()
-        key = (eta, i)
-        got = self._chain_certs.get(key)
-        if got is None:
-            prev = self.chain_cert(eta, i - 1)
-            step = self.exception_points(self.chain(eta, i - 1), self.chain(eta, i))
-            got = oset(prev + step)
-            self._chain_certs[key] = got
-        return got
+        # and the plain order at stage i, built stage by stage
+        certs = self._chain_certs.get(eta)
+        if certs is None:
+            certs = self._chain_certs[eta] = [()]
+        while len(certs) <= i:
+            j = len(certs)
+            step = self.exception_points(self.chain(eta, j - 1), self.chain(eta, j))
+            prev = certs[-1]  # kept as is when the step adds no point
+            certs.append(oset(prev + step) if prev and step else prev or step)
+        return certs[i]
 
     def chain_order(self, eta: Ordinal, i: int) -> OmegaOrder:
         got = self._chain_orders.get((eta, i))
@@ -323,13 +328,10 @@ class AAOrders:
         j = i
         while j > 0 and (eta, j - 1) not in self._chain_orders:
             j -= 1
+        got = self._chain_orders.get((eta, j - 1))  # stage j-1, adjusted
         for j in range(j, i + 1):
-            if j == 0:
-                got = self.order(W)
-            else:
-                inner = self._chain_orders[(eta, j - 1)]
-                outer = self.order(self.chain(eta, j))
-                got = _adjust(inner, outer, self.chain_cert(eta, j))
+            outer = self._order(self.chain(eta, j))
+            got = _adjust(got, outer, self.chain_cert(eta, j)) if j else outer
             self._chain_orders[(eta, j)] = got
         return got
 
@@ -338,7 +340,7 @@ class AAOrders:
     def exception_points(self, beta: Ordinal, alpha: Ordinal) -> tuple[Ordinal, ...]:
         """Certified superset of {x < beta : the orders at beta and alpha
         place x differently relative to other points < beta}."""
-        if beta == alpha:
+        if beta is alpha:
             return ()
         key = (beta, alpha)
         got = self._exc.get(key)
@@ -352,7 +354,7 @@ class AAOrders:
             i = 0
             while not beta <= self.chain(alpha, i):
                 i += 1
-            o = self.order(alpha)
+            o = self._order(alpha)
             assert isinstance(o, LimitOrder)
             collected = {p for p in o.ensure_blocks(i + 1) if p < beta}
             collected.update(p for p in self.chain_cert(alpha, i) if p < beta)
@@ -374,7 +376,9 @@ class AAOrders:
                          pool: int = 60) -> VerifyResult:
         """Sampled check of the defining property: orders agree on pairs
         outside the certificate points.  Order overrides let callers probe
-        deliberately mismatched orders (negative control)."""
+        deliberately mismatched orders (negative control).  Each candidate
+        is ranked at most once per order, on first use and in the order
+        the samples ask, so the orders grow as with a rank per use."""
         if samples < 0:
             raise DomainError(f"sample count must be >= 0, got {samples}")
         lo = lower_order if lower_order is not None else self.order(cert.lower)
@@ -396,11 +400,17 @@ class AAOrders:
         if len(candidates) < 2:
             raise IterationCeilingError("sample pool exhausted by exception points")
 
+        n = len(candidates)
+        lo_r, hi_r = [None] * n, [None] * n  # ranks by candidate index, asked once
+        asks = ((lo, lo_r), (hi, hi_r))
         for _ in range(samples):
-            x = candidates[rng.below(len(candidates))]
-            y = candidates[rng.below(len(candidates))]
-            if x == y:
+            i, j = rng.below(n), rng.below(n)
+            if i == j:  # the candidates are distinct
                 continue
-            if (lo.rank(x) < lo.rank(y)) != (hi.rank(x) < hi.rank(y)):
-                return VerifyResult(False, (x, y))
+            for o, got in asks:  # in the order x, y in lo, then x, y in hi
+                for k in i, j:
+                    if got[k] is None:
+                        got[k] = o.rank(candidates[k])
+            if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
+                return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import count
+from operator import attrgetter
 
 from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalSyntaxError
 
@@ -82,15 +83,15 @@ class Ordinal:
 
     def split(self) -> tuple["Ordinal", int]:
         """Decompose as lam + m with lam limit-or-zero and m natural."""
-        if self._terms and self._terms[-1][0].is_zero():
+        if self._terms and not self._terms[-1][0]._terms:
             return Ordinal(self._terms[:-1]), self._terms[-1][1]
         return self, 0
 
     def is_limit(self) -> bool:
-        return bool(self._terms) and not self._terms[-1][0].is_zero()
+        return bool(self._terms) and bool(self._terms[-1][0]._terms)
 
     def is_successor(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0].is_zero()
+        return bool(self._terms) and not self._terms[-1][0]._terms
 
     def succ(self) -> "Ordinal":
         return add(self, ONE)
@@ -207,6 +208,8 @@ def _maybe_ord(x):
 
 
 def _as_ord(x) -> Ordinal:
+    if type(x) is Ordinal:
+        return x
     o = _maybe_ord(x)
     if o is None:
         raise DomainError(f"not an ordinal: {x!r}")
@@ -276,8 +279,9 @@ def fund_seq(lam, n: int) -> Ordinal:
     if c > 1:
         parts.append((e, c - 1))
     if e.is_successor():
-        if n > 0:
-            parts.append((e.pred(), n))
+        if n > 0:  # e ends in the natural term k, so e-1 ends in k-1
+            head, k = e._terms[:-1], e._terms[-1][1]
+            parts.append((Ordinal(head + ((ZERO, k - 1),) if k > 1 else head), n))
     else:
         parts.append((fund_seq(e, n), 1))
     return Ordinal(tuple(parts))
@@ -461,6 +465,10 @@ def parse_ordinal(text: str) -> Ordinal:
     return o
 
 
+# sort key for ordinals: comparing keys is comparing ordinals, in C
+ORD_KEY = attrgetter("_key")
+
+
 def oset(items) -> tuple[Ordinal, ...]:
     """Normalize an iterable of ordinals to a sorted duplicate-free tuple."""
-    return tuple(sorted({_as_ord(x) for x in items}))
+    return tuple(sorted({_as_ord(x) for x in items}, key=ORD_KEY))

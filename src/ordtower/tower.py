@@ -40,13 +40,11 @@ from collections.abc import Callable
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
     CEILING,
+    ORD_KEY,
     ZERO,
     Ordinal,
-    add,
-    difference,
     enum_below,
     fund_seq,
-    ordinal,
     oset,
     parse_ordinal,
     _as_ord,
@@ -126,14 +124,21 @@ class PrependOrder(OmegaOrder):
 
     @property
     def bound(self) -> Ordinal:
-        return add(self.lam, ordinal(self.m))
+        return self._plus(self.m)
 
     def _offset(self, x: Ordinal) -> int | None:
         """j with x == lam+j (m when x is lam+w or more); None below lam."""
         if x < self.lam:
             return None
-        d = difference(x, self.lam)
-        return d.natural() if d.is_natural() else self.m
+        lam, t = self.lam._terms, x._terms  # lam+j is lam's terms, then (0, j)
+        rest = t[len(lam):]
+        if t[:len(lam)] != lam or len(rest) > 1 or rest and rest[0][0] is not ZERO:
+            return self.m
+        return rest[0][1] if rest else 0
+
+    def _plus(self, j: int) -> Ordinal:
+        # lam+j: lam is a limit or zero, so j > 0 is one more term
+        return Ordinal(self.lam._terms + ((ZERO, j),)) if j else self.lam
 
     def rank(self, x) -> int:
         x = _as_ord(x)
@@ -148,12 +153,12 @@ class PrependOrder(OmegaOrder):
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
         if k < self.m:
-            return add(self.lam, ordinal(self.m - 1 - k))
+            return self._plus(self.m - 1 - k)
         return self.inner.nth(k - self.m)
 
     def _grown_tail(self) -> list[Ordinal]:
-        m, tail = self.m, self._tail
-        tail.extend(add(self.lam, ordinal(j)) for j in range(len(tail), m))
+        tail = self._tail
+        tail.extend(map(self._plus, range(len(tail), self.m)))
         return tail
 
     def prefix(self, k: int) -> list[Ordinal]:
@@ -213,6 +218,9 @@ class BlockOrder(OmegaOrder):
 
     def rank(self, x) -> int:
         x = _as_ord(x)
+        got = self._ranks.get(x)
+        if got is not None:  # placed points lie below eta
+            return got
         if not x < self.eta:
             raise DomainError(f"{x} is not below {self.eta}")
         while x not in self._ranks:
@@ -321,7 +329,7 @@ class Tower:
             raise DomainError(f"blocks requires a limit ordinal, got {eta}")
         if n < 0:
             raise DomainError(f"block index must be >= 0, got {n}")
-        return tuple(sorted(o.ensure_blocks(n)))
+        return tuple(sorted(o.ensure_blocks(n), key=ORD_KEY))
 
     # -- internals -----------------------------------------------------------
 
@@ -370,7 +378,7 @@ class Tower:
                 below = self.order(lam)
                 ends = below._ends
                 end = max(end0, ends[bisect_left(ends, below.rank(e) + 1)])
-                new = sorted(below._seq[end0:end])
+                new = sorted(below._seq[end0:end], key=ORD_KEY)
             new += self.order(alpha_n).segment(m0 + 1)
         new.append(alpha_n)
         o.append_block(new)

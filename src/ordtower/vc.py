@@ -9,8 +9,8 @@ windowed pattern relations R_{m,k}.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
@@ -189,12 +189,9 @@ class RmkValue(Enum):
     FALSE_IN_WINDOW = "FALSE_IN_WINDOW"
 
 
-@dataclass(frozen=True)
-class RmkResult:
-    value: RmkValue
-    exists_witness: tuple[Ordinal, ...] | None
-    universal_counterexample: tuple[Ordinal, ...] | None
-    window_relative: bool = True
+class RmkResult(namedtuple("RmkResult", "value exists_witness universal_counterexample "
+                                      "window_relative", defaults=(True,))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.value is RmkValue.TRUE_IN_WINDOW

@@ -7,8 +7,8 @@ PASS/FAIL line.  Output is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .family import cofinal_extend, enumerate_family, is_closed, ladder
@@ -28,18 +28,13 @@ from .vc import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = 1
-    bound: Ordinal = field(default_factory=lambda: parse_ordinal("w^2"))
-    cap: Ordinal = field(default_factory=lambda: parse_ordinal("w^3"))
+class VerifyConfig(namedtuple("VerifyConfig", "seed bound cap",
+                              defaults=(1, parse_ordinal("w^2"), parse_ordinal("w^3")))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import traceback
 
+import pytest
+
 from ordtower import cli
 
 CMD = [sys.executable, "-m", "ordtower"]
@@ -199,6 +201,43 @@ def test_the_cli_never_imports_typing():
          "print('typing' in sys.modules)", src],
         capture_output=True, text=True)
     assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
+
+
+def test_the_cli_never_imports_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, and with it ast, dis and tokenize
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import ordtower.cli; "
+         "print('dataclasses' in sys.modules, 'inspect' in sys.modules)", src],
+        capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False False\n", "")
+
+
+def test_records_keep_their_fields_defaults_and_immutability():
+    import ordtower as ot
+
+    w2 = ot.parse_ordinal("w^2")
+    cfg = ot.VerifyConfig()
+    assert (cfg.seed, cfg.bound, cfg.cap) == (1, w2, ot.parse_ordinal("w^3"))
+    assert cfg == ot.VerifyConfig(seed=1, bound=w2) != ot.VerifyConfig(seed=2)
+    assert repr(ot.VerifyResult(True)) == "VerifyResult(ok=True, witness=None)"
+    assert not ot.VerifyResult(False, (ot.W, ot.ZERO)) and ot.VerifyResult(True)
+    res = ot.CheckResult("x", False, "why")
+    assert res.line() == "FAIL x: why"
+    rmk = ot.RmkResult(ot.RmkValue.TRUE_IN_WINDOW, None, None)
+    assert rmk and rmk.window_relative is True
+    window = ot.FamilyWindow(bound=ot.W, seed=3, members=((ot.ZERO,), (ot.ONE,)))
+    assert window.count == 2
+    assert ot.FamilyWindow.from_dict(window.to_dict()) == window
+    cert = ot.ExceptionCert(lower=ot.W, upper=w2, points=(ot.ZERO,))
+    assert ot.ExceptionCert.from_json(cert.to_json()) == cert
+    for record, field in [(cfg, "seed"), (res, "passed"), (rmk, "value"),
+                          (window, "members"), (cert, "points")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_deep_enumeration_ends_in_an_error():

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from ordtower import omega
+from ordtower import omega, verify
 from ordtower import (
     AAOrders,
     CanonicalOmega,
@@ -17,13 +17,16 @@ from ordtower import (
     Lcg,
     ListOrder,
     Tower,
+    VerifyResult,
     W,
     add,
     adjust_one,
     enum_below,
     ordinal,
     oset,
+    parse_ordinal,
 )
+from ordtower.omega import PatchedOrder
 
 
 def strs(xs):
@@ -429,3 +432,139 @@ def test_ceiling_stops_both_block_constructions(p, monkeypatch):
     with pytest.raises(IterationCeilingError,
                        match=r"block construction at w\*2 exceeded 3 stages"):
         orders.limit_blocks(p("w*2"), 4)
+
+
+def _reference_verify(ctx, cert, samples, seed, lower_order=None, upper_order=None, pool=60):
+    # the sampler as first written: four rank calls per sample, repeats included
+    lo = lower_order if lower_order is not None else ctx.order(cert.lower)
+    hi = upper_order if upper_order is not None else ctx.order(cert.upper)
+    excl = set(cert.points)
+    rng = Lcg(seed)
+    candidates, seen = [], set()
+    for idx in range(2 * pool + len(excl)):
+        x = enum_below(cert.lower, idx)
+        if x in excl or x in seen:
+            continue
+        seen.add(x)
+        candidates.append(x)
+        if len(candidates) >= pool:
+            break
+    for _ in range(samples):
+        x = candidates[rng.below(len(candidates))]
+        y = candidates[rng.below(len(candidates))]
+        if x == y:
+            continue
+        if (lo.rank(x) < lo.rank(y)) != (hi.rank(x) < hi.rank(y)):
+            return VerifyResult(False, (x, y))
+    return VerifyResult(True, None)
+
+
+class _Recording(omega.OmegaOrder):
+    def __init__(self, order, tag, log):
+        self.order, self.tag, self.log = order, tag, log
+
+    def rank(self, x):
+        self.log.append((self.tag, x))
+        return self.order.rank(x)
+
+
+def _limit_lengths(ctx):
+    return {eta: len(o._seq) for eta, o in ctx._orders.items()
+            if isinstance(o, omega.LimitOrder)}
+
+
+def _swapped(order, a, b):
+    # order with the points a and b trading places, all else kept
+    head = order.prefix(1 + max(order.rank(a), order.rank(b)))
+    i, j = head.index(a), head.index(b)
+    head[i], head[j] = b, a
+    return PatchedOrder(order, head)
+
+
+def test_memoized_sampler_matches_four_ranks_per_sample(p):
+    # same verdicts and witnesses, and every limit order grown exactly as far
+    new, ref = AAOrders(), AAOrders()
+    rng = Lcg(21)
+    top = p("w^2*2")
+    triples = []
+    while len(triples) < 12:
+        a, b = enum_below(top, rng.below(160)), enum_below(top, rng.below(160))
+        lo, hi = max(min(a, b), W), max(a, b)
+        if lo < hi:
+            triples.append((lo, hi, 100 + len(triples)))
+    for k, (lo, hi, seed) in enumerate(triples):
+        samples = (5, 20, 200)[k % 3]  # few samples leave candidates unranked
+        cert = new.exception_set(lo, hi)
+        assert cert == ref.exception_set(lo, hi)
+        asked, asked_ref = [], []
+        got = new.verify_exception(cert, samples, seed,
+                                   lower_order=_Recording(new.order(lo), "lo", asked),
+                                   upper_order=_Recording(new.order(hi), "hi", asked))
+        want = _reference_verify(ref, cert, samples, seed,
+                                 lower_order=_Recording(ref.order(lo), "lo", asked_ref),
+                                 upper_order=_Recording(ref.order(hi), "hi", asked_ref))
+        assert got == want and got.ok
+        # each candidate once per order, first asks in the reference's order
+        assert asked == list(dict.fromkeys(asked_ref))
+        assert _limit_lengths(new) == _limit_lengths(ref)
+    # negative controls: the upper order with two candidates swapped
+    fails = 0
+    for lo, hi, seed in triples[:6]:
+        cert = new.exception_set(lo, hi)
+        cands = [enum_below(lo, i) for i in range(120 + len(cert.points))]
+        cands = [x for x in dict.fromkeys(cands) if x not in cert.points]
+        x, y = cands[0], cands[len(cands) // 2]
+        bad_new, bad_ref = _swapped(new.order(hi), x, y), _swapped(ref.order(hi), x, y)
+        for s in range(seed, seed + 5):
+            got = new.verify_exception(cert, 200, s, lower_order=new.order(lo),
+                                       upper_order=bad_new)
+            want = _reference_verify(ref, cert, 200, s, lower_order=ref.order(lo),
+                                     upper_order=bad_ref)
+            assert got == want
+            fails += not got.ok
+        assert _limit_lengths(new) == _limit_lengths(ref)
+    assert fails > 0
+
+
+def test_almost_agree_check_catches_a_swapped_pair(monkeypatch):
+    cfg = verify.VerifyConfig()
+    assert verify._check_almost_agree(cfg, AAOrders()).passed
+    # the check's second certificate is (w, w^2+w*13+1) with no points, so its
+    # candidates are the naturals 0..59; swap two near the front of the upper order
+    target = parse_ordinal("w^2+w*13+1")
+    order = AAOrders.order
+
+    def planted(self, alpha):
+        got = order(self, alpha)
+        return _swapped(got, ordinal(0), ordinal(30)) if alpha == target else got
+
+    monkeypatch.setattr(AAOrders, "order", planted)
+    res = verify._check_almost_agree(cfg, AAOrders())
+    assert res.line().startswith(f"FAIL aa-almost-agree: orders at w and {target} disagree on (")
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=12),
+       st.lists(st.integers(0, 9), max_size=12), st.integers(1, 12))
+def test_adjust_matches_inserting_each_point_after_its_anchor(inner_perm, picks, mult):
+    # the definition: take the points out of outer, put them back in
+    # increasing order, each right after its anchor (the front when none)
+    inner = [ordinal(x) for x in dict.fromkeys(inner_perm)]
+    # x -> mult*x mod 13 permutes 0..11, so each mult gives another outer order
+    outer = sorted(inner + [ordinal(10), ordinal(11)], key=lambda x: x.natural() * mult % 13)
+    points = oset(x for x in picks if x in inner)
+    inner_o, outer_o = ListOrder(inner), ListOrder(outer)
+    got = omega._adjust(inner_o, outer_o, points)
+    if not points:
+        assert got is outer_o
+        return
+    later, anchors = set(points), {}
+    for x in points:
+        later.discard(x)
+        before = [z for z in inner[:inner.index(x)] if z not in later]
+        anchors[x] = before[-1] if before else None
+    n = 1 + max(outer_o.rank(z) for z in [*points, *anchors.values()] if z is not None)
+    head = [z for z in outer_o.prefix(n) if z not in anchors]
+    for x in points:
+        a = anchors[x]
+        head.insert(0 if a is None else head.index(a) + 1, x)
+    assert got.head == head

@@ -27,6 +27,7 @@ from ordtower import (
     oset,
     parse_ordinal,
 )
+from ordtower.ordinals import _as_ord
 
 p = parse_ordinal
 
@@ -225,6 +226,35 @@ def test_enum_below_finite_repeats_zero():
 def test_oset():
     assert oset([3, 1, 3, 0]) == (ZERO, ordinal(1), ordinal(3))
     assert oset([]) == ()
+
+
+def nested_ordinals():
+    """CNF values with ordinal exponents, such as w^(w+1)*2+w^w+3."""
+    def build(terms):
+        coeffs = dict(terms)  # the last coefficient drawn for an exponent
+        return Ordinal.from_terms(sorted(coeffs.items(), reverse=True))
+    return st.recursive(
+        st.integers(0, 3).map(ordinal),
+        lambda inner: st.lists(st.tuples(inner, st.integers(1, 3)), min_size=1,
+                               max_size=3).map(build),
+        max_leaves=8)
+
+
+@given(st.lists(st.one_of(nested_ordinals(), st.integers(0, 20)), max_size=12))
+def test_oset_sorts_by_the_ordinal_order(xs):
+    # oset sorts by Ordinal._key; the reference sorts by Ordinal.__lt__
+    got = oset(xs)
+    assert got == tuple(sorted(set(map(_as_ord, xs))))
+    assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_as_ord_takes_ordinals_and_ints_only():
+    x = p("w^(w+1)*2+w^w+3")
+    assert _as_ord(x) is x
+    assert _as_ord(7) is ordinal(7)
+    for bad in [True, False, 1.0, "w", None]:
+        with pytest.raises(DomainError):
+            _as_ord(bad)
 
 
 @given(small_ordinals())

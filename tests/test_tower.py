@@ -3,22 +3,44 @@
 import hashlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordtower import (
     CapExceededError,
     DomainError,
     IterationCeilingError,
     Lcg,
+    ListOrder,
+    Ordinal,
     Tower,
     W,
     add,
+    difference,
     enum_below,
     fund_seq,
     ordinal,
     parse_ordinal,
 )
+from ordtower.tower import PrependOrder
 
 p = parse_ordinal
+terms = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=3)
+
+
+def cnf(ts):
+    coeffs = dict(ts)
+    return Ordinal.from_terms([(ordinal(e), coeffs[e]) for e in sorted(coeffs, reverse=True)])
+
+
+@given(terms.map(cnf), terms.map(cnf), st.integers(1, 400))
+def test_prepend_offsets_are_differences_from_lam(a, x, m):
+    # x = lam+j reads j off the terms; x >= lam+w reads as m, x < lam as None
+    lam = a.split()[0]
+    o = PrependOrder(ListOrder(()), [lam], m)
+    d = difference(x, lam) if x >= lam else None
+    assert o._offset(x) == (None if d is None else d.natural() if d.is_natural() else m)
+    assert o._offset(add(lam, m // 2)) == m // 2
+    assert o._plus(m) == add(lam, m) == o.bound
 
 
 def test_rank_finite(tower):
