@@ -256,9 +256,9 @@ class AAOrders:
     # -- the orders ----------------------------------------------------------
 
     def order(self, alpha) -> OmegaOrder:
-        return self._order(self._check(alpha))
+        return self._order_at(self._check(alpha))
 
-    def _order(self, alpha: Ordinal) -> OmegaOrder:
+    def _order_at(self, alpha: Ordinal) -> OmegaOrder:
         # order() for an alpha already known to lie in [w, cap]
         got = self._orders.get(alpha)
         if got is None:
@@ -266,7 +266,7 @@ class AAOrders:
             if alpha is W:
                 got = CanonicalOmega()
             elif m > 0:
-                got = PrependOrder(self._order(lam), self._tails.setdefault(lam, [lam]), m)
+                got = PrependOrder(self._order_at(lam), self._tails.setdefault(lam, [lam]), m)
             else:
                 got = LimitOrder(self, alpha)
             self._orders[alpha] = got
@@ -330,7 +330,7 @@ class AAOrders:
             j -= 1
         got = self._chain_orders.get((eta, j - 1))  # stage j-1, adjusted
         for j in range(j, i + 1):
-            outer = self._order(self.chain(eta, j))
+            outer = self._order_at(self.chain(eta, j))
             got = _adjust(got, outer, self.chain_cert(eta, j)) if j else outer
             self._chain_orders[(eta, j)] = got
         return got
@@ -354,7 +354,7 @@ class AAOrders:
             i = 0
             while not beta <= self.chain(alpha, i):
                 i += 1
-            o = self._order(alpha)
+            o = self._order_at(alpha)
             assert isinstance(o, LimitOrder)
             collected = {p for p in o.ensure_blocks(i + 1) if p < beta}
             collected.update(p for p in self.chain_cert(alpha, i) if p < beta)

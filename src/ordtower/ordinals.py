@@ -87,6 +87,15 @@ class Ordinal:
             return Ordinal(self._terms[:-1]), self._terms[-1][1]
         return self, 0
 
+    def plus(self, m: int) -> "Ordinal":
+        """self + m for a natural m; lam.plus(m) undoes split."""
+        ts = self._terms
+        if not m:
+            return self
+        if ts and not ts[-1][0]._terms:
+            return Ordinal(ts[:-1] + ((ts[-1][0], ts[-1][1] + m),))
+        return Ordinal(ts + ((ZERO, m),))
+
     def is_limit(self) -> bool:
         return bool(self._terms) and bool(self._terms[-1][0]._terms)
 
@@ -94,13 +103,13 @@ class Ordinal:
         return bool(self._terms) and not self._terms[-1][0]._terms
 
     def succ(self) -> "Ordinal":
-        return add(self, ONE)
+        return self.plus(1)
 
     def pred(self) -> "Ordinal":
         if not self.is_successor():
             raise DomainError(f"{self} is not a successor")
         lam, m = self.split()
-        return add(lam, ordinal(m - 1))
+        return lam.plus(m - 1)
 
     # -- comparisons -------------------------------------------------------
 
@@ -337,7 +346,7 @@ def enum_below(eta, n: int) -> Ordinal:
             pos.append(next(_enum_gens[lam]))
         start, lam, m, j = pos[j]
         base = add(base, start)
-    got = _enum_answers[eta, n] = add(base, add(lam, ordinal(m - 1 - j))) if j < m else base
+    got = _enum_answers[eta, n] = add(base, lam.plus(m - 1 - j)) if j < m else base
     return got
 
 

@@ -124,21 +124,14 @@ class PrependOrder(OmegaOrder):
 
     @property
     def bound(self) -> Ordinal:
-        return self._plus(self.m)
+        return self.lam.plus(self.m)
 
     def _offset(self, x: Ordinal) -> int | None:
         """j with x == lam+j (m when x is lam+w or more); None below lam."""
         if x < self.lam:
             return None
-        lam, t = self.lam._terms, x._terms  # lam+j is lam's terms, then (0, j)
-        rest = t[len(lam):]
-        if t[:len(lam)] != lam or len(rest) > 1 or rest and rest[0][0] is not ZERO:
-            return self.m
-        return rest[0][1] if rest else 0
-
-    def _plus(self, j: int) -> Ordinal:
-        # lam+j: lam is a limit or zero, so j > 0 is one more term
-        return Ordinal(self.lam._terms + ((ZERO, j),)) if j else self.lam
+        lam, j = x.split()
+        return j if lam is self.lam else self.m
 
     def rank(self, x) -> int:
         x = _as_ord(x)
@@ -153,12 +146,12 @@ class PrependOrder(OmegaOrder):
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
         if k < self.m:
-            return self._plus(self.m - 1 - k)
+            return self.lam.plus(self.m - 1 - k)
         return self.inner.nth(k - self.m)
 
     def _grown_tail(self) -> list[Ordinal]:
         tail = self._tail
-        tail.extend(map(self._plus, range(len(tail), self.m)))
+        tail.extend(map(self.lam.plus, range(len(tail), self.m)))
         return tail
 
     def prefix(self, k: int) -> list[Ordinal]:

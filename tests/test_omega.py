@@ -419,6 +419,17 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert a._ranks[a._seq[k]] is b._ranks[b._seq[k]]
 
 
+def test_contexts_keep_the_fields_the_bench_tracer_reads():
+    # bench/tracer.py tells a Tower from an AAOrders by Tower's _order dict,
+    # then reads these memo dicts; an AAOrders attribute named _order would
+    # send it down the Tower branch
+    orders, tower = AAOrders(), Tower()
+    assert not hasattr(orders, "_order")
+    assert isinstance(tower._order, dict) and isinstance(tower._chain, dict)
+    for name in ["_orders", "_chain_orders", "_exc"]:
+        assert isinstance(getattr(orders, name), dict)
+
+
 def test_ceiling_stops_both_block_constructions(p, monkeypatch):
     # both constructions read the one constant in tower
     monkeypatch.setattr("ordtower.tower.CEILING", 3)

@@ -281,6 +281,13 @@ def test_add_right_monotone(a, b):
         assert add(a, b) == a
 
 
+@given(small_ordinals(), st.integers(0, 300))
+def test_plus_adds_a_natural_and_undoes_split(a, m):
+    assert a.plus(m) is add(a, m)
+    lam, j = a.split()
+    assert lam.plus(j) is a
+
+
 @given(small_ordinals(), small_ordinals())
 def test_difference_inverts_add(a, b):
     # left cancellation: a + d = a + b forces d = b

@@ -34,13 +34,14 @@ def cnf(ts):
 
 @given(terms.map(cnf), terms.map(cnf), st.integers(1, 400))
 def test_prepend_offsets_are_differences_from_lam(a, x, m):
-    # x = lam+j reads j off the terms; x >= lam+w reads as m, x < lam as None
+    # x = lam+j reads as j; x >= lam+w reads as m, x < lam as None
     lam = a.split()[0]
     o = PrependOrder(ListOrder(()), [lam], m)
     d = difference(x, lam) if x >= lam else None
     assert o._offset(x) == (None if d is None else d.natural() if d.is_natural() else m)
     assert o._offset(add(lam, m // 2)) == m // 2
-    assert o._plus(m) == add(lam, m) == o.bound
+    assert o.bound == add(lam, m)
+    assert o.nth(0) == add(lam, m - 1) and o.segment(0) == [add(lam, j) for j in range(m)]
 
 
 def test_rank_finite(tower):
