@@ -22,14 +22,17 @@ Each alpha with omega <= alpha <= cap carries an order of type omega on
     is lam+m-1, ..., lam+m0 and then lam's positions q0..q-1.  Every other
     stage filters its prefix by the definition.  Stage i's composed
     certificate is stage i-1's joined with the step's exception points,
-    and is the previous one itself when the step adds no point.
+    and is the previous one itself when the step adds no point.  A limit
+    keeps its stages (alpha_i, the composed certificate, the adjusted
+    order) in one list, grown in order on demand.
 
 The two layers differ only in how a limit's next block is chosen: a
 closure step in the tower, the adjusted chain here.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
-the same recursion that builds the orders.
+the same recursion that builds the orders.  Only limit uppers are
+memoized: a successor lam+m reorders nothing below lam.
 """
 
 from __future__ import annotations
@@ -234,16 +237,16 @@ def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: tuple[Ordinal, ...]) -
 
 
 class AAOrders:
-    """Shared context: memoized orders, chains and certificates below cap."""
+    """Shared context below cap: memoized orders, one list of adjusted
+    chain stages per limit, and certificates at limit uppers."""
 
     def __init__(self, cap: Ordinal | None = None):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
         self._orders: dict[Ordinal, OmegaOrder] = {}
         self._tails: dict[Ordinal, list[Ordinal]] = {}
-        self._chains: dict[Ordinal, tuple[list[Ordinal], list[int]]] = {}
-        self._chain_orders: dict[tuple[Ordinal, int], OmegaOrder] = {}
-        self._chain_certs: dict[Ordinal, list[tuple[Ordinal, ...]]] = {}
-        self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}
+        # per limit eta, its adjusted chain's stages 0, 1, ... (see _stage)
+        self._chain_orders: dict[Ordinal, list[tuple]] = {}
+        self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}  # limit uppers only
 
     def _check(self, alpha) -> Ordinal:
         alpha = _as_ord(alpha)
@@ -291,49 +294,26 @@ class AAOrders:
         seq, ends = o.ensure_blocks(n), o._ends
         return [tuple(seq[ends[i]:ends[i + 1]]) for i in range(n)]
 
-    # -- fundamental-sequence chain -----------------------------------------
+    # -- the adjusted chain ---------------------------------------------------
 
-    def chain(self, eta: Ordinal, i: int) -> Ordinal:
-        """i-th member of eta's chain: omega first, then the fundamental
-        sequence values above omega."""
-        got = self._chains.get(eta)
-        if got is None:
-            got = self._chains[eta] = ([W], [0])
-        lst, nxt = got
-        while len(lst) <= i:
-            v = fund_seq(eta, nxt[0])
-            nxt[0] += 1
-            if v > W:
-                lst.append(v)
-        return lst[i]
-
-    def chain_cert(self, eta: Ordinal, i: int) -> tuple[Ordinal, ...]:
-        # composed certificate between the adjusted order at stage i-1
-        # and the plain order at stage i, built stage by stage
-        certs = self._chain_certs.get(eta)
-        if certs is None:
-            certs = self._chain_certs[eta] = [()]
-        while len(certs) <= i:
-            j = len(certs)
-            step = self.exception_points(self.chain(eta, j - 1), self.chain(eta, j))
-            prev = certs[-1]  # kept as is when the step adds no point
-            certs.append(oset(prev + step) if prev and step else prev or step)
-        return certs[i]
+    def _stage(self, eta: Ordinal, i: int) -> tuple[int, Ordinal, tuple[Ordinal, ...], OmegaOrder]:
+        """Stage i of eta's adjusted chain: the next fund_seq index, alpha_i
+        (omega, then the fundamental sequence values above omega), the
+        certificate composed up to alpha_i, and the adjusted order there."""
+        stages = self._chain_orders.get(eta)
+        if stages is None:
+            stages = self._chain_orders[eta] = [(0, W, (), self._order_at(W))]
+        while len(stages) <= i:  # built in order, each from the one before
+            n, prev, cert, inner = stages[-1]
+            while not (alpha := fund_seq(eta, n)) > W:
+                n += 1
+            step = self.exception_points(prev, alpha)
+            cert = oset(cert + step) if cert and step else cert or step
+            stages.append((n + 1, alpha, cert, _adjust(inner, self._order_at(alpha), cert)))
+        return stages[i]
 
     def chain_order(self, eta: Ordinal, i: int) -> OmegaOrder:
-        got = self._chain_orders.get((eta, i))
-        if got is not None:
-            return got
-        # stages are built in order, so the cached ones at eta are 0..j-1
-        j = i
-        while j > 0 and (eta, j - 1) not in self._chain_orders:
-            j -= 1
-        got = self._chain_orders.get((eta, j - 1))  # stage j-1, adjusted
-        for j in range(j, i + 1):
-            outer = self._order_at(self.chain(eta, j))
-            got = _adjust(got, outer, self.chain_cert(eta, j)) if j else outer
-            self._chain_orders[(eta, j)] = got
-        return got
+        return self._stage(eta, i)[3]
 
     # -- exception certificates ----------------------------------------------
 
@@ -342,26 +322,22 @@ class AAOrders:
         place x differently relative to other points < beta}."""
         if beta is alpha:
             return ()
-        key = (beta, alpha)
-        got = self._exc.get(key)
-        if got is not None:
-            return got
         lam, m = alpha.split()
         if m > 0:
             # the prepended tail never reorders {gamma < lam}
-            pts = self.exception_points(beta, lam) if beta < lam else ()
-        else:
-            i = 0
-            while not beta <= self.chain(alpha, i):
-                i += 1
-            o = self._order_at(alpha)
-            assert isinstance(o, LimitOrder)
-            collected = {p for p in o.ensure_blocks(i + 1) if p < beta}
-            collected.update(p for p in self.chain_cert(alpha, i) if p < beta)
-            collected.update(self.exception_points(beta, self.chain(alpha, i)))
-            pts = oset(collected)
-        self._exc[key] = pts
-        return pts
+            return self.exception_points(beta, lam) if beta < lam else ()
+        got = self._exc.get((beta, alpha))
+        if got is not None:
+            return got
+        i = 0
+        while not beta <= self._stage(alpha, i)[1]:
+            i += 1
+        _, top, cert, _ = self._stage(alpha, i)
+        collected = {p for p in self._order_at(alpha).ensure_blocks(i + 1) if p < beta}
+        collected.update(p for p in cert if p < beta)
+        collected.update(self.exception_points(beta, top))
+        got = self._exc[beta, alpha] = oset(collected)
+        return got
 
     def exception_set(self, beta, alpha) -> ExceptionCert:
         beta, alpha = self._check(beta), self._check(alpha)
@@ -378,7 +354,9 @@ class AAOrders:
         outside the certificate points.  Order overrides let callers probe
         deliberately mismatched orders (negative control).  Each candidate
         is ranked at most once per order, on first use and in the order
-        the samples ask, so the orders grow as with a rank per use."""
+        the samples ask, so the orders grow as with a rank per use.  Once
+        every candidate has both ranks and no pair disagrees, no later
+        sample can, so the check ends there, at any sample count."""
         if samples < 0:
             raise DomainError(f"sample count must be >= 0, got {samples}")
         lo = lower_order if lower_order is not None else self.order(cert.lower)
@@ -403,6 +381,7 @@ class AAOrders:
         n = len(candidates)
         lo_r, hi_r = [None] * n, [None] * n  # ranks by candidate index, asked once
         asks = ((lo, lo_r), (hi, hi_r))
+        unranked = 2 * n
         for _ in range(samples):
             i, j = rng.below(n), rng.below(n)
             if i == j:  # the candidates are distinct
@@ -411,6 +390,11 @@ class AAOrders:
                 for k in i, j:
                     if got[k] is None:
                         got[k] = o.rank(candidates[k])
+                        unranked -= 1
+                        # all known: each ordered pair, as an override may tie ranks
+                        if not unranked and all((lo_r[a] < lo_r[b]) == (hi_r[a] < hi_r[b])
+                                                for a in range(n) for b in range(n)):
+                            return VerifyResult(True, None)
             if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
                 return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)

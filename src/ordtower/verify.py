@@ -168,7 +168,6 @@ def _check_ladder(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 def _check_closed_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     rng = Lcg(cfg.seed + 4)
-    agree = 0
     for _ in range(500):
         size = 1 + rng.below(6)
         a = tuple(sorted({enum_below(cfg.bound, rng.below(16))
@@ -176,7 +175,6 @@ def _check_closed_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         if is_closed(a, tower) != _closed_by_rank_counts(a, tower):
             return CheckResult("closed-alltriples-oracle", False,
                                f"routes disagree on {list(map(str, a))}")
-        agree += 1
     return CheckResult("closed-alltriples-oracle", True,
                        "500 sets judged identically by both closure routes")
 

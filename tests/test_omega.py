@@ -22,6 +22,7 @@ from ordtower import (
     add,
     adjust_one,
     enum_below,
+    fund_seq,
     ordinal,
     oset,
     parse_ordinal,
@@ -113,12 +114,13 @@ def test_rank_domain_checks(orders, p):
         AAOrders(cap=p("w*3")).order(p("w^2"))
 
 
-def test_chain_starts_at_omega(orders, p):
-    eta = p("w^2")
-    assert orders.chain(eta, 0) == W
-    assert strs([orders.chain(eta, i) for i in range(4)]) == [
-        "w", "w*2", "w*3", "w*4"]
-    assert orders.chain_cert(eta, 0) == ()
+@pytest.mark.parametrize("name", ["w*2", "w^2", "w^2+w", "w^3"])
+def test_chain_starts_at_omega(orders, p, name):
+    # omega, then the fundamental sequence values above it; these limits
+    # have 1, 2, 0 and 1 values at or below omega
+    eta = p(name)
+    want = [W] + [v for v in (fund_seq(eta, n) for n in range(8)) if v > W]
+    assert [orders.chain_order(eta, i).bound for i in range(6)] == want[:6]
     assert isinstance(orders.chain_order(eta, 0), CanonicalOmega)
 
 
@@ -188,6 +190,21 @@ def test_limit_blocks_and_certificates_pinned(p):
         pts = orders.exception_set(p(lo), p(hi)).points
         assert len(pts) == size
         assert digest(",".join(map(str, pts))) == want
+
+
+def test_exception_points_are_memoized_at_limit_uppers_only(p):
+    # a successor lam+m reorders nothing below lam: its points are lam's
+    orders = AAOrders()
+    orders.exception_set(p("w*2"), p("w^2+w*2"))  # its chain steps are successors
+    assert orders._exc and all(hi.is_limit() for _, hi in orders._exc)
+    lam = p("w^2+w")
+    for m in 1, 2, 3:
+        alpha = lam.plus(m)
+        for beta in ["w*2", "w*3+1", "w^2", "w^2+w", "w^2+w+1", "w^2+w+2"]:
+            beta = p(beta)
+            want = orders.exception_points(beta, lam) if beta < lam else ()
+            assert orders.exception_points(beta, alpha) == want
+    assert all(hi.is_limit() for _, hi in orders._exc)
 
 
 def test_exception_set_validation(orders, p):
@@ -535,6 +552,52 @@ def test_memoized_sampler_matches_four_ranks_per_sample(p):
             fails += not got.ok
         assert _limit_lengths(new) == _limit_lengths(ref)
     assert fails > 0
+
+
+class _Tied(omega.OmegaOrder):
+    # order with b given a's rank: a deliberately broken override
+    def __init__(self, order, a, b):
+        self.order, self.a, self.b = order, a, b
+
+    def rank(self, x):
+        return self.order.rank(self.a if x == self.b else x)
+
+
+def test_sampler_ends_once_every_pair_is_known(p):
+    # at 10**11 samples an OK returns once each candidate has both ranks, and
+    # a failure is the reference's witness, found with the reference's asks
+    new, ref = AAOrders(), AAOrders()
+    pairs = [("w", "w^2"), ("w*2", "w^2"), ("w*3", "w^2*2"), ("w^2", "w^2+w*4")]
+    for k, (lo, hi) in enumerate(pairs):
+        lo, hi = p(lo), p(hi)
+        cert = new.exception_set(lo, hi)
+        asked = []
+        got = new.verify_exception(cert, 10**11, seed=k,
+                                   lower_order=_Recording(new.order(lo), "lo", asked),
+                                   upper_order=_Recording(new.order(hi), "hi", asked))
+        assert got == VerifyResult(True, None)
+        assert len(asked) == 120 and len(set(asked)) == 120
+        # two candidates trade places in the upper order; two adjacent ones
+        # share a rank in the lower, so only one ordered pair disagrees
+        cands = [enum_below(lo, i) for i in range(120 + len(cert.points))]
+        cands = [x for x in dict.fromkeys(cands) if x not in cert.points][:60]
+        x, y = cands[1], cands[len(cands) // 2]
+        a, b = sorted(cands, key=new.order(lo).rank)[10:12]
+        for s, (lo_new, hi_new, lo_ref, hi_ref) in enumerate([
+                (new.order(lo), _swapped(new.order(hi), x, y),
+                 ref.order(lo), _swapped(ref.order(hi), x, y)),
+                (_Tied(new.order(lo), a, b), new.order(hi),
+                 _Tied(ref.order(lo), a, b), ref.order(hi))]):
+            asked, asked_ref = [], []
+            got = new.verify_exception(cert, 10**11, seed=10 * k + s,
+                                       lower_order=_Recording(lo_new, "lo", asked),
+                                       upper_order=_Recording(hi_new, "hi", asked))
+            want = _reference_verify(ref, cert, 10**11, seed=10 * k + s,
+                                     lower_order=_Recording(lo_ref, "lo", asked_ref),
+                                     upper_order=_Recording(hi_ref, "hi", asked_ref))
+            assert got == want and not got.ok
+            assert asked == list(dict.fromkeys(asked_ref))
+        assert got.witness == (a, b)
 
 
 def test_almost_agree_check_catches_a_swapped_pair(monkeypatch):
