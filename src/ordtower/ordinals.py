@@ -22,8 +22,8 @@ and normalizes it through ordinal addition.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import count
+from collections.abc import Iterable
+from math import isqrt
 from operator import attrgetter
 
 from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalSyntaxError
@@ -302,20 +302,20 @@ def fund_seq(lam, n: int) -> Ordinal:
 # lam's enumeration.  At a limit the interval blocks
 # [fund_seq(eta,i-1), fund_seq(eta,i)) are dovetailed along diagonals
 # i+j = d: diagonal d takes element j = d-i of every block i < d that is
-# not yet exhausted, in increasing i, then element 0 of block d.  A finite
-# block leaves the live list once the walk passes its last element.
-#
-# The walk is kept as positions: position n of lam's walk is block
-# [start, start+lam'+m') at offset j, with value start + enum_below(lam'+m', j).
-# Positions need only fund_seq and difference, so a generator that never
-# enumerates fills _enum_lists[lam] in order.  As addition is associative,
-# enum_below descends one block at a time with a running left summand.  Each
-# step lands strictly lower and the steps depend only on (eta, n), not on
-# what is cached; past CEILING steps the call raises (index 0 at w*k takes k).
+# not yet exhausted, in increasing i, then element 0 of block d.  Block 0 is
+# [0, head), head = fund_seq(eta, 0) = lam0 + m0, and there are two shapes:
+#   A. eta's last exponent is 1: blocks from 1 on are single points
+#      head+i-1; block 0 is empty (eta = w) or infinite.
+#   B. otherwise blocks from 1 on are infinite, of length w^x for x the last
+#      exponent of fund_seq(eta, i); block 0 is infinite when lam0 > 0 (at
+#      w^w*2 it is [0, w^w+1)), one point at head = 1 (w^w), else empty.
+# So _position finds position n's block [start, start+lam'+m') and offset j
+# by arithmetic.  As addition is associative, enum_below descends one block
+# at a time with a running left summand.  Each step lands strictly lower and
+# depends only on (eta, n); past CEILING steps the call raises (index 0 at
+# w*k takes k).
 
 CEILING = 20000  # the one work bound: descent steps, and blocks per limit's order
-_enum_lists: dict[Ordinal, list] = {}  # limit -> (start, lam', m', j) per position
-_enum_gens: dict[Ordinal, Iterator[tuple]] = {}
 _enum_answers: dict = {}  # (eta, n) -> enum_below(eta, n)
 
 
@@ -338,36 +338,35 @@ def enum_below(eta, n: int) -> Ordinal:
         if steps == CEILING:
             raise IterationCeilingError(
                 f"enumeration below {eta} exceeded {CEILING} descent steps")
-        steps, j = steps + 1, j - m
-        if lam not in _enum_lists:
-            _enum_lists[lam], _enum_gens[lam] = [], _positions(lam)
-        pos = _enum_lists[lam]
-        while len(pos) <= j:
-            pos.append(next(_enum_gens[lam]))
-        start, lam, m, j = pos[j]
+        steps += 1
+        start, lam, m, j = _position(lam, j - m)
         base = add(base, start)
     got = _enum_answers[eta, n] = add(base, lam.plus(m - 1 - j)) if j < m else base
     return got
 
 
-def _positions(eta: Ordinal) -> Iterator[tuple]:
-    live: list = []  # (i, start, lam', m') of the blocks not yet exhausted
-    lo = ZERO
-    for d in count(0):
-        kept = []
-        for blk in live:
-            i, start, lam, m = blk
-            if lam is ZERO and d - i >= m:
-                continue
-            kept.append(blk)
-            yield start, lam, m, d - i
-        hi = fund_seq(eta, d)  # block d, reached as the diagonal's last entry
-        length = difference(hi, lo)
-        if length:
-            lam, m = length.split()
-            kept.append((d, lo, lam, m))
-            yield lo, lam, m, 0
-        live, lo = kept, hi
+def _position(eta: Ordinal, n: int) -> tuple:
+    """Position n of the diagonal walk below the limit eta, as (start, lam', m', j)."""
+    head = fund_seq(eta, 0)
+    if eta._terms[-1][0] is ONE:  # shape A
+        if head is ZERO:
+            return head.plus(n), ZERO, 1, 0
+        if n % 2 or not n:
+            return ZERO, head, 0, (n + 1) // 2
+        return head.plus(n // 2 - 1), ZERO, 1, 0
+    if head is ONE:  # block 0 is one point, then the walk goes on as if empty
+        if not n:
+            return ZERO, ZERO, 1, 0
+        n -= 1
+    lam0, m0 = head.split()
+    first = 0 if lam0 else 1  # the least block on every diagonal
+    d = (isqrt(8 * n + 1) - 1) // 2
+    k = n - d * (d + 1) // 2  # diagonal d holds blocks first..first+d at offsets d..0
+    i = first + k
+    if not i:
+        return ZERO, lam0, m0, d
+    hi = fund_seq(eta, i)
+    return head if i == 1 else fund_seq(eta, i - 1), Ordinal(((hi._terms[-1][0], 1),)), 0, d - k
 
 
 def enum_prefix(eta, n: int) -> list:

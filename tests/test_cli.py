@@ -250,6 +250,13 @@ def test_deep_enumeration_ends_in_an_error():
     assert "Traceback" not in r.stderr
 
 
+def test_deep_index_answers_at_once():
+    # each descent step finds its walk position by arithmetic, and these take 2 and 3 steps
+    assert run("ord", "enum", "w^2", "100000000").stdout.strip() == "w*8989+5152"
+    r = run("ord", "enum", "w^3", "1" + "0" * 30)
+    assert r.stdout.strip() == "w^2*776122791247035+w*25445656+10278026"
+
+
 def test_vc_shatter_failure_names_literals():
     r = run("vc", "shatter", "0", "--bound", "w", "--count", "5")
     assert r.returncode == 1

@@ -26,6 +26,7 @@ from ordtower import (
     ordinal,
     oset,
     parse_ordinal,
+    run_suites,
 )
 from ordtower.omega import PatchedOrder
 
@@ -615,6 +616,21 @@ def test_almost_agree_check_catches_a_swapped_pair(monkeypatch):
     monkeypatch.setattr(AAOrders, "order", planted)
     res = verify._check_almost_agree(cfg, AAOrders())
     assert res.line().startswith(f"FAIL aa-almost-agree: orders at w and {target} disagree on (")
+
+
+def test_almost_agree_check_catches_an_emptied_certificate(monkeypatch):
+    assert verify._check_almost_agree(verify.VerifyConfig(), AAOrders()).passed
+    # with every point dropped, some pair that the orders order differently
+    # lies outside the certificate
+    exception_set = AAOrders.exception_set
+
+    def planted(self, beta, alpha):
+        return exception_set(self, beta, alpha)._replace(points=())
+
+    monkeypatch.setattr(AAOrders, "exception_set", planted)
+    lines = [r.line() for r in run_suites(["aa"])]
+    assert "FAIL aa-almost-agree: orders at w^2+w*3+8 and w^2+w*8+6 disagree on " \
+        "(w^2+w*3+7, w^2+w+3)" in lines
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=12),

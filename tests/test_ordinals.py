@@ -3,7 +3,8 @@
 import copy
 import hashlib
 import pickle
-from itertools import count
+import tracemalloc
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,7 @@ from ordtower import (
     oset,
     parse_ordinal,
 )
-from ordtower.ordinals import _as_ord
+from ordtower.ordinals import _as_ord, _position
 
 p = parse_ordinal
 
@@ -216,6 +217,67 @@ def test_enum_below_matches_full_diagonal_walk(eta, n):
         assert got == ZERO
 
 
+def ref_positions(eta):
+    """The diagonal walk below the limit eta, diagonal by diagonal, as
+    (start, lam', m', j) per position: the reference for _position."""
+    live: list = []  # (i, start, lam', m') of the blocks not yet exhausted
+    lo = ZERO
+    for d in count(0):
+        kept = []
+        for blk in live:
+            i, start, lam, m = blk
+            if lam is ZERO and d - i >= m:
+                continue
+            kept.append(blk)
+            yield start, lam, m, d - i
+        hi = fund_seq(eta, d)  # block d, reached as the diagonal's last entry
+        length = difference(hi, lo)
+        if length:
+            lam, m = length.split()
+            kept.append((d, lo, lam, m))
+            yield lo, lam, m, 0
+        live, lo = kept, hi
+
+
+# one or two limits per shape of the blocks [fund_seq(eta, i-1), fund_seq(eta, i))
+SHAPE_ETAS = [
+    "w", "w*3", "w^2+w", "w^w+w",  # blocks from 1 on are single points
+    "w^2", "w^(w+1)",  # the others, with block 0 empty
+    "w^2*2", "w^3+w^2",  # block 0 infinite
+    "w^w", "w^(w^2)",  # block 0 one point
+    "w^w*2", "w^(w+1)+w^w",  # block 0 an infinite successor
+]
+_ref_position_lists: dict = {}
+
+
+@pytest.mark.parametrize("eta", SHAPE_ETAS)
+@given(st.integers(0, 2999))
+def test_position_matches_the_dovetailed_walk(eta, n):
+    if eta not in _ref_position_lists:
+        _ref_position_lists[eta] = list(islice(ref_positions(p(eta)), 3000))
+    assert _position(p(eta), n) == _ref_position_lists[eta][n]
+
+
+@pytest.mark.parametrize("eta", SHAPE_ETAS)
+@given(st.integers(0, 199))
+def test_enum_below_matches_full_diagonal_walk_at_each_shape(eta, n):
+    assert enum_below(p(eta), n) == ref_enum_below(p(eta), n)
+
+
+def test_deep_index_answers_in_constant_memory(monkeypatch):
+    from ordtower import ordinals
+
+    monkeypatch.setattr(ordinals, "_enum_answers", {})
+    eta, want = p("w^2"), p("w*8989+5152")
+    tracemalloc.start()
+    try:
+        assert enum_below(eta, 10**8) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_enum_below_finite_repeats_zero():
     assert enum_prefix(ordinal(3), 6) == [ordinal(k) for k in [2, 1, 0, 0, 0, 0]]
     assert enum_below(ordinal(1), 5) == ZERO
@@ -300,8 +362,7 @@ def test_deep_enumeration_does_not_depend_on_history(monkeypatch):
     from ordtower import ordinals
 
     deep = p("w*99999999999999")  # index 0 needs about 10^14 steps
-    for memo in ["_enum_lists", "_enum_gens", "_enum_answers"]:
-        monkeypatch.setattr(ordinals, memo, {}, raising=False)
+    monkeypatch.setattr(ordinals, "_enum_answers", {})
     assert enum_below(p("w*300"), 3) == p("w*298")
     with pytest.raises(IterationCeilingError, match="20000 descent steps"):
         enum_below(deep, 0)
