@@ -23,7 +23,6 @@ from .ordinals import (
     ordinal,
     oset,
     parse_ordinal,
-    _as_ord,
 )
 from .rng import Lcg
 from .tower import OrdinalSet, Tower
@@ -67,8 +66,7 @@ def ladder(length: int, bound, tower: Tower) -> tuple[list[Ordinal], list[Ordina
     x_0 = 0, s_i = cofinal_extend({x_0..x_i}), and x_{i+1} is the least
     ordinal below bound not yet covered by any earlier s_j.
     """
-    bound = _as_ord(bound)
-    tower._check_cap(bound)
+    bound = tower._check(bound)
     if length < 0:
         raise DomainError(f"ladder length must be >= 0, got {length}")
     if length == 0:
@@ -170,8 +168,7 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
     of seeded random finite sets until the window is full.  Deterministic
     in (bound, count, seed); members are kept lexicographically sorted.
     """
-    bound = _as_ord(bound)
-    tower._check_cap(bound)
+    bound = tower._check(bound)
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
     if count > 0 and not ZERO < bound:

@@ -1,5 +1,5 @@
-"""A tower of well-orders on the ordinals below a cap, and the two
-omega-order constructions it shares with the omega layer.
+"""A tower of well-orders on the ordinals below a cap, and the order
+family it shares with the omega layer.
 
 For each alpha the tower carries a well-order of type omega (for infinite
 alpha; of type alpha for finite alpha) on {gamma < alpha}:
@@ -8,28 +8,29 @@ alpha; of type alpha for finite alpha) on {gamma < alpha}:
     lam+m-1, ..., lam in front of the order at lam;
   * alpha a limit: a ``BlockOrder`` listing an increasing chain of finite
     blocks S_0 = {} in S_1 in ... one after the other.  S_{n+1} closes
-    S_n plus the n-th enumerated predecessor of alpha below a fresh chain
-    point alpha_n, then adds alpha_n itself; each new batch is listed in
-    natural ordinal order, so alpha_n comes last.
+    S_n plus the n-th enumerated predecessor e of alpha below a fresh
+    chain point alpha_n, then adds alpha_n itself; each new batch is
+    listed in natural ordinal order, so alpha_n comes last.
 
 Each stage is built from its new points only.  With alpha_n = lam + m,
 S_n plus e, closed below alpha_n, is the tail lam .. lam+m-1 plus the
-shortest stage prefix of lam's order covering the points below lam.
-While lam repeats, that prefix only moves past the previous stage's end,
-to the first block end covering e when e < lam, so the new block is those
-points of lam's order, sorted, then the tail past the previous chain
-point, then alpha_n.  Only a stage above a new lam closes all placed
-points (all of them below lam).  So a limit's order costs time linear in
-its length; the length itself grows fast: the least closed superset of
-{3, w*k+1} has 6, 11, 20, 38, 72, 138, 268 and 526 points for
-k = 1..8, so the blocks at w^2 double with each step of w.
+shortest stage prefix of lam's order covering the points below lam
+(``BlockOrder.cover``).  A stage above a new lam covers every placed
+point, all of them below lam, and takes the whole tail; a stage over the
+previous lam covers only e, as the previous prefix holds the rest, and
+takes the tail past the previous chain point.  The new block is the
+prefix's unplaced points, sorted, then that tail, then alpha_n.  So a
+limit's order costs time linear in its length; the length itself grows
+fast: the least closed superset of {3, w*k+1} has 6, 11, 20, 38, 72,
+138, 268 and 526 points for k = 1..8, so the blocks at w^2 double with
+each step of w.
 
-``omega.AAOrders`` builds its orders from the same two classes; only the
-choice of a limit's next block differs (the adjusted chain there, a
-closure step here).  ``rank`` and ``nth`` are total and inverse on
-{gamma < alpha}; the ``turnstile`` relation compares ranks and is the
-closure notion used by the family layer.  All orders are memoized on the
-instance, and blocks are only published once fully computed.
+``Orders`` holds the memo and the successor rule for both layers; a
+subclass supplies only a limit's order: ``Tower`` the closure step above,
+``omega.AAOrders`` the adjusted chain.  ``rank`` and ``nth`` are total
+and inverse on {gamma < alpha}; the ``turnstile`` relation compares ranks
+and is the closure notion used by the family layer.  Blocks are only
+published once fully computed.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ class PrependOrder(OmegaOrder):
 
     ``tail`` is the list [lam, lam+1, ...] shared by every order above the
     same limit lam.  Only ``prefix`` and ``segment`` read it, growing it to
-    m entries;
-    ``rank`` and ``nth`` work on offsets from lam, so a large m costs
-    nothing until a prefix needs the whole tail.
+    m entries; ``rank`` and ``nth`` work on offsets from lam, so a large m
+    costs nothing until a prefix needs the whole tail.
     """
 
     def __init__(self, inner: OmegaOrder, tail: list[Ordinal], m: int):
@@ -209,6 +209,11 @@ class BlockOrder(OmegaOrder):
             self._next_block()
         return self._seq[:self._ends[n]]
 
+    def cover(self, xs) -> int:
+        """Length of the shortest block prefix listing every x in xs."""
+        top = 1 + max(map(self.rank, xs), default=-1)
+        return self._ends[bisect_left(self._ends, top)]
+
     def rank(self, x) -> int:
         x = _as_ord(x)
         got = self._ranks.get(x)
@@ -236,46 +241,62 @@ class BlockOrder(OmegaOrder):
         return _as_ord(x) < self.eta
 
 
-class Tower:
-    def __init__(self, cap: Ordinal | None = None):
+class Orders:
+    """Memoized orders up to cap.  ``_orders`` starts with the least order;
+    lam + m gets a ``PrependOrder`` over lam's, reading the tail kept per
+    lam, and any other limit the subclass's ``_limit_order``."""
+
+    def __init__(self, cap: Ordinal | None, least: dict[Ordinal, OmegaOrder]):
         self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
-        self._orders: dict[Ordinal, OmegaOrder] = {ZERO: ListOrder(())}
+        self._orders: dict[Ordinal, OmegaOrder] = least
         self._tails: dict[Ordinal, list[Ordinal]] = {}
+
+    def _check(self, alpha) -> Ordinal:
+        alpha = _as_ord(alpha)
+        if alpha > self.cap:
+            raise CapExceededError(f"{alpha} exceeds the configured cap {self.cap}")
+        return alpha
+
+    def order(self, alpha) -> OmegaOrder:
+        """The well-order attached to alpha, memoized."""
+        return self._order_at(self._check(alpha))
+
+    def _order_at(self, alpha: Ordinal) -> OmegaOrder:
+        # order() for an alpha already checked
+        got = self._orders.get(alpha)
+        if got is None:
+            lam, m = alpha.split()
+            got = self._orders[alpha] = (
+                PrependOrder(self._order_at(lam), self._tails.setdefault(lam, [lam]), m)
+                if m > 0 else self._limit_order(alpha))
+        return got
+
+
+class Tower(Orders):
+    def __init__(self, cap: Ordinal | None = None):
+        super().__init__(cap, {ZERO: ListOrder(())})
         # per limit eta whose order has grown: the order list and the block
         # chain as prefix lengths, S_i == set(order[:chain[i]])
         self._order: dict[Ordinal, list[Ordinal]] = {}
         self._chain: dict[Ordinal, list[int]] = {}
 
-    def _check_cap(self, alpha: Ordinal) -> None:
-        if alpha > self.cap:
-            raise CapExceededError(f"{alpha} exceeds the configured cap {self.cap}")
-
-    def order(self, alpha) -> OmegaOrder:
-        """The well-order attached to alpha, memoized."""
-        alpha = _as_ord(alpha)
-        self._check_cap(alpha)
-        got = self._orders.get(alpha)
-        if got is None:
-            lam, m = alpha.split()
-            got = self._orders[alpha] = (
-                PrependOrder(self.order(lam), self._tails.setdefault(lam, [lam]), m)
-                if m > 0 else BlockOrder(alpha, self._grow))
-        return got
+    def _limit_order(self, eta: Ordinal) -> OmegaOrder:
+        return BlockOrder(eta, self._grow)
 
     # -- rank / nth ----------------------------------------------------------
 
     def rank(self, alpha, x) -> int:
         """Position of x in the well-order attached to alpha; requires x < alpha."""
-        alpha, x = _as_ord(alpha), _as_ord(x)
-        o = self.order(alpha)
+        alpha, x = self._check(alpha), _as_ord(x)
+        o = self._order_at(alpha)
         if not x < alpha:
             raise DomainError(f"rank needs x < alpha, got x={x}, alpha={alpha}")
         return o.rank(x)
 
     def nth(self, alpha, k: int) -> Ordinal:
         """Inverse of rank: the element of {gamma < alpha} at position k."""
-        alpha = _as_ord(alpha)
-        o = self.order(alpha)
+        alpha = self._check(alpha)
+        o = self._order_at(alpha)
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
         if alpha.is_natural() and k >= alpha.natural():
@@ -284,8 +305,7 @@ class Tower:
 
     def turnstile(self, alpha, beta, gamma) -> bool:
         """True when beta, gamma < alpha and gamma precedes beta in alpha's order."""
-        alpha, beta, gamma = _as_ord(alpha), _as_ord(beta), _as_ord(gamma)
-        self._check_cap(alpha)
+        alpha, beta, gamma = self._check(alpha), _as_ord(beta), _as_ord(gamma)
         if not (beta < alpha and gamma < alpha):
             return False
         return self.rank(alpha, gamma) < self.rank(alpha, beta)
@@ -299,8 +319,8 @@ class Tower:
         whole segment [lam, alpha); at a limit the first block covering a
         is returned.
         """
-        alpha = _as_ord(alpha)
-        o = self.order(alpha)
+        alpha = self._check(alpha)
+        o = self._order_at(alpha)
         a = [_as_ord(x) for x in a]
         for x in a:
             if not x < alpha:
@@ -309,15 +329,14 @@ class Tower:
         points = o.prefix(m)  # the segment [lam, alpha), from the shared tail
         below = [x for x in a if x < lam]
         if below:  # the shortest stage at lam covering them
-            blocks = self.order(lam)
-            top = 1 + max(blocks.rank(x) for x in below)
-            points += blocks.ensure_blocks(bisect_left(blocks._ends, top))
+            blocks = self._order_at(lam)
+            points += blocks._seq[:blocks.cover(below)]
         return oset(points)
 
     def blocks(self, eta, n: int) -> OrdinalSet:
         """The n-th closure block S_n of the chain at the limit eta."""
-        eta = _as_ord(eta)
-        o = self.order(eta)
+        eta = self._check(eta)
+        o = self._order_at(eta)
         if not eta.is_limit():
             raise DomainError(f"blocks requires a limit ordinal, got {eta}")
         if n < 0:
@@ -325,24 +344,6 @@ class Tower:
         return tuple(sorted(o.ensure_blocks(n), key=ORD_KEY))
 
     # -- internals -----------------------------------------------------------
-
-    def _next_chain_point(self, eta: Ordinal, mx: Ordinal, k: int) -> tuple[int, Ordinal]:
-        """The least i > k with fund_seq(eta, i) > mx, and that value.
-
-        fund_seq(eta, k) <= mx unless k == -1; the search gallops up from k.
-        """
-        lo, step = k, 1
-        while not (top := fund_seq(eta, lo + step)) > mx:
-            lo, step = lo + step, 2 * step
-        hi = lo + step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            v = fund_seq(eta, mid)
-            if v > mx:
-                hi, top = mid, v
-            else:
-                lo = mid
-        return hi, top
 
     def _grow(self, eta: Ordinal) -> None:
         o = self._orders[eta]
@@ -355,24 +356,35 @@ class Tower:
         # the previous stage: the index of its chain point lam0 + m0 in the
         # fundamental sequence, and the stage prefix at lam0 it covered
         k0, lam0, m0, end0 = o._last or (-1, None, 0, 0)
-        k, alpha_n = self._next_chain_point(eta, mx, k0)
+        k, alpha_n = _next_chain_point(eta, mx, k0)
         lam, m = alpha_n.split()
-        if lam != lam0:
-            # every placed point is below the new lam, so close them all;
-            # close() is sorted and below alpha_n, which is new and comes last
-            closed = self.close(alpha_n, order + [e])
-            new = [x for x in closed if x not in o._ranks]
-            end = len(closed) - m  # the points below lam: a stage prefix at lam
-        else:
-            # only lam's points past end0, up to the first block end covering
-            # e, and the tail past lam+m0 are new; they sort in that order
-            end, new = end0, []
-            if e < lam:
-                below = self.order(lam)
-                ends = below._ends
-                end = max(end0, ends[bisect_left(ends, below.rank(e) + 1)])
-                new = sorted(below._seq[end0:end], key=ORD_KEY)
-            new += self.order(alpha_n).segment(m0 + 1)
+        covered = [e]
+        if lam != lam0:  # every placed point lies below the new lam
+            end0, m0, covered = 0, -1, order + covered
+        end, new = end0, []
+        below = [x for x in covered if x < lam]
+        if below:  # lam's new points sort below the new tail, then alpha_n
+            prefix = self._order_at(lam)
+            end = max(end0, prefix.cover(below))
+            new = sorted((x for x in prefix._seq[end0:end] if x not in o._ranks), key=ORD_KEY)
+        if m:  # alpha_n is a successor
+            new += self._order_at(alpha_n).segment(m0 + 1)
         new.append(alpha_n)
         o.append_block(new)
         o._last = (k, lam, m, end)
+
+
+def _next_chain_point(eta: Ordinal, mx: Ordinal, k: int) -> tuple[int, Ordinal]:
+    """The least i > k with fund_seq(eta, i) > mx, and that value, galloping up from k."""
+    lo, step = k, 1
+    while not (top := fund_seq(eta, lo + step)) > mx:
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = fund_seq(eta, mid)
+        if v > mx:
+            hi, top = mid, v
+        else:
+            lo = mid
+    return hi, top

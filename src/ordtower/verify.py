@@ -40,14 +40,19 @@ class CheckResult(namedtuple("CheckResult", "name passed detail")):
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
+def _attempt(attempts: int, n: int) -> int:
+    """attempts + 1: a search for n samples makes at most 50 * n + 200 draws."""
+    if attempts >= 50 * n + 200:
+        raise DomainError(f"sample space too small: {n} samples need over {attempts} draws")
+    return attempts + 1
+
+
 def _draw_distinct(rng: Lcg, bound: Ordinal, pool: int, n: int) -> list[Ordinal]:
     got: list[Ordinal] = []
     seen = set()
-    guard = 0
+    attempts = 0
     while len(got) < n:
-        guard += 1
-        if guard > 50 * n + 200:
-            raise DomainError("sample space too small for distinct draw")
+        attempts = _attempt(attempts, n)
         x = enum_below(bound, rng.below(pool))
         if x not in seen:
             seen.add(x)
@@ -136,8 +141,9 @@ def _check_extend_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 def _check_close_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     rng = Lcg(cfg.seed + 3)
-    done = 0
+    done = attempts = 0
     while done < 300:
+        attempts = _attempt(attempts, 300)
         alpha = enum_below(cfg.bound, rng.below(24))
         if alpha.is_zero():
             continue
@@ -245,8 +251,9 @@ def _check_sauer(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 def _check_section(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     rng = Lcg(cfg.seed + 6)
-    done = 0
+    done = attempts = 0
     while done < 100:
+        attempts = _attempt(attempts, 100)
         alpha = enum_below(cfg.bound, rng.below(200))
         if alpha.is_zero():
             continue

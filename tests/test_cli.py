@@ -250,6 +250,15 @@ def test_deep_enumeration_ends_in_an_error():
     assert "Traceback" not in r.stderr
 
 
+def test_verify_below_a_tiny_bound_ends_in_a_domain_error():
+    # at bound 1 every closure apex drawn is 0; the draws are budgeted, so
+    # the check stops instead of looping
+    r = run("verify", "family", "--bound", "1", timeout=60)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: domain: sample space too small")
+    assert "Traceback" not in r.stderr
+
+
 def test_deep_index_answers_at_once():
     # each descent step finds its walk position by arithmetic, and these take 2 and 3 steps
     assert run("ord", "enum", "w^2", "100000000").stdout.strip() == "w*8989+5152"

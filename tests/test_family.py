@@ -164,6 +164,14 @@ def test_closure_checks_catch_planted_faults(tower, monkeypatch):
         assert res.line().startswith("FAIL closure-extend-sound: extension of ")
 
 
+@pytest.mark.parametrize("check", [verify._check_close_sound, verify._check_section])
+def test_sampling_checks_stop_when_no_draw_is_usable(tower, check):
+    # below bound 1 every draw is 0, which neither check can use
+    cfg = verify.VerifyConfig(bound=ordinal(1))
+    with pytest.raises(DomainError, match="sample space too small"):
+        check(cfg, tower)
+
+
 def test_cofinal_extend_sound(tower):
     rng = Lcg(5)
     from ordtower import enum_below

@@ -1,6 +1,8 @@
 """Almost-agreeing omega-orders: prefixes, certificates, adjustment."""
 
 import hashlib
+import importlib.util
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -361,8 +363,9 @@ def test_list_order_duplicates():
         ListOrder([1, 1])
 
 
-def test_successor_tails_are_shared_per_limit(p):
-    orders = AAOrders()
+@pytest.mark.parametrize("context", [Tower, AAOrders])
+def test_successor_tails_are_shared_per_limit(p, context):
+    orders = context()
 
     def check(alpha):
         o = orders.order(alpha)
@@ -446,6 +449,24 @@ def test_contexts_keep_the_fields_the_bench_tracer_reads():
     assert isinstance(tower._order, dict) and isinstance(tower._chain, dict)
     for name in ["_orders", "_chain_orders", "_exc"]:
         assert isinstance(getattr(orders, name), dict)
+    # it wraps each traced method through its own class's __dict__, so one
+    # inherited from a base class would stop every traced run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    owners = [owner for fns in tracer.TRACED.values() for _, owner, _ in fns]
+    assert "tower:Tower" in owners and "omega:AAOrders" in owners
+    for fns in tracer.TRACED.values():
+        for _, owner, attr in fns:
+            mod_name, _, cls_name = owner.partition(":")
+            mod = importlib.import_module(f"ordtower.{mod_name}")
+            if cls_name:
+                assert attr in vars(getattr(mod, cls_name)), owner + "." + attr
+            else:
+                assert callable(getattr(mod, attr, None)), owner + "." + attr
+    for cls in (Tower, AAOrders):  # install() also wraps both constructors
+        assert "__init__" in vars(cls)
 
 
 def test_ceiling_stops_both_block_constructions(p, monkeypatch):

@@ -21,7 +21,7 @@ from ordtower import (
     ordinal,
     parse_ordinal,
 )
-from ordtower.tower import PrependOrder
+from ordtower.tower import BlockOrder, PrependOrder
 
 p = parse_ordinal
 terms = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=3)
@@ -255,42 +255,46 @@ def test_grow_matches_full_close_rule(monkeypatch):
     # CEILING stages at w^2*4+w*13
     cases = [("w", 60), ("w*2", 60), ("w*5", 60), ("w^2+w*2", 30),
              ("w^2", 8), ("w^2*2", 8), ("w^3", 4)]
-    closes = []
-    full_close = Tower.close
+    want = {}
+    for s, n in cases:
+        ref = FullCloseTower().order(p(s))
+        want[s] = ref.ensure_blocks(n), ref._ends[:n + 1]
+    covered = []  # the input size of each cover() call the stages make
+    cover = BlockOrder.cover
 
-    def counting(self, alpha, a):
-        if type(self) is Tower:
-            closes.append(alpha)
-        return full_close(self, alpha, a)
+    def counting(self, xs):
+        covered.append(len(xs))
+        return cover(self, xs)
 
-    monkeypatch.setattr(Tower, "close", counting)
+    monkeypatch.setattr(BlockOrder, "cover", counting)
     stages = 0
     for s, n in cases:
-        eta, t, ref = p(s), Tower(), FullCloseTower()
-        assert t.order(eta).ensure_blocks(n) == ref.order(eta).ensure_blocks(n), s
-        assert t.order(eta)._ends[:n + 1] == ref.order(eta)._ends[:n + 1], s
+        eta, t = p(s), Tower()
+        assert t.order(eta).ensure_blocks(n) == want[s][0], s
+        assert t.order(eta)._ends[:n + 1] == want[s][1], s
         stages += sum(len(ends) - 1 for ends in t._chain.values())
-    # a stage above a new lam takes the full close, a repeated lam does not
-    assert 0 < len(closes) < stages
+    # a stage above a new lam covers every placed point, a repeated lam only e
+    assert 0 < sum(k > 1 for k in covered) < stages
+    assert 1 in covered
 
 
 def test_grow_work_is_linear_in_the_order(monkeypatch):
-    # close() receives the whole placed order, so it may run only when a
-    # stage starts above a new lam; per-stage calls would make this sum
-    # quadratic in the order length
-    passed = [0]
-    full_close = Tower.close
+    # cover() receives the whole placed order only when a stage starts above
+    # a new lam; covering it at every stage would make this sum quadratic in
+    # the order length (at w nothing lies below lam, so it stays 0)
+    covered = [0]
+    cover = BlockOrder.cover
 
-    def counting(self, alpha, a):
-        passed[0] += len(a)
-        return full_close(self, alpha, a)
+    def counting(self, xs):
+        covered[0] += len(xs)
+        return cover(self, xs)
 
-    monkeypatch.setattr(Tower, "close", counting)
+    monkeypatch.setattr(BlockOrder, "cover", counting)
     for s, k in [("w^2", 1600), ("w", 4000)]:
-        passed[0] = 0
+        covered[0] = 0
         t = Tower()
         t.nth(p(s), k)
-        assert passed[0] <= 2 * len(t._order[p(s)]), s
+        assert covered[0] <= 2 * len(t._order[p(s)]), s
 
 
 def test_reach_at_the_default_cap():
