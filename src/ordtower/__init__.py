@@ -9,7 +9,6 @@ double per step of w, so the order at w^3 lists only its first 7 points.
 
 from .errors import (
     CapExceededError,
-    CertificateViolation,
     DomainError,
     GuardExceededError,
     IterationCeilingError,
@@ -54,9 +53,7 @@ from .vc import (
     RmkResult,
     RmkValue,
     SetSystemWindow,
-    certificate_json,
     cond4_check,
-    example_R,
     hunt_shattered,
     is_shattered,
     rmk_eval,
@@ -68,15 +65,14 @@ from .vc import (
 from .verify import CheckResult, VerifyConfig, run_suites
 
 __all__ = [
-    "AAOrders", "CanonicalOmega", "CapExceededError", "CertificateViolation",
-    "CheckResult", "DomainError", "Entailment", "ExceptionCert", "FamilyWindow",
+    "AAOrders", "CanonicalOmega", "CapExceededError", "CheckResult",
+    "DomainError", "Entailment", "ExceptionCert", "FamilyWindow",
     "GuardExceededError", "IterationCeilingError", "Lcg", "ListOrder",
     "NotALimitError", "ONE", "OmegaOrder", "OrdTowerError", "Ordinal",
     "OrdinalSyntaxError", "RmkResult", "RmkValue", "SetSystemWindow", "Tower",
     "VerifyConfig", "VerifyResult", "W", "ZERO", "add", "adjust_one",
-    "certificate_json", "cofinal_extend", "compare", "cond4_check",
-    "difference", "entails",
-    "enum_below", "enum_prefix", "enumerate_family", "example_R", "fund_seq",
+    "cofinal_extend", "compare", "cond4_check", "difference", "entails",
+    "enum_below", "enum_prefix", "enumerate_family", "fund_seq",
     "hunt_shattered", "is_closed", "is_shattered", "ladder", "ordinal", "oset",
     "parse_ordinal", "rmk_eval", "run_suites", "sauer_check",
     "shatter_certificate", "trace", "vc_dim",

@@ -29,7 +29,6 @@ from .ordinals import compare, enum_below, enum_prefix, fund_seq, oset, parse_or
 from .tower import Tower
 from .vc import (
     SetSystemWindow,
-    certificate_json,
     cond4_check,
     hunt_shattered,
     rmk_eval,
@@ -184,7 +183,7 @@ def _cmd_vc(args) -> int:
         _emit(args, str(d), {"vc_dim": d})
     elif args.op == "shatter":
         cert = shatter_certificate(_vc_system(args), _parse_set(args.set))
-        print(certificate_json(cert))
+        print(json.dumps(cert, sort_keys=True))
     elif args.op == "hunt":
         found = hunt_shattered(_vc_system(args), args.k)
         if args.output == "json":

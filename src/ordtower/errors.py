@@ -39,13 +39,3 @@ class GuardExceededError(OrdTowerError):
 
 class IterationCeilingError(OrdTowerError):
     kind = "ceiling"
-
-
-class CertificateViolation(OrdTowerError):
-    """An exception certificate failed a sampled agreement check."""
-
-    kind = "certificate"
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness

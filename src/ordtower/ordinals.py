@@ -50,10 +50,6 @@ class Ordinal:
         # Ordinal(), which is ZERO, and then overwrite its slots
         return Ordinal, (self._terms,)
 
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return self._terms
-
     @staticmethod
     def from_terms(terms: Iterable[Term]) -> "Ordinal":
         """Build from explicit (exponent, coefficient) pairs, validating CNF."""

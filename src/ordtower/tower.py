@@ -25,11 +25,12 @@ fast: the least closed superset of {3, w*k+1} has 6, 11, 20, 38, 72,
 138, 268 and 526 points for k = 1..8, so the blocks at w^2 double with
 each step of w.
 
-``Orders`` holds the memo and the successor rule for both layers; a
-subclass supplies only a limit's order: ``Tower`` the closure step above,
-``omega.AAOrders`` the adjusted chain.  ``rank`` and ``nth`` are total
-and inverse on {gamma < alpha}; the ``turnstile`` relation compares ranks
-and is the closure notion used by the family layer.  Blocks are only
+``Orders`` holds the memo, the successor rule and ``rank``/``nth`` for
+both layers; a subclass supplies only a limit's order: ``Tower`` the
+closure step above, ``omega.AAOrders`` the adjusted chain.  ``rank`` and
+``nth`` are total and inverse on {gamma < alpha}, with the same domain
+errors in both layers; the ``turnstile`` relation compares ranks and is
+the closure notion used by the family layer.  Blocks are only
 published once fully computed.
 """
 
@@ -73,10 +74,6 @@ class OmegaOrder:
 
     def __contains__(self, x) -> bool:
         raise NotImplementedError
-
-    def before(self, x, y) -> bool:
-        """True when x strictly precedes y."""
-        return self.rank(_as_ord(x)) < self.rank(_as_ord(y))
 
     def prefix(self, k: int) -> list[Ordinal]:
         """First k elements; subclasses override with bulk versions."""
@@ -271,6 +268,22 @@ class Orders:
                 if m > 0 else self._limit_order(alpha))
         return got
 
+    def rank(self, alpha, x) -> int:
+        """Position of x in the well-order attached to alpha; requires x < alpha."""
+        alpha, x = self._check(alpha), _as_ord(x)
+        if not x < alpha:
+            raise DomainError(f"rank needs x < alpha, got x={x}, alpha={alpha}")
+        return self._order_at(alpha).rank(x)
+
+    def nth(self, alpha, k: int) -> Ordinal:
+        """Inverse of rank: the element of {gamma < alpha} at position k."""
+        alpha = self._check(alpha)
+        if k < 0:
+            raise DomainError(f"rank index must be >= 0, got {k}")
+        if alpha.is_natural() and k >= alpha.natural():
+            raise DomainError(f"rank {k} out of range for alpha={alpha}")
+        return self._order_at(alpha).nth(k)
+
 
 class Tower(Orders):
     def __init__(self, cap: Ordinal | None = None):
@@ -283,25 +296,9 @@ class Tower(Orders):
     def _limit_order(self, eta: Ordinal) -> OmegaOrder:
         return BlockOrder(eta, self._grow)
 
-    # -- rank / nth ----------------------------------------------------------
-
-    def rank(self, alpha, x) -> int:
-        """Position of x in the well-order attached to alpha; requires x < alpha."""
-        alpha, x = self._check(alpha), _as_ord(x)
-        o = self._order_at(alpha)
-        if not x < alpha:
-            raise DomainError(f"rank needs x < alpha, got x={x}, alpha={alpha}")
-        return o.rank(x)
-
-    def nth(self, alpha, k: int) -> Ordinal:
-        """Inverse of rank: the element of {gamma < alpha} at position k."""
-        alpha = self._check(alpha)
-        o = self._order_at(alpha)
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
-        if alpha.is_natural() and k >= alpha.natural():
-            raise DomainError(f"rank {k} out of range for alpha={alpha}")
-        return o.nth(k)
+    # their own entries: bench/tracer.py patches the class __dict__
+    rank = Orders.rank
+    nth = Orders.nth
 
     def turnstile(self, alpha, beta, gamma) -> bool:
         """True when beta, gamma < alpha and gamma precedes beta in alpha's order."""

@@ -8,7 +8,6 @@ windowed pattern relations R_{m,k}.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from enum import Enum
@@ -20,7 +19,6 @@ from .family import FamilyWindow
 from .ordinals import Ordinal, _as_ord, oset
 from .tower import Tower
 
-SHATTER_GUARD = 25
 EXACT_LIMIT = 16
 RMK_MAX_K = 3  # rmk_eval patterns span at most this many points after the first
 
@@ -76,10 +74,7 @@ def trace(sys_: SetSystemWindow, a) -> set[frozenset]:
 
 def is_shattered(sys_: SetSystemWindow, a) -> bool:
     amask = sys_.subset_mask(a)
-    k = bin(amask).count("1")
-    if k > SHATTER_GUARD:
-        raise GuardExceededError(f"shattering check limited to {SHATTER_GUARD} points")
-    return _shattered_mask(sys_.masks, amask, k)
+    return _shattered_mask(sys_.masks, amask, bin(amask).count("1"))
 
 
 def _shattered_mask(masks: Sequence[int], amask: int, k: int) -> bool:
@@ -112,12 +107,11 @@ def hunt_shattered(sys_: SetSystemWindow, k: int) -> tuple | None:
     Up to EXACT_LIMIT ground points the search is exhaustive and returns
     the lexicographically first shattered k-subset, so None refutes
     existence; above that a greedy point-by-point extension runs and None
-    is merely inconclusive (found sets are always certified).
+    is merely inconclusive (found sets are always certified).  Both end
+    at any k: the levels run out, and the extension adds a point a step.
     """
     if k < 0:
         raise DomainError(f"set size must be >= 0, got {k}")
-    if k > SHATTER_GUARD:
-        raise GuardExceededError(f"hunt limited to k <= {SHATTER_GUARD}")
     if k == 0:
         return () if sys_.masks else None
     if sys_.n <= EXACT_LIMIT:
@@ -167,21 +161,12 @@ def shatter_certificate(sys_: SetSystemWindow, a) -> dict:
     return {"set": [str(p) for p in pts], "witnesses": witnesses}
 
 
-def certificate_json(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True)
-
-
-def example_R(gamma, beta, alpha, tower: Tower) -> bool:
-    """gamma strictly earlier than beta in the order attached to alpha."""
-    return tower.turnstile(alpha, beta, gamma)
-
-
 def cond4_check(a, tower: Tower) -> bool:
     """Some arrangement (x; y, z) of a 3-set satisfies the ternary relation."""
     pts = oset(a)
     if len(pts) != 3:
         raise DomainError(f"arrangement check needs exactly 3 points, got {len(pts)}")
-    return any(example_R(x, y, z, tower) for x, y, z in permutations(pts))
+    return any(tower.turnstile(z, y, x) for x, y, z in permutations(pts))
 
 
 class RmkValue(Enum):

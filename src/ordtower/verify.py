@@ -19,7 +19,6 @@ from .tower import ListOrder, Tower
 from .vc import (
     SetSystemWindow,
     cond4_check,
-    example_R,
     hunt_shattered,
     is_shattered,
     sauer_check,
@@ -66,8 +65,9 @@ def _draw_distinct(rng: Lcg, bound: Ordinal, pool: int, n: int) -> list[Ordinal]
 def _check_trichotomy(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     top = add(parse_ordinal("w^2+w*5"), ordinal(1))
     rng = Lcg(cfg.seed)
-    done = 0
+    done = attempts = 0
     while done < 500:
+        attempts = _attempt(attempts, 500)
         alpha = enum_below(top, rng.below(160))
         if alpha < ordinal(2):
             continue
@@ -267,7 +267,7 @@ def _check_section(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         if len(set(section)) != want:
             return CheckResult("section-size-identity", False,
                                f"enumeration repeats below {beta} at {alpha}")
-        if not all(example_R(g, beta, alpha, tower) for g in section):
+        if not all(tower.turnstile(alpha, beta, g) for g in section):
             return CheckResult("section-size-identity", False,
                                f"section member fails the relation at ({beta}, {alpha})")
         probes = [beta]
@@ -276,7 +276,7 @@ def _check_section(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         except DomainError:
             pass
         for probe in probes:
-            if example_R(probe, beta, alpha, tower):
+            if tower.turnstile(alpha, beta, probe):
                 return CheckResult("section-size-identity", False,
                                    f"point {probe} outside the section satisfies the relation")
         done += 1
@@ -349,11 +349,9 @@ def _check_almost_agree(cfg: VerifyConfig, ctx: AAOrders) -> CheckResult:
     top = parse_ordinal("w^2*2")
     rng = Lcg(cfg.seed + 9)
     pairs = []
-    guard = 0
+    attempts = 0
     while len(pairs) < 100:
-        guard += 1
-        if guard > 10000:
-            return CheckResult("aa-almost-agree", False, "sampling stalled")
+        attempts = _attempt(attempts, 100)
         a = enum_below(top, rng.below(160))
         b = enum_below(top, rng.below(160))
         if a == b:

@@ -1,5 +1,8 @@
 """Closed sets, cofinal extension, the ladder and family windows."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ordtower import (
@@ -170,6 +173,29 @@ def test_sampling_checks_stop_when_no_draw_is_usable(tower, check):
     cfg = verify.VerifyConfig(bound=ordinal(1))
     with pytest.raises(DomainError, match="sample space too small"):
         check(cfg, tower)
+
+
+_CHECK_WITH_ZERO_DRAWS = """
+import sys
+from ordtower import AAOrders, DomainError, Lcg, Tower, verify
+Lcg.below = lambda self, n: 0
+check, ctx = getattr(verify, sys.argv[1]), {"Tower": Tower, "AAOrders": AAOrders}[sys.argv[2]]
+try:
+    print(check(verify.VerifyConfig(), ctx()).line())
+except DomainError as exc:
+    print("DomainError:", exc)
+"""
+
+
+@pytest.mark.parametrize("check, ctx", [("_check_trichotomy", "Tower"),
+                                        ("_check_almost_agree", "AAOrders")])
+def test_sampling_checks_stop_when_every_draw_repeats(check, ctx):
+    # with every draw 0, trichotomy only ever draws alpha = 0 and almost-agree
+    # only a == b; both skip those, so an unbudgeted loop would never end
+    r = subprocess.run([sys.executable, "-c", _CHECK_WITH_ZERO_DRAWS, check, ctx],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("DomainError: sample space too small: ")
 
 
 def test_cofinal_extend_sound(tower):

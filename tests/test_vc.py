@@ -14,10 +14,8 @@ from ordtower import (
     RmkValue,
     SetSystemWindow,
     W,
-    certificate_json,
     cond4_check,
     enumerate_family,
-    example_R,
     hunt_shattered,
     is_shattered,
     ordinal,
@@ -165,13 +163,12 @@ def test_hunt_k_zero():
 
 
 def test_guards():
+    # only the exact dimension is guarded; shattering questions answer at any size
     wide = SetSystemWindow(range(26), [])
     with pytest.raises(GuardExceededError):
-        is_shattered(wide, list(range(26)))
-    with pytest.raises(GuardExceededError):
         vc_dim(wide)
-    with pytest.raises(GuardExceededError):
-        hunt_shattered(wide, 26)
+    assert is_shattered(wide, list(range(26))) is False
+    assert hunt_shattered(wide, 26) is None
 
 
 def test_sauer_bound_holds_at_true_dimension():
@@ -205,24 +202,14 @@ def test_shatter_certificate_rejects_unshattered():
         shatter_certificate(sys_, [0, 1])
 
 
-def test_certificate_json_stable():
-    full = SetSystemWindow(range(2), list(range(4)))
-    cert = shatter_certificate(full, [0, 1])
-    text = certificate_json(cert)
-    assert text == certificate_json(cert)
-    import json
-
-    assert json.loads(text) == cert
-
-
 def test_example_R_is_rank_comparison(tower, p):
     # the order attached to a natural runs downward
     assert tower.rank(9, 5) < tower.rank(9, 2)
-    assert example_R(5, 2, 9, tower)
-    assert not example_R(2, 5, 9, tower)
-    assert not example_R(3, 3, 9, tower)
+    assert tower.turnstile(9, 2, 5)
+    assert not tower.turnstile(9, 5, 2)
+    assert not tower.turnstile(9, 3, 3)
     w2 = p("w*2")
-    assert example_R(0, W + 1, w2, tower) == (
+    assert tower.turnstile(w2, W + 1, 0) == (
         tower.rank(w2, 0) < tower.rank(w2, W + 1)
     )
 
