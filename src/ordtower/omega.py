@@ -21,11 +21,15 @@ supplies the limit rule:
     and then q points of lam's order, so when the previous stage listed
     m0 <= m and q0 <= q over the same lam and nothing else is placed, b_i
     is lam+m-1, ..., lam+m0 and then lam's positions q0..q-1.  Every other
-    stage filters its prefix by the definition.  Stage i's composed
-    certificate is stage i-1's joined with the step's exception points,
-    and is the previous one itself when the step adds no point.  A limit
-    keeps its stages (alpha_i, the composed certificate, the adjusted
-    order) in one list, grown in order on demand.
+    stage filters its prefix by the definition.  The order lists every
+    point but keeps a rank entry only for filtered points: a structural
+    block is one run record, and a run point's rank is worked out from
+    its tail offset or its position in lam's order when first asked.
+    Stage i's composed certificate is stage i-1's joined with the step's
+    exception points, and is the previous one itself when the step adds
+    no point.  A limit keeps its stages (alpha_i, the composed
+    certificate, the adjusted order) in one list, grown in order on
+    demand.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -36,6 +40,7 @@ memoized: a successor lam+m reorders nothing below lam.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import DomainError, IterationCeilingError
@@ -54,6 +59,9 @@ class CanonicalOmega(OmegaOrder):
         x = _as_ord(x)
         if not x.is_natural():
             raise DomainError(f"{x} is not below w")
+        return x.natural()
+
+    def _peek(self, x: Ordinal) -> int:
         return x.natural()
 
     def nth(self, k: int) -> Ordinal:
@@ -101,24 +109,36 @@ class PatchedOrder(OmegaOrder):
 
 
 class LimitOrder(BlockOrder):
-    """Block order at a limit eta > omega, built over the adjusted chain."""
+    """Block order at a limit eta > omega, built over the adjusted chain.
+
+    Each structural block is one run ``(q, m, q0, m0, start)`` over lam's
+    order ``_inner`` (the successor chain points of eta share one lam, and
+    q and m rise from run to run); ``_peek`` reads a run point's position
+    off its run and keeps it in ``_ranks``.
+    """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
+        self._inner: OmegaOrder | None = None
+        self._runs: list[tuple[int, int, int, int, int]] = []
+        self._qs: list[int] = []  # run ends, for bisecting
+        self._ms: list[int] = []
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
         oi = self.ctx.chain_order(self.eta, i)
         r = oi.rank(ordinal(i))
         fresh = self._chain_block(oi, r)
-        if fresh is None:  # the defining rule
-            fresh = [p for p in oi.prefix(r) if p not in self._ranks]
-        self.append_block(fresh)  # within a block, points keep their prefix order
+        if fresh is not None:
+            self.list_block(fresh)
+        else:  # the defining rule; within a block, points keep their prefix order
+            self.append_block([p for p in oi.prefix(r) if self._peek(p) is None])
 
     def _chain_block(self, oi: OmegaOrder, r: int) -> list[Ordinal] | None:
         """oi's first r points not yet placed, read off oi = lam+m when they
-        extend the previous stage's prefix over the same lam; else None."""
+        extend the previous stage's prefix over the same lam, and kept as
+        the next run; else None."""
         last = self._last
         self._last = (oi.inner, oi.m, r - oi.m) if isinstance(oi, PrependOrder) else None
         if last is None or self._last is None:
@@ -126,10 +146,36 @@ class LimitOrder(BlockOrder):
         (inner0, m0, q0), (inner, m, q) = last, self._last
         if inner0 is not inner or m < m0 or q < q0 or len(self._seq) != m0 + q0:
             return None
+        self._inner = inner
+        self._runs.append((q, m, q0, m0, len(self._seq)))
+        self._qs.append(q)
+        self._ms.append(m)
         # oi.rank built a block inner far enough to hold its first q points
         rest = (inner._seq[q0:q] if isinstance(inner, BlockOrder)
                 else [inner.nth(j) for j in range(q0, q)])
         return oi.segment(m0)[::-1] + rest
+
+    def _peek(self, x: Ordinal) -> int | None:
+        got = self._ranks.get(x)
+        if got is not None or self._inner is None:
+            return got
+        runs, lam = self._runs, self._inner.bound
+        if x < lam:  # run k lists positions q0..q-1 of lam's order
+            qx = self._inner._peek(x)
+            k = len(runs) if qx is None else bisect_right(self._qs, qx)
+            if k == len(runs) or qx < runs[k][2]:
+                return None
+            q, m, q0, m0, start = runs[k]
+            got = start + (m - m0) + (qx - q0)
+        else:  # after the tail points lam+m-1 .. lam+m0
+            lam_x, j = x.split()
+            k = bisect_right(self._ms, j) if lam_x is lam else len(runs)
+            if k == len(runs) or j < runs[k][3]:
+                return None
+            q, m, q0, m0, start = runs[k]
+            got = start + m - 1 - j
+        self._ranks[x] = got
+        return got
 
 
 class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
@@ -326,10 +372,17 @@ class AAOrders(Orders):
                     if got[k] is None:
                         got[k] = o.rank(candidates[k])
                         unranked -= 1
-                        # all known: each ordered pair, as an override may tie ranks
-                        if not unranked and all((lo_r[a] < lo_r[b]) == (hi_r[a] < hi_r[b])
-                                                for a in range(n) for b in range(n)):
+                        if not unranked and _same_order(lo_r, hi_r):
                             return VerifyResult(True, None)
             if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
                 return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)
+
+
+def _same_order(lo_r: list[int], hi_r: list[int]) -> bool:
+    """Whether lo_r[a] < lo_r[b] exactly when hi_r[a] < hi_r[b], for every
+    ordered pair: sorted by lo, hi must tie where lo ties (an override may
+    tie ranks) and rise strictly where lo rises."""
+    pairs = sorted(zip(lo_r, hi_r))
+    return all(h0 == h1 if l0 == l1 else h0 < h1
+               for (l0, h0), (l1, h1) in zip(pairs, pairs[1:]))

@@ -56,10 +56,6 @@ DEFAULT_CAP = parse_ordinal("w^3")
 
 OrdinalSet = tuple[Ordinal, ...]
 
-# positions 0..N-1 of the longest order built so far, one int each shared by
-# every rank dict; it holds no answers, so it is no context's warm state
-_POSITIONS: list[int] = []
-
 
 class OmegaOrder:
     """A well-order of type omega given by a computable rank function."""
@@ -169,10 +165,14 @@ class PrependOrder(OmegaOrder):
 class BlockOrder(OmegaOrder):
     """Order at a limit eta: finite blocks, listed one after the other.
 
-    The order is the list ``_seq``, block i is ``_seq[_ends[i]:_ends[i + 1]]``
-    and ``_ranks`` maps each listed point to its position.  Blocks are built
-    on demand, at most ``CEILING`` of them, by ``_extend``: ``grow(eta)``
-    here, overridden by subclasses; either appends through ``append_block``.
+    The order is the list ``_seq`` and block i is
+    ``_seq[_ends[i]:_ends[i + 1]]``.  ``_ranks`` maps points to their
+    positions; ``_peek(x)`` is x's position when x is listed, else None, and
+    grows nothing.  Here ``_ranks`` holds every listed point and ``_peek``
+    reads it; a subclass may keep fewer entries and work out the rest.
+    Blocks are built on demand, at most ``CEILING`` of them, by ``_extend``:
+    ``grow(eta)`` here, overridden by subclasses; either appends through
+    ``append_block``.
     """
 
     def __init__(self, eta: Ordinal, grow: Callable[[Ordinal], None] | None = None):
@@ -194,9 +194,12 @@ class BlockOrder(OmegaOrder):
 
     def append_block(self, points: list[Ordinal]) -> None:
         """List points, none of them listed yet, as the next block."""
-        n, k = len(self._seq), len(self._seq) + len(points)
-        _POSITIONS.extend(range(len(_POSITIONS), k))
-        self._ranks.update(zip(points, _POSITIONS[n:k]))
+        n = len(self._seq)
+        self._ranks.update(zip(points, range(n, n + len(points))))
+        self.list_block(points)
+
+    def list_block(self, points: list[Ordinal]) -> None:
+        """List points as the next block, leaving their ranks to ``_peek``."""
         self._seq.extend(points)
         self._ends.append(len(self._seq))
 
@@ -211,6 +214,9 @@ class BlockOrder(OmegaOrder):
         top = 1 + max(map(self.rank, xs), default=-1)
         return self._ends[bisect_left(self._ends, top)]
 
+    def _peek(self, x: Ordinal) -> int | None:
+        return self._ranks.get(x)
+
     def rank(self, x) -> int:
         x = _as_ord(x)
         got = self._ranks.get(x)
@@ -218,9 +224,9 @@ class BlockOrder(OmegaOrder):
             return got
         if not x < self.eta:
             raise DomainError(f"{x} is not below {self.eta}")
-        while x not in self._ranks:
+        while (got := self._peek(x)) is None:
             self._next_block()
-        return self._ranks[x]
+        return got
 
     def nth(self, k: int) -> Ordinal:
         if k < 0:

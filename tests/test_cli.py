@@ -397,6 +397,26 @@ def test_deep_limit_chain_ends_in_a_ceiling_error():
     assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")
 
 
+_RUN_AND_REPORT_RSS = """
+import resource, sys
+from ordtower import cli
+code = cli.run(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_deep_aa_rank_stays_small():
+    # the limit orders below w^2+w list about 2.4 million points; ranking
+    # all but 81,000 from their runs, not one dict entry each, keeps this
+    # call near 80 MB, where a rank entry per point takes about 190 MB
+    r = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_RSS,
+                        "aa", "rank", "--alpha", "w^2+w", "150"],
+                       capture_output=True, text=True, timeout=120)
+    assert (r.returncode, r.stdout) == (0, "22951\n")
+    assert int(r.stderr) < 130 * 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_malformed_window_files_are_domain_errors(tmp_path):
     bad = {"seed-not-a-number.json": '{"bound": "w", "seed": "abc", "members": []}',
            "seed-out-of-range.json": '{"bound": "w", "seed": 1e400, "members": []}',

@@ -426,6 +426,57 @@ def test_limit_blocks_match_filter_rule(p, monkeypatch):
     assert paths["structural"] > 0 and paths["filter"] > 0
 
 
+def test_run_ranks_match_filter_positions(p, monkeypatch):
+    # ranks read off the runs are the reference's positions, and asking for
+    # an unplaced point grows no order
+    limits = [p(name) for name in ["w*2", "w*3", "w^2", "w^2+w*2", "w^2*2"]]
+    monkeypatch.setattr(omega.LimitOrder, "_extend", _filter_extend)
+    ref = AAOrders()
+    want = {eta: [x for b in ref.limit_blocks(eta, 40) for x in b] for eta in limits}
+    monkeypatch.undo()
+
+    inners = {}
+    chain_block = omega.LimitOrder._chain_block
+
+    def recording_chain_block(self, oi, r):
+        got = chain_block(self, oi, r)
+        if got is not None:
+            inners.setdefault(self.eta, set()).add(id(oi.inner))
+        return got
+
+    monkeypatch.setattr(omega.LimitOrder, "_chain_block", recording_chain_block)
+    orders = AAOrders()
+    for eta in limits:
+        orders.limit_blocks(eta, 40)
+    grown = {eta: o for eta, o in orders._orders.items() if isinstance(o, omega.LimitOrder)}
+    # the runs rely on this: one inner order per limit, q and m rising
+    assert sum(len(o._runs) for o in grown.values()) > 100
+    for eta, o in grown.items():
+        assert inners.get(eta, set()) == ({id(o._inner)} if o._runs else set())
+        for (q, m, _, _, start), (_, _, q0, m0, start1) in zip(o._runs, o._runs[1:]):
+            assert q <= q0 and m <= m0 and start <= start1
+        assert all(q0 <= q and m0 <= m for q, m, q0, m0, _ in o._runs)
+    for eta in limits:
+        o = orders.order(eta)
+        assert [o.rank(x) for x in want[eta]] == list(range(len(want[eta])))
+    near = {eta: [enum_below(eta, i) for i in range(0, 30000, 97)] for eta in limits}
+    for eta in limits:
+        o = orders.order(eta)
+        if o._runs:  # past the last run: lam's points and tail offsets
+            lam, (q, m, *_) = o._inner.bound, o._runs[-1]
+            near[eta] += [*o._inner.prefix(q + 50), *map(lam.plus, range(m + 50))]
+    lengths = _limit_lengths(orders)
+    for eta in limits:
+        o = orders.order(eta)
+        placed = set(o._seq)
+        unplaced = [x for x in near[eta] if x not in placed]
+        assert len(unplaced) > 50
+        assert all(o._peek(x) is None for x in unplaced)
+    for o in grown.values():
+        assert [o._peek(x) for x in o._seq] == list(range(len(o._seq)))
+    assert _limit_lengths(orders) == lengths
+
+
 def test_limit_orders_build_only_what_a_certificate_needs(p):
     # the work done is pinned: a change that over-builds shows up here
     orders = AAOrders()
@@ -435,11 +486,8 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert len(limits) == 33
     assert sum(len(o._ends) - 1 for o in limits) == 1617
     assert sum(len(o._seq) for o in limits) == 25489
-    # two orders listing a point at the same position share its int object
-    a, b = orders.order(p("w*32")), orders.order(p("w*33"))
-    k = len(a._seq) - 1
-    assert k > 1000 and len(b._seq) > k
-    assert a._ranks[a._seq[k]] is b._ranks[b._seq[k]]
+    # run points get a rank entry only once asked: 3,664 entries today
+    assert sum(len(o._ranks) for o in limits) < 4000
 
 
 def test_contexts_keep_the_fields_the_bench_tracer_reads():
@@ -622,6 +670,18 @@ def test_sampler_ends_once_every_pair_is_known(p):
             assert got == want and not got.ok
             assert asked == list(dict.fromkeys(asked_ref))
         assert got.witness == (a, b)
+
+
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=8), st.data())
+def test_sorted_pair_check_matches_every_ordered_pair(lo_r, data):
+    # hi either follows lo up to ties and a few breaks, or is drawn freely
+    spread = data.draw(st.lists(st.integers(0, 1), min_size=len(lo_r), max_size=len(lo_r)))
+    hi_r = data.draw(st.one_of(
+        st.just([2 * a + b for a, b in zip(lo_r, spread)]),
+        st.lists(st.integers(0, 4), min_size=len(lo_r), max_size=len(lo_r))))
+    n = len(lo_r)
+    want = all((lo_r[a] < lo_r[b]) == (hi_r[a] < hi_r[b]) for a in range(n) for b in range(n))
+    assert omega._same_order(lo_r, hi_r) == want
 
 
 def test_almost_agree_check_catches_a_swapped_pair(monkeypatch):
