@@ -134,9 +134,6 @@ class FamilyWindow(namedtuple("FamilyWindow", "bound seed members")):
             "members": [[str(x) for x in m] for m in self.members],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @staticmethod
     def from_dict(d: dict) -> "FamilyWindow":
         try:
@@ -176,10 +173,12 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
     members: list[OrdinalSet] = []
     seen = set()
 
-    def push(m: OrdinalSet) -> None:
+    def push(m: OrdinalSet) -> bool:
         if m and m not in seen and len(members) < count:
             seen.add(m)
             members.append(m)
+            return True
+        return False
 
     limits = [bound] if bound.is_limit() else []
     for x in enum_prefix(bound, 40) if bound > 0 else []:
@@ -190,13 +189,12 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
             push(tower.blocks(eta, n))
 
     rng = Lcg(seed)
-    attempts = 0
+    misses = 0  # draws in a row that added no member
     while len(members) < count:
         size = 1 + rng.below(4)
         a = [enum_below(bound, rng.below(200)) for _ in range(size)]
-        push(cofinal_extend(a, tower))
-        attempts += 1
-        if attempts > 200 * count + 1000:
+        misses = 0 if push(cofinal_extend(a, tower)) else misses + 1
+        if misses == 20_000:  # so a window that cannot fill ends in bounded time
             raise IterationCeilingError(
                 f"could not reach {count} distinct members below {bound}")
     return FamilyWindow(bound=bound, seed=seed, members=tuple(sorted(members)))

@@ -39,7 +39,6 @@ memoized: a successor lam+m reorders nothing below lam.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -190,9 +189,6 @@ class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
             "upper": str(self.upper),
             "points": [str(p) for p in self.points],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class VerifyResult(namedtuple("VerifyResult", "ok witness", defaults=(None,))):

@@ -449,7 +449,7 @@ def test_every_command_has_help():
 
 def test_options_a_command_does_not_read_are_usage_errors():
     parser = cli._build_parser()
-    for words, (positionals, options) in cli._COMMANDS.items():
+    for words, (_, positionals, options) in cli._COMMANDS.items():
         argv = _sample_argv(words, positionals)
         parser.parse_args(argv)  # the argv is valid without the extra option
         for name in cli._OPTIONS.keys() - options.keys():

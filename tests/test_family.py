@@ -1,7 +1,9 @@
 """Closed sets, cofinal extension, the ladder and family windows."""
 
+import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from ordtower import (
     DomainError,
     Entailment,
     FamilyWindow,
+    IterationCeilingError,
     Lcg,
     W,
     cofinal_extend,
@@ -233,7 +236,7 @@ def test_window_roundtrip(tower):
     win = enumerate_family(p("w^2"), 10, 99, tower)
     assert win.count == 10
     assert len(set(win.members)) == 10
-    again = FamilyWindow.from_json(win.to_json())
+    again = FamilyWindow.from_json(json.dumps(win.to_dict(), sort_keys=True))
     assert again == win
 
 
@@ -248,6 +251,17 @@ def test_window_deterministic(tower):
     a = enumerate_family(p("w*3"), 8, 12, tower)
     b = enumerate_family(p("w*3"), 8, 12, tower)
     assert a == b
+
+
+def test_window_that_cannot_fill_ends_in_bounded_time():
+    # below 2 every closure is {0,1} or {0,1,2}: the search gives up once
+    # draws stop adding members, not after a number of draws that grows
+    # with the count asked for
+    start = time.perf_counter()
+    with pytest.raises(IterationCeilingError,
+                       match=r"^could not reach 100000000 distinct members below 2$"):
+        enumerate_family(2, 10**8, 1, Tower())
+    assert time.perf_counter() - start < 2
 
 
 def test_window_malformed_json():
