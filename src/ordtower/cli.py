@@ -54,10 +54,6 @@ def _strs(xs):
     return None if xs is None else [str(x) for x in xs]
 
 
-def _tower(args) -> Tower:
-    return Tower(cap=parse_ordinal(args.cap))
-
-
 def _window(args) -> FamilyWindow:
     if args.window is not None:
         try:
@@ -65,7 +61,7 @@ def _window(args) -> FamilyWindow:
                 return FamilyWindow.from_json(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read window file {args.window}: {exc}") from exc
-    return enumerate_family(parse_ordinal(args.bound), args.count, args.seed, _tower(args))
+    return enumerate_family(parse_ordinal(args.bound), args.count, args.seed, Tower())
 
 
 def _ord_cmp(args):
@@ -98,47 +94,42 @@ def _ord_parse(args):
 
 
 def _tower_rank(args):
-    alpha, t = parse_ordinal(args.alpha), _tower(args)
-    r = t.rank(alpha, parse_ordinal(args.x))
+    r = Tower().rank(parse_ordinal(args.alpha), parse_ordinal(args.x))
     return [str(r)], {"rank": r}
 
 
 def _tower_nth(args):
-    alpha, t = parse_ordinal(args.alpha), _tower(args)
-    v = str(t.nth(alpha, args.k))
+    v = str(Tower().nth(parse_ordinal(args.alpha), args.k))
     return [v], {"value": v}
 
 
 def _tower_close(args):
-    alpha, t = parse_ordinal(args.alpha), _tower(args)
-    b = _strs(t.close(alpha, _parse_set(args.set)))
+    b = _strs(Tower().close(parse_ordinal(args.alpha), _parse_set(args.set)))
     return [",".join(b)], {"closed": b}
 
 
 def _tower_turnstile(args):
-    alpha, t = parse_ordinal(args.alpha), _tower(args)
-    ok = t.turnstile(alpha, parse_ordinal(args.beta), parse_ordinal(args.gamma))
+    ok = Tower().turnstile(*map(parse_ordinal, (args.alpha, args.beta, args.gamma)))
     return ["true" if ok else "false"], {"holds": ok}
 
 
 def _tower_blocks(args):
-    alpha, t = parse_ordinal(args.alpha), _tower(args)
-    b = _strs(t.blocks(alpha, args.k))
+    b = _strs(Tower().blocks(parse_ordinal(args.alpha), args.k))
     return [",".join(b)], {"block": b}
 
 
 def _family_extend(args):
-    ext = _strs(cofinal_extend(_parse_set(args.set), _tower(args)))
+    ext = _strs(cofinal_extend(_parse_set(args.set), Tower()))
     return [",".join(ext)], {"member": ext}
 
 
 def _family_check(args):
-    ok = is_closed(_parse_set(args.set), _tower(args))
+    ok = is_closed(_parse_set(args.set), Tower())
     return ["CLOSED" if ok else "NOT_CLOSED"], {"closed": ok}
 
 
 def _family_ladder(args):
-    pts, sets = ladder(args.n, parse_ordinal(args.bound), _tower(args))
+    pts, sets = ladder(args.n, parse_ordinal(args.bound), Tower())
     pts, sets = _strs(pts), [_strs(s) for s in sets]
     lines = ["points: " + ",".join(pts), *(f"s{j}: " + ",".join(s) for j, s in enumerate(sets))]
     return lines, {"points": pts, "sets": sets}
@@ -184,7 +175,7 @@ def _vc_sauer(args):
 
 
 def _vc_cond4(args):
-    ok = cond4_check(_parse_set(args.set), _tower(args))
+    ok = cond4_check(_parse_set(args.set), Tower())
     return ["true" if ok else "false"], {"holds": ok}
 
 
@@ -199,22 +190,18 @@ def _vc_rmk(args):
     }
 
 
-def _orders(args) -> AAOrders:
-    return AAOrders(cap=parse_ordinal(args.cap))
-
-
 def _aa_rank(args):
-    r = _orders(args).rank(parse_ordinal(args.alpha), parse_ordinal(args.x))
+    r = AAOrders().rank(parse_ordinal(args.alpha), parse_ordinal(args.x))
     return [str(r)], {"rank": r}
 
 
 def _aa_nth(args):
-    v = str(_orders(args).nth(parse_ordinal(args.alpha), args.k))
+    v = str(AAOrders().nth(parse_ordinal(args.alpha), args.k))
     return [v], {"value": v}
 
 
 def _aa_exceptions(args):
-    cert = _orders(args).exception_set(parse_ordinal(args.beta), parse_ordinal(args.a))
+    cert = AAOrders().exception_set(parse_ordinal(args.beta), parse_ordinal(args.a))
     d = cert.to_dict()
     lines = [f"{len(cert.points)} exception points"]
     if cert.points:
@@ -223,7 +210,7 @@ def _aa_exceptions(args):
 
 
 def _aa_verify(args):
-    orders = _orders(args)
+    orders = AAOrders()
     cert = orders.exception_set(parse_ordinal(args.beta), parse_ordinal(args.a))
     res = orders.verify_exception(cert, args.count, args.seed)
     if res.ok:
@@ -235,8 +222,7 @@ def _aa_verify(args):
 
 def _verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    cfg = VerifyConfig(seed=args.seed, bound=parse_ordinal(args.bound),
-                       cap=parse_ordinal(args.cap))
+    cfg = VerifyConfig(seed=args.seed, bound=parse_ordinal(args.bound))
     results = run_suites(names, cfg)
     return ([r.line() for r in results], {"results": [r._asdict() for r in results]},
             0 if all(r.passed for r in results) else 1)
@@ -247,7 +233,6 @@ def _verify(args):
 # not on the groups: a group's values would be overwritten by the leaf's
 # defaults.
 _OPTIONS = {
-    "cap": {"help": "largest ordinal handled"},
     "seed": {"type": int, "help": "seed for all sampling"},
     "bound": {"help": "family bound"},
     "count": {"type": int, "help": "values to list, window members or samples"},
@@ -255,8 +240,7 @@ _OPTIONS = {
     "output": {"choices": ["text", "json"], "help": "output format"},
 }
 _OUT = {"output": "text"}
-_CAP = {"cap": "w^3", "output": "text"}
-_WINDOW_SOURCE = {"cap": "w^3", "bound": "w^2", "count": 30, "seed": 1, "window": None}
+_WINDOW_SOURCE = {"bound": "w^2", "count": 30, "seed": 1, "window": None}
 _WINDOW = {**_WINDOW_SOURCE, "output": "text"}
 _ALPHA = ("--alpha", {"required": True})
 _GROUND = ("ground", {"nargs": "?"})
@@ -268,30 +252,30 @@ _COMMANDS = {
     ("ord", "enum"): (_ord_enum, [("a", {}), ("n", {"type": int, "nargs": "?", "default": 0})],
                       {"count": None, "output": "text"}),
     ("ord", "parse"): (_ord_parse, [("a", {})], _OUT),
-    ("tower", "rank"): (_tower_rank, [_ALPHA, ("x", {})], _CAP),
-    ("tower", "nth"): (_tower_nth, [_ALPHA, ("k", {"type": int})], _CAP),
-    ("tower", "close"): (_tower_close, [_ALPHA, ("set", {})], _CAP),
-    ("tower", "turnstile"): (_tower_turnstile, [_ALPHA, ("beta", {}), ("gamma", {})], _CAP),
-    ("tower", "blocks"): (_tower_blocks, [_ALPHA, ("k", {"type": int})], _CAP),
-    ("family", "extend"): (_family_extend, [("set", {})], _CAP),
-    ("family", "check"): (_family_check, [("set", {})], _CAP),
-    ("family", "ladder"): (_family_ladder, [("n", {"type": int})], {**_CAP, "bound": "w^2"}),
+    ("tower", "rank"): (_tower_rank, [_ALPHA, ("x", {})], _OUT),
+    ("tower", "nth"): (_tower_nth, [_ALPHA, ("k", {"type": int})], _OUT),
+    ("tower", "close"): (_tower_close, [_ALPHA, ("set", {})], _OUT),
+    ("tower", "turnstile"): (_tower_turnstile, [_ALPHA, ("beta", {}), ("gamma", {})], _OUT),
+    ("tower", "blocks"): (_tower_blocks, [_ALPHA, ("k", {"type": int})], _OUT),
+    ("family", "extend"): (_family_extend, [("set", {})], _OUT),
+    ("family", "check"): (_family_check, [("set", {})], _OUT),
+    ("family", "ladder"): (_family_ladder, [("n", {"type": int})], {**_OUT, "bound": "w^2"}),
     ("family", "window"): (_family_window, [], _WINDOW),
     ("family", "entails"): (_family_entails, [("a", {}), ("b", {})], _WINDOW),
     ("vc", "dim"): (_vc_dim, [_GROUND], _WINDOW),
     ("vc", "shatter"): (_vc_shatter, [("set", {}), _GROUND], _WINDOW_SOURCE),
     ("vc", "hunt"): (_vc_hunt, [("k", {"type": int}), _GROUND], _WINDOW),
     ("vc", "sauer"): (_vc_sauer, [("d", {"type": int}), _GROUND], _WINDOW),
-    ("vc", "cond4"): (_vc_cond4, [("set", {})], _CAP),
+    ("vc", "cond4"): (_vc_cond4, [("set", {})], _OUT),
     ("vc", "rmk"): (_vc_rmk, [("m", {"type": int}), ("k", {"type": int}), ("points", {})],
                     _WINDOW),
-    ("aa", "rank"): (_aa_rank, [_ALPHA, ("x", {})], _CAP),
-    ("aa", "nth"): (_aa_nth, [_ALPHA, ("k", {"type": int})], _CAP),
-    ("aa", "exceptions"): (_aa_exceptions, [("beta", {}), ("a", {})], _CAP),
+    ("aa", "rank"): (_aa_rank, [_ALPHA, ("x", {})], _OUT),
+    ("aa", "nth"): (_aa_nth, [_ALPHA, ("k", {"type": int})], _OUT),
+    ("aa", "exceptions"): (_aa_exceptions, [("beta", {}), ("a", {})], _OUT),
     ("aa", "verify"): (_aa_verify, [("beta", {}), ("a", {})],
-                       {"cap": "w^3", "count": 200, "seed": 1, "output": "text"}),
+                       {"count": 200, "seed": 1, "output": "text"}),
     ("verify",): (_verify, [("suite", {"choices": ["all", *SUITES]})],
-                  {"cap": "w^3", "seed": 1, "bound": "w^2", "output": "text"}),
+                  {"seed": 1, "bound": "w^2", "output": "text"}),
 }
 _GROUPS = {
     "ord": "ordinal arithmetic",

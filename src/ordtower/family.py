@@ -36,9 +36,12 @@ def is_closed(a, tower: Tower) -> bool:
     rank.  Each position of that prefix is therefore checked once, as the
     ranks climb: the ranks are asked for in the same order as a check per
     pair would, a missing point fails at the same beta, and every ``nth``
-    lies below a rank already computed, so no order grows further.
+    lies below a rank already computed, so no order grows further.  A
+    point above the tower's cap is refused even when no rank is asked.
     """
     a = oset(a)
+    if a:
+        tower._check(a[-1])
     members = set(a)
     for k, alpha in enumerate(a):
         seen = 0  # alpha's first `seen` positions are known to lie in a

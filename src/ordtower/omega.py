@@ -1,6 +1,6 @@
-"""Almost-agreeing omega-orders on the ordinals below a cap.
+"""Almost-agreeing omega-orders on the ordinals up to ``tower.CAP`` = w^3.
 
-Each alpha with omega <= alpha <= cap carries an order of type omega on
+Each alpha with omega <= alpha <= w^3 carries an order of type omega on
 {gamma < alpha}.  ``AAOrders`` is a ``tower.Orders``, with the tower's
 memo, successor rule and ``rank``/``nth``; it starts at omega and
 supplies the limit rule:
@@ -243,11 +243,11 @@ def _adjust(inner: OmegaOrder, outer: OmegaOrder, points: tuple[Ordinal, ...]) -
 
 
 class AAOrders(Orders):
-    """Shared context below cap: memoized orders, one list of adjusted
+    """Shared context up to ``CAP``: memoized orders, one list of adjusted
     chain stages per limit, and certificates at limit uppers."""
 
-    def __init__(self, cap: Ordinal | None = None):
-        super().__init__(cap, {W: CanonicalOmega()})
+    def __init__(self):
+        super().__init__({W: CanonicalOmega()})
         # per limit eta, its adjusted chain's stages 0, 1, ... (see _stage)
         self._chain_orders: dict[Ordinal, list[tuple]] = {}
         self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}  # limit uppers only

@@ -1,5 +1,5 @@
-"""A tower of well-orders on the ordinals below a cap, and the order
-family it shares with the omega layer.
+"""A tower of well-orders on the ordinals up to ``CAP`` = w^3, and the
+order family it shares with the omega layer.
 
 For each alpha the tower carries a well-order of type omega (for infinite
 alpha; of type alpha for finite alpha) on {gamma < alpha}:
@@ -52,7 +52,7 @@ from .ordinals import (
     _as_ord,
 )
 
-DEFAULT_CAP = parse_ordinal("w^3")
+CAP = parse_ordinal("w^3")  # the largest alpha with an order, for both layers
 
 OrdinalSet = tuple[Ordinal, ...]
 
@@ -245,19 +245,18 @@ class BlockOrder(OmegaOrder):
 
 
 class Orders:
-    """Memoized orders up to cap.  ``_orders`` starts with the least order;
-    lam + m gets a ``PrependOrder`` over lam's, reading the tail kept per
-    lam, and any other limit the subclass's ``_limit_order``."""
+    """Memoized orders up to ``CAP``.  ``_orders`` starts with the least
+    order; lam + m gets a ``PrependOrder`` over lam's, reading the tail kept
+    per lam, and any other limit the subclass's ``_limit_order``."""
 
-    def __init__(self, cap: Ordinal | None, least: dict[Ordinal, OmegaOrder]):
-        self.cap = _as_ord(cap) if cap is not None else DEFAULT_CAP
+    def __init__(self, least: dict[Ordinal, OmegaOrder]):
         self._orders: dict[Ordinal, OmegaOrder] = least
         self._tails: dict[Ordinal, list[Ordinal]] = {}
 
     def _check(self, alpha) -> Ordinal:
         alpha = _as_ord(alpha)
-        if alpha > self.cap:
-            raise CapExceededError(f"{alpha} exceeds the configured cap {self.cap}")
+        if alpha > CAP:
+            raise CapExceededError(f"{alpha} exceeds the cap {CAP}")
         return alpha
 
     def order(self, alpha) -> OmegaOrder:
@@ -292,8 +291,8 @@ class Orders:
 
 
 class Tower(Orders):
-    def __init__(self, cap: Ordinal | None = None):
-        super().__init__(cap, {ZERO: ListOrder(())})
+    def __init__(self):
+        super().__init__({ZERO: ListOrder(())})
         # per limit eta whose order has grown: the order list and the block
         # chain as prefix lengths, S_i == set(order[:chain[i]])
         self._order: dict[Ordinal, list[Ordinal]] = {}
@@ -378,16 +377,10 @@ class Tower(Orders):
 
 
 def _next_chain_point(eta: Ordinal, mx: Ordinal, k: int) -> tuple[int, Ordinal]:
-    """The least i > k with fund_seq(eta, i) > mx, and that value, galloping up from k."""
-    lo, step = k, 1
-    while not (top := fund_seq(eta, lo + step)) > mx:
-        lo, step = lo + step, 2 * step
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        v = fund_seq(eta, mid)
-        if v > mx:
-            hi, top = mid, v
-        else:
-            lo = mid
-    return hi, top
+    """The least i > k with fund_seq(eta, i) > mx, and that value.  A chain's
+    index only rises, so scanning up from the previous one costs its final
+    index in all."""
+    k += 1
+    while not (top := fund_seq(eta, k)) > mx:
+        k += 1
+    return k, top

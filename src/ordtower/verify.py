@@ -7,15 +7,17 @@ PASS/FAIL line.  Output is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import count
 
 from .errors import DomainError
 from .family import cofinal_extend, enumerate_family, is_closed, ladder
 from .omega import AAOrders, ExceptionCert, adjust_one
 from .ordinals import Ordinal, W, add, enum_below, ordinal, parse_ordinal
 from .rng import Lcg
-from .tower import ListOrder, Tower
+from .tower import CAP, ListOrder, Tower
 from .vc import (
     SetSystemWindow,
     cond4_check,
@@ -27,8 +29,7 @@ from .vc import (
 )
 
 
-class VerifyConfig(namedtuple("VerifyConfig", "seed bound cap",
-                              defaults=(1, parse_ordinal("w^2"), parse_ordinal("w^3")))):
+class VerifyConfig(namedtuple("VerifyConfig", "seed bound", defaults=(1, parse_ordinal("w^2")))):
     __slots__ = ()
 
 
@@ -90,13 +91,19 @@ def _check_trichotomy(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "500 pairs below w^2+w*5 ordered and inverted exactly")
 
 
+# canonical below w^3: w^e*c terms, ^e and *c left out when 1, then a natural;
+# no leading zeros (terms out of order would parse to another ordinal)
+_TERM = r"w(?:\^(?:[2-9]|[1-9][0-9]+))?(?:\*(?:[2-9]|[1-9][0-9]+))?"
+_CANONICAL = rf"0|[1-9][0-9]*|{_TERM}(?:\+{_TERM})*(?:\+[1-9][0-9]*)?"
+
+
 def _check_literal_roundtrip(cfg: VerifyConfig) -> CheckResult:
     rng = Lcg(cfg.seed + 1)
     for _ in range(100):
-        x = enum_below(cfg.cap, rng.below(500))
-        if parse_ordinal(str(x)) != x:
+        x = enum_below(CAP, rng.below(500))
+        if not re.fullmatch(_CANONICAL, str(x)) or parse_ordinal(str(x)) != x:
             return CheckResult("ordinal-literal-roundtrip", False,
-                               f"parse(str) changed {x!r}")
+                               f"{x!r} is not printed canonically")
     return CheckResult("ordinal-literal-roundtrip", True,
                        "100 canonical literals round-tripped")
 
@@ -125,9 +132,7 @@ def _check_extend_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     rng = Lcg(cfg.seed + 2)
     for _ in range(300):
         size = 1 + rng.below(6)
-        a = set()
-        for _ in range(size):
-            a.add(enum_below(cfg.bound, rng.below(16)))
+        a = {enum_below(cfg.bound, rng.below(16)) for _ in range(size)}
         ext = cofinal_extend(tuple(sorted(a)), tower)
         if not a.issubset(ext):
             return CheckResult("closure-extend-sound", False,
@@ -148,9 +153,7 @@ def _check_close_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         if alpha.is_zero():
             continue
         size = 1 + rng.below(5)
-        a = set()
-        for _ in range(size):
-            a.add(enum_below(alpha, rng.below(16)))
+        a = {enum_below(alpha, rng.below(16)) for _ in range(size)}
         closed = tower.close(alpha, tuple(sorted(a)))
         full = tuple(sorted(set(closed) | {alpha}))
         if not is_closed(full, tower):
@@ -163,7 +166,12 @@ def _check_close_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 def _check_ladder(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     pts, sets = ladder(20, cfg.bound, tower)
+    used = set()  # each rung is the least natural that no earlier set covers
     for i in range(20):
+        if pts[i] != next(x for x in map(ordinal, count()) if x not in used):
+            return CheckResult("ladder-biconditional", False,
+                               f"rung {i} at {pts[i]} is not the least free point")
+        used.update(sets[i])
         for j in range(20):
             if (pts[i] in sets[j]) != (i <= j):
                 return CheckResult("ladder-biconditional", False,
@@ -210,10 +218,7 @@ def _check_cond4(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 def _mixed_ground(window):
     # 12 ground points: the 6 least naturals and the 6 least infinite points
-    pool = set()
-    for mem in window.members:
-        pool.update(mem)
-    pts = sorted(pool)
+    pts = sorted({x for mem in window.members for x in mem})
     nats = [x for x in pts if x.is_natural()]
     lims = [x for x in pts if not x.is_natural()]
     ground = nats[:6] + lims[:6]
@@ -414,8 +419,8 @@ def run_suites(names, cfg: VerifyConfig | None = None) -> list[CheckResult]:
     """Run the named suites; "aa" gets an AAOrders, the others share a Tower."""
     cfg = cfg or VerifyConfig()
     names = list(names)
-    tower = Tower(cap=cfg.cap) if set(names) - {"aa"} else None
-    ctx = AAOrders(cap=cfg.cap) if "aa" in names else None
+    tower = Tower() if set(names) - {"aa"} else None
+    ctx = AAOrders() if "aa" in names else None
     results: list[CheckResult] = []
     for name in names:
         if name not in SUITES:

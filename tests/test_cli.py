@@ -11,7 +11,7 @@ import traceback
 
 import pytest
 
-from ordtower import cli
+from ordtower import AAOrders, Tower, cli, parse_ordinal, tower
 
 CMD = [sys.executable, "-m", "ordtower"]
 
@@ -132,6 +132,29 @@ def test_error_exit_codes():
     assert run("nope").returncode == 2
 
 
+def test_one_point_above_the_cap_is_refused():
+    # a one-point set asks for no rank, so is_closed checks the cap itself
+    for argv in (["family", "check", "w^3+1"], ["family", "check", "w^4"],
+                 ["family", "check", "0,w^3+1"], ["tower", "rank", "--alpha", "w^3+1", "0"]):
+        code, out, err = _run_in_process(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: cap-exceeded: ") and err.count("\n") == 1, argv
+    assert _run_in_process(["family", "check", ""]) == (0, "CLOSED\n", "")
+    assert _run_in_process(["family", "check", "w^3"]) == (0, "CLOSED\n", "")
+
+
+def test_the_cap_is_one_constant_not_an_option():
+    assert tower.CAP is parse_ordinal("w^3")
+    for cls in (Tower, AAOrders):
+        with pytest.raises(TypeError):
+            cls(parse_ordinal("w^4"))
+    for words, (_, positionals, options) in cli._COMMANDS.items():
+        assert "cap" not in options, words
+        code, out, err = _run_in_process([*_sample_argv(words, positionals), "--cap", "w^3"])
+        assert (code, out) == (2, ""), words
+        assert "unrecognized arguments: --cap w^3" in err, words
+
+
 def test_negative_counts_are_domain_errors():
     for argv in [("vc", "hunt", "-1", "--bound", "w", "--count", "12"),
                  ("vc", "sauer", "-1"),
@@ -219,7 +242,7 @@ def test_records_keep_their_fields_defaults_and_immutability():
 
     w2 = ot.parse_ordinal("w^2")
     cfg = ot.VerifyConfig()
-    assert (cfg.seed, cfg.bound, cfg.cap) == (1, w2, ot.parse_ordinal("w^3"))
+    assert cfg._fields == ("seed", "bound") and (cfg.seed, cfg.bound) == (1, w2)
     assert cfg == ot.VerifyConfig(seed=1, bound=w2) != ot.VerifyConfig(seed=2)
     assert repr(ot.VerifyResult(True)) == "VerifyResult(ok=True, witness=None)"
     assert not ot.VerifyResult(False, (ot.W, ot.ZERO)) and ot.VerifyResult(True)
@@ -324,15 +347,14 @@ def test_output_does_not_depend_on_identity_hashes():
 
 def test_options_go_after_the_subcommand():
     # a group takes no options of its own, so none is parsed and then lost
-    for argv in (("tower", "--cap", "w", "rank", "--alpha", "w*2", "3"),
+    for argv in (("tower", "--output", "json", "rank", "--alpha", "w*2", "3"),
                  ("ord", "--output", "json", "add", "1", "2")):
         r = run(*argv)
         assert r.returncode == 2, argv
         assert r.stderr.startswith("usage: ordtower "), argv
         assert r.stdout == "", argv
-    r = run("tower", "rank", "--alpha", "w*2", "3", "--cap", "w")
-    assert r.returncode == 1
-    assert r.stderr.startswith("error: cap-exceeded:")
+    r = run("tower", "rank", "--alpha", "w*2", "3", "--output", "json")
+    assert (r.returncode, r.stdout) == (0, '{"rank": 8}\n')
     assert run("ord", "add", "1", "2", "--output", "json").stdout.strip() == '{"sum": "3"}'
 
 
@@ -342,7 +364,7 @@ _MIXED_ARGVS = (
     ["ord", "cmp", "w"],
     ["ord", "cmp", "w", "w+1", "--output", "json"],
     ["ord", "cmp", "w", "w+1"],
-    ["tower", "rank", "--alpha", "w*2", "w+3", "--cap", "w"],
+    ["tower", "rank", "--alpha", "w^3+1", "w+3"],
     ["tower", "rank", "--alpha", "w*2", "w+3"],
 )
 

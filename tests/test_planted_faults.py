@@ -1,0 +1,215 @@
+"""Every verify check can fail: a planted fault turns each one red.
+
+Each case plants one fault with ``monkeypatch`` and runs one check at the
+default configuration on a fresh context; the check must print a FAIL line
+under its own name.  A check that no fault can turn red would show nothing.
+When these cases were written, every check had one whose fault turned no
+other check red; ``tail_upwards`` and ``close_is_segment_and_input`` turn
+several red.
+"""
+
+import pathlib
+from math import comb
+
+import pytest
+
+from ordtower import AAOrders, Tower, cofinal_extend, family, ordinals, oset, parse_ordinal, verify
+from ordtower.omega import LimitOrder, PatchedOrder
+from ordtower.tower import BlockOrder, PrependOrder
+
+_CHECKS = {
+    "tower-trichotomy-roundtrip": (verify._check_trichotomy, Tower),
+    "ordinal-literal-roundtrip": (verify._check_literal_roundtrip, None),
+    "closure-extend-sound": (verify._check_extend_sound, Tower),
+    "closure-close-sound": (verify._check_close_sound, Tower),
+    "ladder-biconditional": (verify._check_ladder, Tower),
+    "closed-alltriples-oracle": (verify._check_closed_oracle, Tower),
+    "cond4-triples": (verify._check_cond4, Tower),
+    "window-vc-dim": (verify._check_window_vc, Tower),
+    "sauer-windows": (verify._check_sauer, Tower),
+    "section-size-identity": (verify._check_section, Tower),
+    "trace-brute-oracle": (verify._check_trace_oracle, Tower),
+    "aa-order-type": (verify._check_order_type, AAOrders),
+    "aa-almost-agree": (verify._check_almost_agree, AAOrders),
+    "adjust-unit-law": (verify._check_adjust_unit, AAOrders),
+}
+
+
+# -- the faults: each takes monkeypatch and plants one ----------------------
+
+
+def nth_late_from_50(m):
+    # only the trichotomy check asks the tower for positions past 49
+    nth = Tower.nth
+    m.setattr(Tower, "nth", lambda self, alpha, k: nth(self, alpha, k + (k >= 50)))
+
+
+def tail_upwards(m):
+    # PrependOrder.nth lists lam, lam+1, ... where rank has lam+m-1 first
+    nth = PrependOrder.nth
+    m.setattr(PrependOrder, "nth",
+              lambda self, k: self.lam.plus(k) if 0 <= k < self.m else nth(self, k))
+
+
+def verbose_literals(m):
+    # str keeps every ^e and *c, so w prints as w^1*1, which still parses to w
+    def term(e, c):
+        return str(c) if e.is_zero() else f"w^{e}*{c}" if e.is_natural() else f"w^({e})*{c}"
+
+    m.setattr(ordinals, "_term_str", term)
+
+
+def drops_least_added(m):
+    def extend(a, tower):
+        ext = cofinal_extend(a, tower)
+        least = min(x for x in ext if x not in set(a))
+        return tuple(x for x in ext if x != least)
+
+    m.setattr(verify, "cofinal_extend", extend)
+
+
+def close_is_segment_and_input(m):
+    def close(self, alpha, a):
+        lam, n = self._check(alpha).split()
+        return oset([*a, *map(lam.plus, range(n))])
+
+    m.setattr(Tower, "close", close)
+
+
+def close_at_a_limit_is_the_input(m):
+    # cofinal_extend closes only at successors, so closure-extend-sound stays green
+    close = Tower.close
+    m.setattr(Tower, "close",
+              lambda self, alpha, a: oset(a) if alpha.is_limit() else close(self, alpha, a))
+
+
+def ladder_skips_least_free(m):
+    least = family._least_unused
+    m.setattr(family, "_least_unused", lambda used, bound: least({*used, least(used, bound)}, bound))
+
+
+def rank_count_off_by_one(m):
+    def largest_rank_is_k(a, tower):
+        pts = list(a)
+        return all(max(tower.rank(alpha, beta) for beta in pts[:k]) == k
+                   for k, alpha in enumerate(pts) if k)
+
+    m.setattr(verify, "_closed_by_rank_counts", largest_rank_is_k)
+
+
+def closed_one_position_short(m):
+    def is_closed(a, tower):
+        a = oset(a)
+        for k, alpha in enumerate(a):
+            seen = 0
+            for beta in a[:k]:
+                r = tower.rank(alpha, beta)
+                while seen < r - 1:
+                    if tower.nth(alpha, seen) not in a:
+                        return False
+                    seen += 1
+        return True
+
+    m.setattr(verify, "is_closed", is_closed)
+
+
+def cond4_increasing_only(m):
+    def cond4(a, tower):
+        x, y, z = oset(a)
+        return tower.turnstile(z, y, x)
+
+    m.setattr(verify, "cond4_check", cond4)
+
+
+def vc_dim_off_by_one(m):
+    vc_dim = verify.vc_dim
+    m.setattr(verify, "vc_dim", lambda sys_: vc_dim(sys_) + 1)
+
+
+def sauer_binomials_over_d(m):
+    m.setattr(verify, "sauer_check", lambda sys_, d: len(set(sys_.masks))
+              <= sum(comb(d, i) for i in range(d + 1)))
+
+
+def turnstile_with_le(m):
+    def turnstile(self, alpha, beta, gamma):
+        return beta < alpha and gamma < alpha and self.rank(alpha, gamma) <= self.rank(alpha, beta)
+
+    m.setattr(Tower, "turnstile", turnstile)
+
+
+def trace_drops_empty(m):
+    trace = verify.trace
+    m.setattr(verify, "trace", lambda sys_, a: trace(sys_, a) - {frozenset()})
+
+
+def limit_nth_one_late(m):
+    # of the aa checks only aa-order-type asks a limit order for nth
+    m.setattr(LimitOrder, "nth", lambda self, k: BlockOrder.nth(self, k + 1))
+
+
+def swaps_a_pair(m):
+    # the check's second certificate is (w, w^2+w*13+1) with no points, so its
+    # candidates are the naturals 0..59; swap two near the front of the upper order
+    target, order = parse_ordinal("w^2+w*13+1"), AAOrders.order
+
+    def swapped(self, alpha):
+        got = order(self, alpha)
+        if alpha != target:
+            return got
+        head = got.prefix(1 + max(got.rank(0), got.rank(30)))
+        i, j = head.index(0), head.index(30)
+        head[i], head[j] = head[j], head[i]
+        return PatchedOrder(got, head)
+
+    m.setattr(AAOrders, "order", swapped)
+
+
+def empties_certificates(m):
+    exception_set = AAOrders.exception_set
+    m.setattr(AAOrders, "exception_set",
+              lambda self, beta, alpha: exception_set(self, beta, alpha)._replace(points=()))
+
+
+def adjust_ignores_certificate(m):
+    m.setattr(verify, "adjust_one", lambda inner, outer, cert: outer)
+
+
+_FAULTS = [
+    ("tower-trichotomy-roundtrip", tail_upwards, "roundtrip failed at alpha="),
+    ("tower-trichotomy-roundtrip", nth_late_from_50, "roundtrip failed at alpha="),
+    ("ordinal-literal-roundtrip", verbose_literals,
+     "Ordinal('w^2*9+w^1*2+2') is not printed canonically"),
+    ("closure-extend-sound", drops_least_added, "extension of "),
+    ("closure-close-sound", close_is_segment_and_input, "close("),
+    ("closure-close-sound", close_at_a_limit_is_the_input, "close(w, "),
+    ("ladder-biconditional", ladder_skips_least_free, "rung 1 at 3 is not the least free point"),
+    ("closed-alltriples-oracle", rank_count_off_by_one, "routes disagree on "),
+    ("closed-alltriples-oracle", closed_one_position_short, "routes disagree on ['1', 'w*3']"),
+    ("cond4-triples", cond4_increasing_only, "no arrangement works for "),
+    ("window-vc-dim", vc_dim_off_by_one, "exact dimension 3 != 2"),
+    ("sauer-windows", sauer_binomials_over_d, "trace count exceeds the bound at seed 1"),
+    ("section-size-identity", turnstile_with_le, "point "),
+    ("trace-brute-oracle", trace_drops_empty, "trace mismatch on ground "),
+    ("aa-order-type", tail_upwards, "roundtrip failed at w+3 on w"),
+    ("aa-order-type", limit_nth_one_late, "roundtrip failed at w*2 on "),
+    ("aa-almost-agree", swaps_a_pair, "orders at w and w^2+w*13+1 disagree on ("),
+    ("aa-almost-agree", empties_certificates,
+     "orders at w^2+w*3+8 and w^2+w*8+6 disagree on (w^2+w*3+7, w^2+w+3)"),
+    ("adjust-unit-law", adjust_ignores_certificate, "hand example produced ['0', '1', '2']"),
+]
+
+
+def test_every_check_has_a_planted_fault():
+    ref = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs" / "verify-all.txt"
+    names = [line.split(":")[0].split()[1] for line in ref.read_text().splitlines()[1:]]
+    assert len(names) == 14 and set(names) == set(_CHECKS) == {c for c, _, _ in _FAULTS}
+
+
+@pytest.mark.parametrize("check, fault, detail", _FAULTS,
+                         ids=[f"{c}-{f.__name__}" for c, f, _ in _FAULTS])
+def test_every_check_catches_its_planted_fault(check, fault, detail, monkeypatch):
+    fn, ctx = _CHECKS[check]
+    fault(monkeypatch)
+    res = fn(verify.VerifyConfig()) if ctx is None else fn(verify.VerifyConfig(), ctx())
+    assert res.line().startswith(f"FAIL {check}: {detail}")

@@ -189,10 +189,10 @@ def test_triple_not_shattered(tower):
 
 
 def test_cap_enforced():
-    t = Tower(cap=p("w*3"))
-    with pytest.raises(CapExceededError):
-        t.rank(p("w^2"), W)
-    assert t.rank(p("w*3"), p("w*2")) >= 0
+    t = Tower()
+    with pytest.raises(CapExceededError, match=r"^w\^3\+1 exceeds the cap w\^3$"):
+        t.rank(p("w^3+1"), W)
+    assert t.rank(p("w^3"), p("w^2")) >= 0
 
 
 def test_rank_domain(tower):
