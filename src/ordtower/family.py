@@ -13,7 +13,7 @@ import enum
 import json
 from collections import namedtuple
 
-from .errors import DomainError, IterationCeilingError
+from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
     ONE,
     ZERO,
@@ -25,7 +25,7 @@ from .ordinals import (
     parse_ordinal,
 )
 from .rng import Lcg
-from .tower import OrdinalSet, Tower
+from .tower import CAP, OrdinalSet, Tower
 
 
 def is_closed(a, tower: Tower) -> bool:
@@ -55,8 +55,11 @@ def is_closed(a, tower: Tower) -> bool:
 
 
 def cofinal_extend(a, tower: Tower) -> OrdinalSet:
-    """Smallest-recursion closure of a: close(max(a)+1, a) plus the new top."""
+    """Smallest-recursion closure of a: close(max(a)+1, a) plus the new top.
+    So max(a) must lie below the cap."""
     a = oset(a)
+    if a and not a[-1] < CAP:
+        raise CapExceededError(f"the largest point {a[-1]} is not below the cap {CAP}")
     alpha = a[-1].succ() if a else ONE
     out = set(tower.close(alpha, a))
     out.add(alpha)

@@ -17,19 +17,27 @@ supplies the limit rule:
     that is not moved later, which rewrites a finite head of the order
     and keeps the rest in place.  Block b_i is {gamma < alpha_i strictly
     before the integer i} minus earlier blocks.  Most stages read it off
-    the structure: an unadjusted alpha_i = lam + m lists lam+m-1, ..., lam
-    and then q points of lam's order, so when the previous stage listed
-    m0 <= m and q0 <= q over the same lam and nothing else is placed, b_i
-    is lam+m-1, ..., lam+m0 and then lam's positions q0..q-1.  Every other
-    stage filters its prefix by the definition.  The order lists every
-    point but keeps a rank entry only for filtered points: a structural
-    block is one run record, and a run point's rank is worked out from
-    its tail offset or its position in lam's order when first asked.
-    Stage i's composed certificate is stage i-1's joined with the step's
-    exception points, and is the previous one itself when the step adds
-    no point.  A limit keeps its stages (alpha_i, the composed
-    certificate, the adjusted order) in one list, grown in order on
-    demand.
+    lam's order, not their own: alpha_i = lam + m with an empty
+    certificate lists lam+m-1, ..., lam and then q points of lam's order
+    (q is the integer i's rank there), so when the previous stage was
+    lam+m-1 with q0 <= q and nothing else is placed, b_i is lam+m-1 and
+    then lam's positions q0..q-1.  Every other stage filters its adjusted prefix by the definition.  The order lists
+    every point but keeps a rank entry only for filtered points: a
+    structural block is one run record, and a run point's rank is worked
+    out from its tail offset or its position in lam's order when first
+    asked.
+
+A limit keeps its chain's stages in one list, grown in order on demand:
+the next fund_seq index, alpha_i, the composed certificate (stage
+i-1's joined with the step's exception points, and the previous one
+itself when the step adds no point) and the adjusted order, which
+``chain_order`` builds on first use.  When eta's last exponent is 1
+(shape A) every chain point after stage 1 is the previous one plus 1,
+since fund_seq(P + w*c, n) = P + w*(c-1) + n, and that step certifies no
+point.  So such a stage is recorded without a fund_seq call or a
+certificate lookup, and a ``LimitOrder`` whose previous stage was an
+unadjusted lam+m takes lam+m+1 as its next without asking for it: a
+structural stage builds no order and no stage record.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -43,9 +51,9 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import DomainError, IterationCeilingError
-from .ordinals import Ordinal, W, enum_below, ordinal, oset, _as_ord
+from .ordinals import ONE, ORD_KEY, Ordinal, W, enum_below, ordinal, oset, _as_ord
 from .rng import Lcg
-from .tower import BlockOrder, OmegaOrder, Orders, PrependOrder, _next_chain_point
+from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
 
@@ -126,33 +134,45 @@ class LimitOrder(BlockOrder):
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
-        oi = self.ctx.chain_order(self.eta, i)
-        r = oi.rank(ordinal(i))
-        fresh = self._chain_block(oi, r)
-        if fresh is not None:
-            self.list_block(fresh)
-        else:  # the defining rule; within a block, points keep their prefix order
-            self.append_block([p for p in oi.prefix(r) if self._peek(p) is None])
-
-    def _chain_block(self, oi: OmegaOrder, r: int) -> list[Ordinal] | None:
-        """oi's first r points not yet placed, read off oi = lam+m when they
-        extend the previous stage's prefix over the same lam, and kept as
-        the next run; else None."""
         last = self._last
-        self._last = (oi.inner, oi.m, r - oi.m) if isinstance(oi, PrependOrder) else None
-        if last is None or self._last is None:
+        if last is not None and _steps_by_one(self.eta):
+            inner, m = last[0], last[1] + 1  # stage i-1 plus 1, still unadjusted
+        else:
+            _, alpha, cert, _ = self.ctx._stage(self.eta, i)
+            lam, m = alpha.split()
+            inner = self.ctx._order_at(lam) if m and not cert else None
+        if inner is None:
+            self._last = None
+        else:  # alpha_i = lam + m unadjusted: its tail, then lam's order
+            fresh = self._chain_block(inner, m, inner.rank(ordinal(i)))
+            if fresh is not None:
+                self.list_block(fresh)
+                return
+        # the defining rule; within a block, points keep their prefix order
+        oi, ranks = self.ctx.chain_order(self.eta, i), self._ranks
+        self.append_block([p for p in oi.prefix(oi.rank(ordinal(i)))
+                           if p not in ranks and self._peek(p) is None])
+
+    def _chain_block(self, inner: OmegaOrder, m: int, q: int) -> list[Ordinal] | None:
+        """Block b_i at an unadjusted alpha_i = lam+m, whose prefix is
+        lam+m-1, ..., lam and then inner's first q points: when the previous
+        stage was lam+m-1 over the same inner with q0 <= q and nothing else
+        is placed, lam+m-1 and then inner's positions q0..q-1, kept as the
+        next run; else None."""
+        last, self._last = self._last, (inner, m, q)
+        if last is None:
             return None
-        (inner0, m0, q0), (inner, m, q) = last, self._last
-        if inner0 is not inner or m < m0 or q < q0 or len(self._seq) != m0 + q0:
+        inner0, m0, q0 = last
+        if inner0 is not inner or m != m0 + 1 or q < q0 or len(self._seq) != m0 + q0:
             return None
         self._inner = inner
         self._runs.append((q, m, q0, m0, len(self._seq)))
         self._qs.append(q)
         self._ms.append(m)
-        # oi.rank built a block inner far enough to hold its first q points
+        # inner.rank built a block inner far enough to hold its first q points
         rest = (inner._seq[q0:q] if isinstance(inner, BlockOrder)
                 else [inner.nth(j) for j in range(q0, q)])
-        return oi.segment(m0)[::-1] + rest
+        return [inner.bound.plus(m0), *rest]
 
     def _peek(self, x: Ordinal) -> int | None:
         got = self._ranks.get(x)
@@ -249,7 +269,7 @@ class AAOrders(Orders):
     def __init__(self):
         super().__init__({W: CanonicalOmega()})
         # per limit eta, its adjusted chain's stages 0, 1, ... (see _stage)
-        self._chain_orders: dict[Ordinal, list[tuple]] = {}
+        self._chain_orders: dict[Ordinal, list[list]] = {}
         self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}  # limit uppers only
 
     def _check(self, alpha) -> Ordinal:
@@ -275,23 +295,39 @@ class AAOrders(Orders):
 
     # -- the adjusted chain ---------------------------------------------------
 
-    def _stage(self, eta: Ordinal, i: int) -> tuple[int, Ordinal, tuple[Ordinal, ...], OmegaOrder]:
-        """Stage i of eta's adjusted chain: the next fund_seq index, alpha_i
-        (omega, then the fundamental sequence values above omega), the
-        certificate composed up to alpha_i, and the adjusted order there."""
+    def _stage(self, eta: Ordinal, i: int) -> list:
+        """Stage i of eta's adjusted chain, as [the next fund_seq index,
+        alpha_i (omega, then the fundamental sequence values above omega),
+        the certificate composed up to alpha_i, the adjusted order there or
+        None until ``chain_order`` builds it]."""
         stages = self._chain_orders.get(eta)
         if stages is None:
-            stages = self._chain_orders[eta] = [(0, W, (), self._order_at(W))]
+            stages = self._chain_orders[eta] = [[0, W, (), self._order_at(W)]]
+        by_one = _steps_by_one(eta)
         while len(stages) <= i:  # built in order, each from the one before
-            n, prev, cert, inner = stages[-1]
-            n, alpha = _next_chain_point(eta, W, n - 1)
-            step = self.exception_points(prev, alpha)
-            cert = oset(cert + step) if cert and step else cert or step
-            stages.append((n + 1, alpha, cert, _adjust(inner, self._order_at(alpha), cert)))
+            n, prev, cert, _ = stages[-1]
+            if by_one and len(stages) > 1:
+                alpha = prev.plus(1)
+            else:
+                n, alpha = _next_chain_point(eta, W, n - 1)
+                step = self.exception_points(prev, alpha)
+                cert = oset(cert + step) if cert and step else cert or step
+            stages.append([n + 1, alpha, cert, None])
         return stages[i]
 
     def chain_order(self, eta: Ordinal, i: int) -> OmegaOrder:
-        return self._stage(eta, i)[3]
+        stage = self._stage(eta, i)
+        if stage[3] is None:  # built on first use, with any order it adjusts
+            stages, j = self._chain_orders[eta], i
+            while stages[j][3] is None and stages[j][2]:
+                j -= 1
+            inner = None
+            for s in stages[j:i + 1]:
+                if s[3] is None:
+                    outer = self._order_at(s[1])
+                    s[3] = _adjust(inner, outer, s[2]) if s[2] else outer
+                inner = s[3]
+        return stage[3]
 
     # -- exception certificates ----------------------------------------------
 
@@ -313,8 +349,10 @@ class AAOrders(Orders):
         _, top, cert, _ = self._stage(alpha, i)
         collected = {p for p in self._order_at(alpha).ensure_blocks(i + 1) if p < beta}
         collected.update(p for p in cert if p < beta)
-        collected.update(self.exception_points(beta, top))
-        got = self._exc[beta, alpha] = oset(collected)
+        below = self.exception_points(beta, top)
+        collected.difference_update(below)
+        # below is sorted, so the sort only merges the new points into it
+        got = self._exc[beta, alpha] = tuple(sorted([*below, *collected], key=ORD_KEY))
         return got
 
     def exception_set(self, beta, alpha) -> ExceptionCert:
@@ -373,6 +411,13 @@ class AAOrders(Orders):
             if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
                 return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)
+
+
+def _steps_by_one(eta: Ordinal) -> bool:
+    """Whether eta's adjusted chain steps by one past stage 1: when eta's last
+    exponent is 1, fund_seq(P + w*c, n) = P + w*(c-1) + n, and the step from
+    lam+m to lam+m+1 certifies no point."""
+    return eta._terms[-1][0] is ONE
 
 
 def _same_order(lo_r: list[int], hi_r: list[int]) -> bool:

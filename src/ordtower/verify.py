@@ -216,18 +216,18 @@ def _check_cond4(cfg: VerifyConfig, tower: Tower) -> CheckResult:
                        "300 seeded triples admit an ordered arrangement")
 
 
-def _mixed_ground(window):
-    # 12 ground points: the 6 least naturals and the 6 least infinite points
-    pts = sorted({x for mem in window.members for x in mem})
+def _mixed_ground(pts, k: int):
+    # 2k ground points: the k least naturals and the k least infinite points
+    pts = sorted(pts)
     nats = [x for x in pts if x.is_natural()]
     lims = [x for x in pts if not x.is_natural()]
-    ground = nats[:6] + lims[:6]
-    return ground + (nats[6:] + lims[6:])[:12 - len(ground)]  # top up if either side ran short
+    ground = nats[:k] + lims[:k]
+    return ground + (nats[k:] + lims[k:])[:2 * k - len(ground)]  # top up if either side ran short
 
 
 def _check_window_vc(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     window = enumerate_family(cfg.bound, 30, cfg.seed, tower)
-    ground = _mixed_ground(window)
+    ground = _mixed_ground({x for mem in window.members for x in mem}, 6)
     sys_ = SetSystemWindow.from_window(window, ground)
     triple = hunt_shattered(sys_, 3)
     if triple is not None:
@@ -244,9 +244,14 @@ def _check_window_vc(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 
 def _check_sauer(cfg: VerifyConfig, tower: Tower) -> CheckResult:
+    # 12 members on a 4-point ground: the dimension-2 bound is 1+4+6 = 11, so a
+    # window that shatters a triple there fails.  A point in every member
+    # tells no two apart, so the ground is drawn from the other points.
     for s in range(50):
         window = enumerate_family(cfg.bound, 12, cfg.seed + s, tower)
-        sys_ = SetSystemWindow.from_window(window, _mixed_ground(window))
+        members = list(map(set, window.members))
+        ground = _mixed_ground(set.union(*members) - set.intersection(*members), 2)
+        sys_ = SetSystemWindow.from_window(window, ground)
         if not sauer_check(sys_, 2):
             return CheckResult("sauer-windows", False,
                                f"trace count exceeds the bound at seed {cfg.seed + s}")

@@ -57,6 +57,9 @@ _PINS = {
     # family
     "family extend 2": "4e9ec8bb76e6e004",
     "family extend 2 --output json": "b68223c09ab0f7d7",
+    # error: cap-exceeded: the largest point w^3 is not below the cap w^3
+    "family extend w^3": "918edeaf4474e1ff",
+    "family extend 0,w^3": "918edeaf4474e1ff",
     "family check 0,2": "9cd4284840ea31af",
     "family check 0,1,2 --output json": "59ca5659c8479517",
     "family ladder 3 --bound w^2": "dccf297817546199",

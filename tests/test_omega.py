@@ -400,7 +400,8 @@ def _filter_extend(self):
 
 
 def test_limit_blocks_match_filter_rule(p, monkeypatch):
-    limits = [p(name) for name in ["w*2", "w*3", "w^2", "w^2+w*2", "w^2*2"]]
+    limits = [p(name) for name in ["w*2", "w*3", "w*5", "w*12", "w^2", "w^2+w*2",
+                                    "w^2+w*3", "w^2*2"]]
     monkeypatch.setattr(omega.LimitOrder, "_extend", _filter_extend)
     ref = AAOrders()
     want = {eta: ref.limit_blocks(eta, 40) for eta in limits}
@@ -409,8 +410,8 @@ def test_limit_blocks_match_filter_rule(p, monkeypatch):
     paths = {"structural": 0, "filter": 0}
     chain_block = omega.LimitOrder._chain_block
 
-    def counting_chain_block(self, oi, r):
-        got = chain_block(self, oi, r)
+    def counting_chain_block(self, inner, m, q):
+        got = chain_block(self, inner, m, q)
         paths["structural" if got is not None else "filter"] += 1
         return got
 
@@ -426,7 +427,8 @@ def test_limit_blocks_match_filter_rule(p, monkeypatch):
 def test_run_ranks_match_filter_positions(p, monkeypatch):
     # ranks read off the runs are the reference's positions, and asking for
     # an unplaced point grows no order
-    limits = [p(name) for name in ["w*2", "w*3", "w^2", "w^2+w*2", "w^2*2"]]
+    limits = [p(name) for name in ["w*2", "w*3", "w*5", "w*12", "w^2", "w^2+w*2",
+                                    "w^2+w*3", "w^2*2"]]
     monkeypatch.setattr(omega.LimitOrder, "_extend", _filter_extend)
     ref = AAOrders()
     want = {eta: [x for b in ref.limit_blocks(eta, 40) for x in b] for eta in limits}
@@ -435,10 +437,10 @@ def test_run_ranks_match_filter_positions(p, monkeypatch):
     inners = {}
     chain_block = omega.LimitOrder._chain_block
 
-    def recording_chain_block(self, oi, r):
-        got = chain_block(self, oi, r)
+    def recording_chain_block(self, inner, m, q):
+        got = chain_block(self, inner, m, q)
         if got is not None:
-            inners.setdefault(self.eta, set()).add(id(oi.inner))
+            inners.setdefault(self.eta, set()).add(id(inner))
         return got
 
     monkeypatch.setattr(omega.LimitOrder, "_chain_block", recording_chain_block)
@@ -474,6 +476,44 @@ def test_run_ranks_match_filter_positions(p, monkeypatch):
     assert _limit_lengths(orders) == lengths
 
 
+def test_planted_certificate_sends_a_shape_a_chain_through_adjust(p, monkeypatch):
+    # a certificate planted at stage 1 of a shape-A chain carries to every
+    # later stage, so no stage is a run: each is adjusted, then filtered
+    first = {p("w*2"): p("w+1"), p("w^2+w*2"): p("w^2+w")}  # eta -> alpha_1
+    planted = (ordinal(2), ordinal(5))
+    plain = {eta: AAOrders().limit_blocks(eta, 40) for eta in first}
+    exception_points = AAOrders.exception_points
+
+    def planting(self, beta, alpha):
+        if beta is W and alpha in first.values():
+            return planted
+        return exception_points(self, beta, alpha)
+
+    monkeypatch.setattr(AAOrders, "exception_points", planting)
+    with monkeypatch.context() as m:
+        m.setattr(omega.LimitOrder, "_extend", _filter_extend)
+        ref = AAOrders()
+        want = {eta: ref.limit_blocks(eta, 40) for eta in first}
+
+    adjusted = []
+    adjust = omega._adjust
+
+    def recording_adjust(inner, outer, points):
+        adjusted.append((outer.bound, points))
+        return adjust(inner, outer, points)
+
+    monkeypatch.setattr(omega, "_adjust", recording_adjust)
+    orders = AAOrders()
+    for eta, alpha in first.items():
+        assert orders.limit_blocks(eta, 40) == want[eta]
+        assert orders.order(eta)._runs == []
+        alphas = [alpha.plus(i) for i in range(39)]
+        assert [s[1] for s in orders._chain_orders[eta][1:40]] == alphas
+        assert {(a, planted) for a in alphas} <= set(adjusted)
+    # at w^2+w*2 the plant moves points, so runs would list other blocks
+    assert want[p("w^2+w*2")] != plain[p("w^2+w*2")]
+
+
 def test_limit_orders_build_only_what_a_certificate_needs(p):
     # the work done is pinned: a change that over-builds shows up here
     orders = AAOrders()
@@ -485,6 +525,8 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert sum(len(o._seq) for o in limits) == 25489
     # run points get a rank entry only once asked: 3,664 entries today
     assert sum(len(o._ranks) for o in limits) < 4000
+    # structural stages build no order: 66 memoized orders today
+    assert len(orders._orders) < 100
 
 
 def test_contexts_keep_the_fields_the_bench_tracer_reads():

@@ -9,6 +9,7 @@ several red.
 """
 
 import pathlib
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -131,6 +132,24 @@ def sauer_binomials_over_d(m):
               <= sum(comb(d, i) for i in range(d + 1)))
 
 
+def small_windows_unclosed(m):
+    # only sauer-windows asks for 12-member windows; here each member is one
+    # of 12 subsets of {0, 1, w, w+1} plus 2..5 and w+2..w+5, not closed.  The
+    # ground skips the points in every member, so it is {0, 1, w, w+1} and
+    # carries 12 traces against a bound of 11 (12 ground points would allow 79)
+    enumerate_family = verify.enumerate_family
+    w = parse_ordinal("w")
+    fill = [*range(2, 6), *map(w.plus, range(2, 6))]
+    picks = [c for r in (1, 2, 3) for c in combinations([0, 1, w, w.plus(1)], r)][:12]
+
+    def window(bound, count, seed, tower):
+        if count != 12:
+            return enumerate_family(bound, count, seed, tower)
+        return family.FamilyWindow(bound, seed, tuple(oset([*c, *fill]) for c in picks))
+
+    m.setattr(verify, "enumerate_family", window)
+
+
 def turnstile_with_le(m):
     def turnstile(self, alpha, beta, gamma):
         return beta < alpha and gamma < alpha and self.rank(alpha, gamma) <= self.rank(alpha, beta)
@@ -189,6 +208,7 @@ _FAULTS = [
     ("cond4-triples", cond4_increasing_only, "no arrangement works for "),
     ("window-vc-dim", vc_dim_off_by_one, "exact dimension 3 != 2"),
     ("sauer-windows", sauer_binomials_over_d, "trace count exceeds the bound at seed 1"),
+    ("sauer-windows", small_windows_unclosed, "trace count exceeds the bound at seed 1"),
     ("section-size-identity", turnstile_with_le, "point "),
     ("trace-brute-oracle", trace_drops_empty, "trace mismatch on ground "),
     ("aa-order-type", tail_upwards, "roundtrip failed at w+3 on w"),
