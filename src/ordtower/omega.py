@@ -21,11 +21,11 @@ supplies the limit rule:
     certificate lists lam+m-1, ..., lam and then q points of lam's order
     (q is the integer i's rank there), so when the previous stage was
     lam+m-1 with q0 <= q and nothing else is placed, b_i is lam+m-1 and
-    then lam's positions q0..q-1.  Every other stage filters its adjusted prefix by the definition.  The order lists
-    every point but keeps a rank entry only for filtered points: a
-    structural block is one run record, and a run point's rank is worked
-    out from its tail offset or its position in lam's order when first
-    asked.
+    then lam's positions q0..q-1.  Every other stage filters its adjusted
+    prefix by the definition.  The order lists every point but keeps a
+    rank entry only for filtered points: a structural block is one run,
+    three ints (q0, q, m), and a run point's rank is worked out from its
+    tail offset or its position in lam's order when first asked.
 
 A limit keeps its chain's stages in one list, grown in order on demand:
 the next fund_seq index, alpha_i, the composed certificate (stage
@@ -118,18 +118,22 @@ class PatchedOrder(OmegaOrder):
 class LimitOrder(BlockOrder):
     """Block order at a limit eta > omega, built over the adjusted chain.
 
-    Each structural block is one run ``(q, m, q0, m0, start)`` over lam's
-    order ``_inner`` (the successor chain points of eta share one lam, and
-    q and m rise from run to run); ``_peek`` reads a run point's position
-    off its run and keeps it in ``_ranks``.
+    Each structural block is one run over lam's order ``_inner`` (the
+    successor chain points of eta share one lam), kept as three int
+    columns: the run lists lam+m-1 and then lam's positions q0..q-1, with
+    q0 in ``_q0s``, q in ``_qs`` and m in ``_ms``.  A run follows a stage
+    lam+m-1 that placed exactly m-1+q0 points, so it starts at m-1+q0:
+    a point of lam at position qx < q sits at m + qx, and the tail point
+    lam+m-1 at m-1+q0.  q and m rise from run to run; ``_peek`` bisects
+    them and keeps each position it works out in ``_ranks``.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
         self._inner: OmegaOrder | None = None
-        self._runs: list[tuple[int, int, int, int, int]] = []
-        self._qs: list[int] = []  # run ends, for bisecting
+        self._q0s: list[int] = []
+        self._qs: list[int] = []
         self._ms: list[int] = []
 
     def _extend(self) -> None:
@@ -166,7 +170,7 @@ class LimitOrder(BlockOrder):
         if inner0 is not inner or m != m0 + 1 or q < q0 or len(self._seq) != m0 + q0:
             return None
         self._inner = inner
-        self._runs.append((q, m, q0, m0, len(self._seq)))
+        self._q0s.append(q0)
         self._qs.append(q)
         self._ms.append(m)
         # inner.rank built a block inner far enough to hold its first q points
@@ -178,21 +182,19 @@ class LimitOrder(BlockOrder):
         got = self._ranks.get(x)
         if got is not None or self._inner is None:
             return got
-        runs, lam = self._runs, self._inner.bound
+        n, lam = len(self._qs), self._inner.bound
         if x < lam:  # run k lists positions q0..q-1 of lam's order
             qx = self._inner._peek(x)
-            k = len(runs) if qx is None else bisect_right(self._qs, qx)
-            if k == len(runs) or qx < runs[k][2]:
+            k = n if qx is None else bisect_right(self._qs, qx)
+            if k == n or qx < self._q0s[k]:
                 return None
-            q, m, q0, m0, start = runs[k]
-            got = start + (m - m0) + (qx - q0)
-        else:  # after the tail points lam+m-1 .. lam+m0
+            got = self._ms[k] + qx
+        else:  # run k lists the tail point lam+m-1
             lam_x, j = x.split()
-            k = bisect_right(self._ms, j) if lam_x is lam else len(runs)
-            if k == len(runs) or j < runs[k][3]:
+            k = bisect_right(self._ms, j) if lam_x is lam else n
+            if k == n or j != self._ms[k] - 1:
                 return None
-            q, m, q0, m0, start = runs[k]
-            got = start + m - 1 - j
+            got = j + self._q0s[k]
         self._ranks[x] = got
         return got
 

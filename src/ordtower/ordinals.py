@@ -4,7 +4,10 @@ An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with strictly
 decreasing ordinal exponents and positive integer coefficients; the empty
 sum is 0.  Values are hash-consed: every construction goes through one
 intern table keyed by the terms, so each value exists as exactly one
-immutable object.  Equality and hashing are object identity, which makes
+immutable object.  Their parts are too: each (exponent, coefficient) term
+pair, and its image (exponent key, coefficient) in the sort key, is kept
+once in a second table, so equal pairs in different values are one
+object.  Equality and hashing are object identity, which makes
 ordinals cheap dict keys for the memoized structures built on top of
 them; an ``int`` compares equal to the finite ordinal of the same value.
 
@@ -23,6 +26,7 @@ and normalizes it through ordinal addition.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain, count, islice
 from math import isqrt
 from operator import attrgetter
 
@@ -31,6 +35,7 @@ from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalS
 Term = tuple["Ordinal", int]
 
 _TABLE: dict = {}  # terms -> the one Ordinal with those terms
+_PAIRS: dict = {}  # each term pair (e, c) and key pair (e._key, c) -> its one copy
 
 
 class Ordinal:
@@ -39,10 +44,12 @@ class Ordinal:
     def __new__(cls, terms: tuple[Term, ...] = ()):
         o = _TABLE.get(terms)
         if o is None:
+            pair = _PAIRS.setdefault
+            terms = tuple([pair(t, t) for t in terms])
             o = _TABLE[terms] = object.__new__(cls)
             o._terms = terms
             # nested-tuple image of the CNF; tuple order coincides with ordinal order
-            o._key = tuple((e._key, c) for e, c in terms)
+            o._key = tuple([pair(k, k) for k in [(e._key, c) for e, c in terms]])
         return o
 
     def __reduce__(self):
@@ -332,8 +339,7 @@ def enum_below(eta, n: int) -> Ordinal:
     base, (lam, m), j, steps = ZERO, eta.split(), n, 0
     while j >= m and lam is not ZERO:  # base + enum_below(lam + m, j) is the answer
         if steps == CEILING:
-            raise IterationCeilingError(
-                f"enumeration below {eta} exceeded {CEILING} descent steps")
+            raise _ceiling(eta)
         steps += 1
         start, lam, m, j = _position(lam, j - m)
         base = add(base, start)
@@ -366,10 +372,103 @@ def _position(eta: Ordinal, n: int) -> tuple:
 
 
 def enum_prefix(eta, n: int) -> list:
-    """First n enumeration values of {gamma < eta} as a list."""
+    """First n enumeration values of {gamma < eta} as a list: the list, or
+    the first error, of [enum_below(eta, i) for i in range(n)].  The answers
+    go into enum_below's memo, and a prefix it holds whole is read from it."""
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
-    return [enum_below(eta, i) for i in range(n)]
+    if not n:
+        return []
+    eta = _as_ord(eta)
+    got = []
+    for i in range(n):
+        x = _enum_answers.get((eta, i))
+        if x is None:
+            break
+        got.append(x)
+    else:
+        return got
+    if eta.is_zero():
+        raise DomainError("enum_below requires eta > 0")
+    got = _prefix(eta, n)
+    _enum_answers.update(zip([(eta, i) for i in range(n)], got))
+    return got
+
+
+def _prefix(eta: Ordinal, n: int) -> list:
+    """enum_prefix(eta, n) for eta, n > 0, with each limit's walk listed once:
+    every limit the descent enters gets one prefix, as long as the longest
+    demand on it.  Demands are worked out from the largest limit down, so
+    each is final when its limit is reached, and the prefixes are filled
+    from the smallest up.  Each value keeps its count of descent steps, so
+    the call fails exactly when some index would take more than CEILING."""
+    lam, m = eta.split()
+    tail = [lam.plus(m - 1 - i) for i in range(min(m, n))]
+    if n <= m or lam is ZERO:  # a finite eta repeats 0 past eta-1
+        return tail + [ZERO] * (n - len(tail))
+    top, need, depth, walks = lam, {lam: n - m}, {lam: 1}, []
+    while need:  # every demand on a limit comes from a larger one
+        lam = max(need, key=ORD_KEY)
+        demands, positions = _walk(lam, need.pop(lam))
+        d = depth.pop(lam) + 1  # the fewest descent steps that reach a sub-limit's walk
+        if demands and d > CEILING:
+            raise _ceiling(eta)
+        for sub, k in demands:
+            need[sub] = max(need.get(sub, 0), k)
+            depth[sub] = min(depth.get(sub, d), d)
+        walks.append((lam, positions))
+    got: dict = {}  # limit -> (its prefix, each value's descent steps)
+    for lam, positions in reversed(walks):
+        values, steps = [], []
+        for start, sub, m, j in positions:  # one descent step, as in enum_below
+            if j < m:
+                values.append(add(start, sub.plus(m - 1 - j)))
+                steps.append(1)
+            else:
+                sub_values, sub_steps = got[sub]
+                values.append(add(start, sub_values[j - m]))
+                steps.append(1 + sub_steps[j - m])
+        got[lam] = values, steps
+    values, steps = got[top]
+    if max(steps) > CEILING:
+        raise _ceiling(eta)
+    return tail + values
+
+
+def _ceiling(eta: Ordinal) -> IterationCeilingError:
+    return IterationCeilingError(f"enumeration below {eta} exceeded {CEILING} descent steps")
+
+
+def _walk(eta: Ordinal, n: int) -> tuple:
+    """The limits that the first n positions of the walk below the limit
+    eta descend into, as (limit, prefix length) pairs, and those positions
+    as ``_position`` gives them, with each block's ends worked out once."""
+    head = fund_seq(eta, 0)
+    if eta._terms[-1][0] is ONE:  # shape A: head's walk interleaved with head, head+1, ...
+        if head is ZERO:
+            return [], ((head.plus(i), ZERO, 1, 0) for i in range(n))
+        return [(head, n // 2 + 1)], ((ZERO, head, 0, (i + 1) // 2) if i % 2 or not i
+                                      else (head.plus(i // 2 - 1), ZERO, 1, 0)
+                                      for i in range(n))
+    lead = [(ZERO, ZERO, 1, 0)] if head is ONE else []  # block 0 is the one point 0
+    lam0, m0 = head.split()
+    first, n = (0 if lam0 else 1), n - len(lead)
+    cols = []  # column k of the diagonals is block first+k: (start, lam', m', values taken)
+    if n:
+        d = (isqrt(8 * n - 7) - 1) // 2  # the last position's diagonal
+        kd = n - 1 - d * (d + 1) // 2
+        lo = head
+        for k in range(d + 1 if kd == d else d):
+            taken = d - k + (k <= kd)
+            if first + k:
+                hi = fund_seq(eta, first + k)
+                cols.append((lo, Ordinal(((hi._terms[-1][0], 1),)), 0, taken))
+                lo = hi
+            else:
+                cols.append((ZERO, lam0, m0, taken))
+    walk = ((*cols[k][:3], d - k) for d in count() for k in range(d + 1))
+    return ([(sub, taken - m) for _, sub, m, taken in cols if taken > m],
+            chain(lead, islice(walk, n)))
 
 
 # -- literals ---------------------------------------------------------------

@@ -270,6 +270,10 @@ def test_deep_enumeration_ends_in_an_error():
     assert r.returncode == 1
     assert r.stderr.startswith("error: ceiling:")
     assert "Traceback" not in r.stderr
+    r = run("ord", "enum", "w*99999999999999", "--count", "3")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == ("error: ceiling: enumeration below w*99999999999999 "
+                        "exceeded 20000 descent steps\n")
 
 
 def test_verify_below_a_tiny_bound_ends_in_a_domain_error():

@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -449,20 +451,22 @@ def test_run_ranks_match_filter_positions(p, monkeypatch):
         orders.limit_blocks(eta, 40)
     grown = {eta: o for eta, o in orders._orders.items() if isinstance(o, omega.LimitOrder)}
     # the runs rely on this: one inner order per limit, q and m rising
-    assert sum(len(o._runs) for o in grown.values()) > 100
+    assert sum(len(o._qs) for o in grown.values()) > 100
     for eta, o in grown.items():
-        assert inners.get(eta, set()) == ({id(o._inner)} if o._runs else set())
-        for (q, m, _, _, start), (_, _, q0, m0, start1) in zip(o._runs, o._runs[1:]):
-            assert q <= q0 and m <= m0 and start <= start1
-        assert all(q0 <= q and m0 <= m for q, m, q0, m0, _ in o._runs)
+        assert len(o._q0s) == len(o._qs) == len(o._ms)
+        assert inners.get(eta, set()) == ({id(o._inner)} if o._qs else set())
+        starts = [m - 1 + q0 for q0, m in zip(o._q0s, o._ms)]
+        for col in o._qs, o._ms, starts:
+            assert all(a <= b for a, b in zip(col, col[1:]))
+        assert all(q0 <= q for q0, q in zip(o._q0s, o._qs))
     for eta in limits:
         o = orders.order(eta)
         assert [o.rank(x) for x in want[eta]] == list(range(len(want[eta])))
     near = {eta: [enum_below(eta, i) for i in range(0, 30000, 97)] for eta in limits}
     for eta in limits:
         o = orders.order(eta)
-        if o._runs:  # past the last run: lam's points and tail offsets
-            lam, (q, m, *_) = o._inner.bound, o._runs[-1]
+        if o._qs:  # past the last run: lam's points and tail offsets
+            lam, q, m = o._inner.bound, o._qs[-1], o._ms[-1]
             near[eta] += [*o._inner.prefix(q + 50), *map(lam.plus, range(m + 50))]
     lengths = _limit_lengths(orders)
     for eta in limits:
@@ -506,12 +510,33 @@ def test_planted_certificate_sends_a_shape_a_chain_through_adjust(p, monkeypatch
     orders = AAOrders()
     for eta, alpha in first.items():
         assert orders.limit_blocks(eta, 40) == want[eta]
-        assert orders.order(eta)._runs == []
+        assert orders.order(eta)._qs == []
         alphas = [alpha.plus(i) for i in range(39)]
         assert [s[1] for s in orders._chain_orders[eta][1:40]] == alphas
         assert {(a, planted) for a in alphas} <= set(adjusted)
     # at w^2+w*2 the plant moves points, so runs would list other blocks
     assert want[p("w^2+w*2")] != plain[p("w^2+w*2")]
+
+
+_TRACE_AA_SUITE = """
+import tracemalloc
+from ordtower.omega import AAOrders
+from ordtower.verify import VerifyConfig, suite_aa
+tracemalloc.start()
+ctx = AAOrders()
+suite_aa(VerifyConfig(seed=1), ctx)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_aa_suite_keeps_under_13_mib():
+    # what the aa suite leaves built, measured in a fresh process: 11.9 MiB
+    # with shared term pairs and int run columns, 13.1 and 14.0 MiB with
+    # only one of the two, 15.2-15.3 MiB with neither (Python 3.10 and 3.11)
+    r = subprocess.run([sys.executable, "-c", _TRACE_AA_SUITE],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 13 * 2**20
 
 
 def test_limit_orders_build_only_what_a_certificate_needs(p):

@@ -75,6 +75,19 @@ def test_equal_values_are_one_object():
     assert Ordinal.__hash__ is object.__hash__
 
 
+def test_equal_term_pairs_are_one_object():
+    # the parts of the CNF are hash-consed too: each term pair and each key
+    # pair exists once, whichever values hold it and however they were built
+    a, b = p("w*3+1"), Ordinal.from_terms([(1, 3), (0, 2)])
+    assert a._terms[0] is b._terms[0] and a._key[0] is b._key[0]
+    c, d = p("w+5"), add(p("w^2"), 5)
+    assert c._terms[-1] is d._terms[-1] is ordinal(5)._terms[0]
+    assert c._key[-1] is d._key[-1] is ordinal(5)._key[0]
+    assert a._terms == ((ONE, 3), (ZERO, 1)) and a._key == (((((), 1),), 3), ((), 1))
+    for x in [a, b, c, d]:
+        assert pickle.loads(pickle.dumps(x)) is x and copy.deepcopy(x) is x
+
+
 @given(small_ordinals(), small_ordinals())
 def test_equality_is_identity(a, b):
     assert (a == b) == (a is b)
@@ -371,6 +384,92 @@ def test_deep_enumeration_does_not_depend_on_history(monkeypatch):
     with pytest.raises(IterationCeilingError, match="20000 descent steps"):
         enum_below(deep, 0)
     assert enum_below(deep, 3) == p("w*99999999999997")
+
+
+def _listed_or_error(f, *args):
+    try:
+        return f(*args)
+    except (DomainError, IterationCeilingError) as e:
+        return type(e), str(e)
+
+
+def _prefix_by_index(eta, n):
+    return [enum_below(eta, i) for i in range(n)]
+
+
+@given(st.sampled_from(ENUM_ETAS + [p(e) for e in SHAPE_ETAS]), st.integers(0, 400))
+def test_enum_prefix_matches_enum_below(eta, n):
+    from ordtower import ordinals
+
+    want = _prefix_by_index(eta, n)
+    ordinals._enum_answers.clear()  # so the prefix is listed, not read back
+    assert enum_prefix(eta, n) == want
+
+
+@given(st.sampled_from(ENUM_ETAS + [p(e) for e in SHAPE_ETAS + ["w*30", "w^2+w*12"]]),
+       st.integers(0, 60), st.integers(1, 12))
+def test_enum_prefix_fails_where_enum_below_does(eta, n, ceiling):
+    # with a low ceiling some prefixes pass it; the first error is the same
+    from ordtower import ordinals
+
+    old = ordinals.CEILING
+    ordinals.CEILING = ceiling
+    try:
+        ordinals._enum_answers.clear()
+        want = _listed_or_error(_prefix_by_index, eta, n)
+        ordinals._enum_answers.clear()
+        assert _listed_or_error(enum_prefix, eta, n) == want
+    finally:
+        ordinals.CEILING = old
+        ordinals._enum_answers.clear()
+
+
+def test_enum_prefix_edges():
+    assert enum_prefix(ZERO, 0) == [] and enum_prefix(p("w+2"), 0) == []
+    with pytest.raises(DomainError, match="enum_below requires eta > 0"):
+        enum_prefix(ZERO, 1)
+    with pytest.raises(DomainError, match="count must be >= 0, got -1"):
+        enum_prefix(W, -1)
+    assert enum_prefix(ordinal(4), 7) == _prefix_by_index(ordinal(4), 7)
+    assert enum_prefix(p("w*3+2"), 2) == [p("w*3+1"), p("w*3")]
+    # index 0 below w*k takes k steps: 20,000 answer, 20,001 do not
+    assert enum_prefix(p("w*20000"), 3) == _prefix_by_index(p("w*20000"), 3)
+    for eta in ["w*20001", "w*99999999999999"]:
+        with pytest.raises(IterationCeilingError) as e:
+            enum_prefix(p(eta), 3)
+        assert str(e.value) == f"enumeration below {eta} exceeded 20000 descent steps"
+
+
+def test_enum_prefix_reads_a_whole_prefix_from_the_memo(monkeypatch):
+    from ordtower import ordinals
+
+    monkeypatch.setattr(ordinals, "_enum_answers", {})
+    eta = p("w^2+w")
+    want = enum_prefix(eta, 50)
+    assert [ordinals._enum_answers[eta, i] for i in range(50)] == want
+    monkeypatch.setattr(ordinals, "_prefix", None)  # any listing would fail
+    assert enum_prefix(eta, 50) == want and enum_prefix(eta, 20) == want[:20]
+    with pytest.raises(TypeError):
+        enum_prefix(eta, 51)
+
+
+def test_long_prefix_lists_each_walk_once(monkeypatch):
+    # about 34 descent steps per value here, each with up to three fund_seq
+    # calls when every index descends on its own (94,416 calls for the first
+    # 2,000 values); listing each limit's walk once takes 3,066 for 20,000
+    from ordtower import ordinals
+
+    calls, fund = [0], ordinals.fund_seq
+
+    def counting(lam, n):
+        calls[0] += 1
+        return fund(lam, n)
+
+    monkeypatch.setattr(ordinals, "fund_seq", counting)
+    pre = enum_prefix(p("w^(w+1)+w^w"), 20000)
+    assert str(pre[-1]) == "w^(w+1)+w^98*10+w^97+1"
+    assert len(set(pre)) == 20000
+    assert calls[0] < 4000
 
 
 # sha256 over str(x) + ";" for the first 1,500 values; ENUM_ETAS above
