@@ -26,7 +26,6 @@ and normalizes it through ordinal addition.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain, count, islice
 from math import isqrt
 from operator import attrgetter
 
@@ -396,79 +395,33 @@ def enum_prefix(eta, n: int) -> list:
 
 
 def _prefix(eta: Ordinal, n: int) -> list:
-    """enum_prefix(eta, n) for eta, n > 0, with each limit's walk listed once:
-    every limit the descent enters gets one prefix, as long as the longest
-    demand on it.  Demands are worked out from the largest limit down, so
-    each is final when its limit is reached, and the prefixes are filled
-    from the smallest up.  Each value keeps its count of descent steps, so
-    the call fails exactly when some index would take more than CEILING."""
-    lam, m = eta.split()
-    tail = [lam.plus(m - 1 - i) for i in range(min(m, n))]
-    if n <= m or lam is ZERO:  # a finite eta repeats 0 past eta-1
-        return tail + [ZERO] * (n - len(tail))
-    top, need, depth, walks = lam, {lam: n - m}, {lam: 1}, []
-    while need:  # every demand on a limit comes from a larger one
-        lam = max(need, key=ORD_KEY)
-        demands, positions = _walk(lam, need.pop(lam))
-        d = depth.pop(lam) + 1  # the fewest descent steps that reach a sub-limit's walk
-        if demands and d > CEILING:
+    """enum_prefix(eta, n) for eta, n > 0: enum_below's descent for each
+    index, stopped at the first state an earlier index has already taken
+    down.  Blocks of one length share their states, so each (limit, offset)
+    descends once per call.  Each state keeps its count of descent steps, so
+    the call fails exactly when enum_below would, at the same index."""
+    memo = {}  # (lam, m, j) -> (enum_below(lam + m, j), its descent steps)
+    got, top = [], eta.split()
+    for i in range(n):
+        path, (lam, m), j, hit = [], top, i, None
+        while j >= m and lam is not ZERO and hit is None:
+            if len(path) == CEILING:
+                raise _ceiling(eta)
+            start, lam, m, j = _position(lam, j - m)
+            path.append((start, (lam, m, j)))
+            hit = memo.get((lam, m, j))
+        value, steps = hit or ((lam.plus(m - 1 - j) if j < m else ZERO), 0)
+        if len(path) + steps > CEILING:
             raise _ceiling(eta)
-        for sub, k in demands:
-            need[sub] = max(need.get(sub, 0), k)
-            depth[sub] = min(depth.get(sub, d), d)
-        walks.append((lam, positions))
-    got: dict = {}  # limit -> (its prefix, each value's descent steps)
-    for lam, positions in reversed(walks):
-        values, steps = [], []
-        for start, sub, m, j in positions:  # one descent step, as in enum_below
-            if j < m:
-                values.append(add(start, sub.plus(m - 1 - j)))
-                steps.append(1)
-            else:
-                sub_values, sub_steps = got[sub]
-                values.append(add(start, sub_values[j - m]))
-                steps.append(1 + sub_steps[j - m])
-        got[lam] = values, steps
-    values, steps = got[top]
-    if max(steps) > CEILING:
-        raise _ceiling(eta)
-    return tail + values
+        for start, state in reversed(path):
+            memo[state] = value, steps
+            value, steps = add(start, value), steps + 1
+        got.append(value)
+    return got
 
 
 def _ceiling(eta: Ordinal) -> IterationCeilingError:
     return IterationCeilingError(f"enumeration below {eta} exceeded {CEILING} descent steps")
-
-
-def _walk(eta: Ordinal, n: int) -> tuple:
-    """The limits that the first n positions of the walk below the limit
-    eta descend into, as (limit, prefix length) pairs, and those positions
-    as ``_position`` gives them, with each block's ends worked out once."""
-    head = fund_seq(eta, 0)
-    if eta._terms[-1][0] is ONE:  # shape A: head's walk interleaved with head, head+1, ...
-        if head is ZERO:
-            return [], ((head.plus(i), ZERO, 1, 0) for i in range(n))
-        return [(head, n // 2 + 1)], ((ZERO, head, 0, (i + 1) // 2) if i % 2 or not i
-                                      else (head.plus(i // 2 - 1), ZERO, 1, 0)
-                                      for i in range(n))
-    lead = [(ZERO, ZERO, 1, 0)] if head is ONE else []  # block 0 is the one point 0
-    lam0, m0 = head.split()
-    first, n = (0 if lam0 else 1), n - len(lead)
-    cols = []  # column k of the diagonals is block first+k: (start, lam', m', values taken)
-    if n:
-        d = (isqrt(8 * n - 7) - 1) // 2  # the last position's diagonal
-        kd = n - 1 - d * (d + 1) // 2
-        lo = head
-        for k in range(d + 1 if kd == d else d):
-            taken = d - k + (k <= kd)
-            if first + k:
-                hi = fund_seq(eta, first + k)
-                cols.append((lo, Ordinal(((hi._terms[-1][0], 1),)), 0, taken))
-                lo = hi
-            else:
-                cols.append((ZERO, lam0, m0, taken))
-    walk = ((*cols[k][:3], d - k) for d in count() for k in range(d + 1))
-    return ([(sub, taken - m) for _, sub, m, taken in cols if taken > m],
-            chain(lead, islice(walk, n)))
 
 
 # -- literals ---------------------------------------------------------------

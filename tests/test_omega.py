@@ -455,10 +455,13 @@ def test_run_ranks_match_filter_positions(p, monkeypatch):
     for eta, o in grown.items():
         assert len(o._q0s) == len(o._qs) == len(o._ms)
         assert inners.get(eta, set()) == ({id(o._inner)} if o._qs else set())
-        starts = [m - 1 + q0 for q0, m in zip(o._q0s, o._ms)]
-        for col in o._qs, o._ms, starts:
-            assert all(a <= b for a, b in zip(col, col[1:]))
+        # a run is q0..q of lam's points and its tail point m - 1 (m0 = m - 1):
+        # runs never overlap in lam's points, m rises strictly, starts rise
         assert all(q0 <= q for q0, q in zip(o._q0s, o._qs))
+        assert all(q <= q0 for q, q0 in zip(o._qs, o._q0s[1:]))
+        assert all(m < m1 for m, m1 in zip(o._ms, o._ms[1:]))
+        starts = [m - 1 + q0 for q0, m in zip(o._q0s, o._ms)]
+        assert all(a <= b for a, b in zip(starts, starts[1:]))
     for eta in limits:
         o = orders.order(eta)
         assert [o.rank(x) for x in want[eta]] == list(range(len(want[eta])))
