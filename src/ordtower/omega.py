@@ -16,16 +16,12 @@ supplies the limit rule:
     just after its anchor, its nearest predecessor in the previous order
     that is not moved later, which rewrites a finite head of the order
     and keeps the rest in place.  Block b_i is {gamma < alpha_i strictly
-    before the integer i} minus earlier blocks.  Most stages read it off
-    lam's order, not their own: alpha_i = lam + m with an empty
-    certificate lists lam+m-1, ..., lam and then q points of lam's order
-    (q is the integer i's rank there), so when the previous stage was
-    lam+m-1 with q0 <= q and nothing else is placed, b_i is lam+m-1 and
-    then lam's positions q0..q-1.  Every other stage filters its adjusted
-    prefix by the definition.  The order lists every point but keeps a
-    rank entry only for filtered points: a structural block is one run,
-    three ints (q0, q, m), and a run point's rank is worked out from its
-    tail offset or its position in lam's order when first asked.
+    before the integer i} minus earlier blocks.  Since o_i, the adjusted
+    order at alpha_i, restricted to alpha_{i-1} is o_{i-1} and the
+    naturals ascend in every order, the earlier blocks hold exactly the
+    points below alpha_{i-1} before i-1, so b_i is o_i's points >= alpha_{i-1}
+    before i-1, then o_i's points from i-1 up to i (``above`` and ``span``;
+    both read only those points on a run-phase order and a patched one).
 
 A limit keeps its chain's stages in one list, grown in order on demand:
 the next fund_seq index, alpha_i, the composed certificate (stage
@@ -34,10 +30,12 @@ itself when the step adds no point) and the adjusted order, which
 ``chain_order`` builds on first use.  When eta's last exponent is 1
 (shape A) every chain point after stage 1 is the previous one plus 1,
 since fund_seq(P + w*c, n) = P + w*(c-1) + n, and that step certifies no
-point.  So such a stage is recorded without a fund_seq call or a
-certificate lookup, and a ``LimitOrder`` whose previous stage was an
-unadjusted lam+m takes lam+m+1 as its next without asking for it: a
-structural stage builds no order and no stage record.
+point.  So after its first stage at an unadjusted lam+m, such an order is
+fixed by lam's order and one offset: it is in its run phase, where a
+stage is listed only when its block is asked for, and ranks, points and
+spans come from a formula over one memo of lam's ranks of the naturals
+(see ``LimitOrder``).  Its later stages build no order and no stage
+record.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -53,6 +51,7 @@ from collections import namedtuple
 from .errors import DomainError, IterationCeilingError
 from .ordinals import ONE, ORD_KEY, Ordinal, W, enum_below, ordinal, oset, _as_ord
 from .rng import Lcg
+from . import tower
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
@@ -68,16 +67,16 @@ class CanonicalOmega(OmegaOrder):
             raise DomainError(f"{x} is not below w")
         return x.natural()
 
-    def _peek(self, x: Ordinal) -> int:
-        return x.natural()
-
     def nth(self, k: int) -> Ordinal:
         if k < 0:
             raise DomainError(f"rank index must be >= 0, got {k}")
         return ordinal(k)
 
     def prefix(self, k: int) -> list[Ordinal]:
-        return [ordinal(i) for i in range(k)]
+        return self.span(0, k)
+
+    def span(self, a: int, b: int) -> list[Ordinal]:
+        return list(map(ordinal, range(a, b)))
 
     def __contains__(self, x) -> bool:
         return _as_ord(x) < W
@@ -108,8 +107,17 @@ class PatchedOrder(OmegaOrder):
         return self.head[k] if k < len(self.head) else self.outer.nth(k)
 
     def prefix(self, k: int) -> list[Ordinal]:
+        return self.span(0, k)
+
+    def span(self, a: int, b: int) -> list[Ordinal]:
         n = len(self.head)
-        return self.head[:k] if k <= n else self.head + self.outer.prefix(k)[n:]
+        return self.head[a:b] + (self.outer.span(max(a, n), b) if b > n else [])
+
+    def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
+        # the head holds the outer order's first len(head) points, so the
+        # outer list starts with the head's points >= beta
+        got = [p for p in self.head[:r] if p >= beta]
+        return got + self.outer.above(beta, r)[len(got):] if r > len(self.head) else got
 
     def __contains__(self, x) -> bool:
         return _as_ord(x) in self.outer
@@ -118,85 +126,135 @@ class PatchedOrder(OmegaOrder):
 class LimitOrder(BlockOrder):
     """Block order at a limit eta > omega, built over the adjusted chain.
 
-    Each structural block is one run over lam's order ``_inner`` (the
-    successor chain points of eta share one lam), kept as three int
-    columns: the run lists lam+m-1 and then lam's positions q0..q-1, with
-    q0 in ``_q0s``, q in ``_qs`` and m in ``_ms``.  A run follows a stage
-    lam+m-1 that placed exactly m-1+q0 points, so it starts at m-1+q0:
-    a point of lam at position qx < q sits at m + qx, and the tail point
-    lam+m-1 at m-1+q0.  q and m rise from run to run; ``_peek`` bisects
-    them and keeps each position it works out in ``_ranks``.
+    Filter stages are listed with a rank entry per point.  A shape-A
+    order enters its run phase after its first unadjusted stage s-1, at
+    lam + m: from stage s on, alpha_i = lam + i + c with c = m - (s-1)
+    (``_c``, and s is ``_s``).  With I = lam's order (``_inner``) and
+    q(n) = I.rank(n), stage i lists the tail point lam+(i-1+c), then I's
+    positions q(i-1)..q(i)-1, I-position qx at i+c+qx; it ends at
+    e(i) = i+c+q(i), and the one memo ``_run_ends`` holds e(0), e(1), ...
+    So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
+    not listed before stage s at i+c+I.rank(x), i the least stage with
+    q(i) > I.rank(x); ``nth`` bisects the ends.  A run stage is listed
+    only when ``ensure_blocks`` asks for its block; the memo grows one
+    stage at a time, with the same ceiling as listing.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
-        self._inner: OmegaOrder | None = None
-        self._q0s: list[int] = []
-        self._qs: list[int] = []
-        self._ms: list[int] = []
+        self._inner: OmegaOrder | None = None  # lam's order, in the run phase
+        self._c = self._s = 0  # m_i - i in the run phase, and its first stage
+        self._run_ends: list[int] = []
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
-        last = self._last
-        if last is not None and _steps_by_one(self.eta):
-            inner, m = last[0], last[1] + 1  # stage i-1 plus 1, still unadjusted
-        else:
-            _, alpha, cert, _ = self.ctx._stage(self.eta, i)
-            lam, m = alpha.split()
-            inner = self.ctx._order_at(lam) if m and not cert else None
-        if inner is None:
-            self._last = None
-        else:  # alpha_i = lam + m unadjusted: its tail, then lam's order
-            fresh = self._chain_block(inner, m, inner.rank(ordinal(i)))
-            if fresh is not None:
-                self.list_block(fresh)
-                return
-        # the defining rule; within a block, points keep their prefix order
-        oi, ranks = self.ctx.chain_order(self.eta, i), self._ranks
-        self.append_block([p for p in oi.prefix(oi.rank(ordinal(i)))
-                           if p not in ranks and self._peek(p) is None])
+        inner, c = self._inner, self._c
+        if inner is not None:  # a run stage, listed for its block
+            e = self._grown(i)
+            self.list_block([inner.bound.plus(i - 1 + c),
+                             *inner.span(e[i - 1] - (i - 1) - c, e[i] - i - c)])
+            return
+        if not i:  # omega's order has nothing before 0
+            self.append_block([])
+            return
+        # the points >= alpha_{i-1} before i-1, then those from i-1 to i
+        oi, stages = self.ctx.chain_order(self.eta, i), self.ctx._chain_orders[self.eta]
+        r1, r = oi.rank(ordinal(i - 1)), oi.rank(ordinal(i))
+        self.append_block(oi.above(stages[i - 1][1], r1) + oi.span(r1, r))
+        _, alpha, cert, _ = stages[i]
+        lam, m = alpha.split()
+        if m and not cert:  # only a shape-A chain has successors: stage i+1 on are runs
+            inner, c = self.ctx._order_at(lam), m - i
+            self._inner, self._c, self._s = inner, c, i + 1
+            self._run_ends = [n + c + inner.rank(ordinal(n)) for n in range(i + 1)]
 
-    def _chain_block(self, inner: OmegaOrder, m: int, q: int) -> list[Ordinal] | None:
-        """Block b_i at an unadjusted alpha_i = lam+m, whose prefix is
-        lam+m-1, ..., lam and then inner's first q points: when the previous
-        stage was lam+m-1 over the same inner with q0 <= q and nothing else
-        is placed, lam+m-1 and then inner's positions q0..q-1, kept as the
-        next run; else None."""
-        last, self._last = self._last, (inner, m, q)
-        if last is None:
-            return None
-        inner0, m0, q0 = last
-        if inner0 is not inner or m != m0 + 1 or q < q0 or len(self._seq) != m0 + q0:
-            return None
-        self._inner = inner
-        self._q0s.append(q0)
-        self._qs.append(q)
-        self._ms.append(m)
-        # inner.rank built a block inner far enough to hold its first q points
-        rest = (inner._seq[q0:q] if isinstance(inner, BlockOrder)
-                else [inner.nth(j) for j in range(q0, q)])
-        return [inner.bound.plus(m0), *rest]
+    def _grown(self, n: int) -> list[int]:
+        """The memo of stage ends through stage n, each stage after the
+        ceiling check that listing it would make."""
+        e, inner, c = self._run_ends, self._inner, self._c
+        while len(e) <= n:
+            t = len(e)
+            if t >= tower.CEILING:
+                raise IterationCeilingError(
+                    f"block construction at {self.eta} exceeded {tower.CEILING} stages")
+            if _runs(inner) and t >= inner._s - 1:  # I lists t at its run stage t+1
+                e.append(t + c + 1 + inner._grown(t + 1)[t])
+            else:
+                e.append(t + c + inner.rank(ordinal(t)))
+        return e
+
+    def _stage_at(self, k: int) -> int:
+        """The run stage holding position k, which lies past the listed points."""
+        e = self._run_ends
+        while e[-1] <= k:
+            self._grown(len(e))
+        return bisect_right(e, k)
+
+    def _listed(self, k: int) -> int:
+        """List blocks until k points are or the run phase begins."""
+        while len(self._seq) < k and self._inner is None:
+            self._next_block()
+        return len(self._seq)
 
     def _peek(self, x: Ordinal) -> int | None:
         got = self._ranks.get(x)
         if got is not None or self._inner is None:
             return got
-        n, lam = len(self._qs), self._inner.bound
-        if x < lam:  # run k lists positions q0..q-1 of lam's order
-            qx = self._inner._peek(x)
-            k = n if qx is None else bisect_right(self._qs, qx)
-            if k == n or qx < self._q0s[k]:
-                return None
-            got = self._ms[k] + qx
-        else:  # run k lists the tail point lam+m-1
-            lam_x, j = x.split()
-            k = bisect_right(self._ms, j) if lam_x is lam else n
-            if k == n or j != self._ms[k] - 1:
-                return None
-            got = j + self._q0s[k]
-        self._ranks[x] = got
+        inner, e, c = self._inner, self._run_ends, self._c
+        if x.is_natural():  # n is listed at stage n+1, after its tail point
+            n = x.natural()
+            return self._grown(n + 1)[n] + 1
+        if not x < inner.bound:  # the tail point lam+j, listed at stage j-c+1
+            j = x.split()[1] - c
+            return self._grown(j + 1)[j]
+        # I's rank comes first, so a ceiling met there names I, as listing would
+        qx = inner._peek(x) if _runs(inner) else inner.rank(x)
+        while e[-1] - len(e) + 1 - c <= qx:  # until q(i) > qx
+            self._grown(len(e))
+        i = bisect_right(range(len(e)), qx, key=lambda i: e[i] - i - c)
+        return i + c + qx
+
+    def nth(self, k: int) -> Ordinal:
+        if k < 0:
+            raise DomainError(f"rank index must be >= 0, got {k}")
+        if k < self._listed(k + 1):
+            return self._seq[k]
+        i, c = self._stage_at(k), self._c
+        if k == self._run_ends[i - 1]:
+            return self._inner.bound.plus(i - 1 + c)
+        return self._inner.nth(k - i - c)
+
+    def prefix(self, k: int) -> list[Ordinal]:
+        return self.span(0, k)
+
+    def span(self, a: int, b: int) -> list[Ordinal]:
+        # stage by stage: its tail point, then a span of I, one frame deeper
+        k = max(a, self._listed(b))
+        got = self._seq[a:b]
+        if k < b:
+            inner, e, c = self._inner, self._run_ends, self._c
+            self._stage_at(b - 1)
+            i = self._stage_at(k)
+            while k < b:
+                if k == e[i - 1]:
+                    got.append(inner.bound.plus(i - 1 + c))
+                    k += 1
+                end = min(b, e[i])
+                if k < end:
+                    got += inner.span(k - i - c, end - i - c)
+                    k = end
+                i += 1
         return got
+
+    def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
+        n = self._listed(r)
+        if n >= r or beta is not self._inner.bound:
+            return super().above(beta, r)
+        # past the listed points, those >= lam are the run tails, one a stage
+        listed = len(self._ends) - 1
+        return [p for p in self._seq if p >= beta] + list(
+            map(beta.plus, range(listed - 1 + self._c, self._stage_at(r - 1) + self._c)))
 
 
 class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
@@ -420,6 +478,11 @@ def _steps_by_one(eta: Ordinal) -> bool:
     exponent is 1, fund_seq(P + w*c, n) = P + w*(c-1) + n, and the step from
     lam+m to lam+m+1 certifies no point."""
     return eta._terms[-1][0] is ONE
+
+
+def _runs(o: OmegaOrder) -> bool:
+    """Whether o is a limit order in its run phase."""
+    return isinstance(o, LimitOrder) and o._inner is not None
 
 
 def _same_order(lo_r: list[int], hi_r: list[int]) -> bool:

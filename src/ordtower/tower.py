@@ -75,6 +75,15 @@ class OmegaOrder:
         """First k elements; subclasses override with bulk versions."""
         return [self.nth(i) for i in range(k)]
 
+    def span(self, a: int, b: int) -> list[Ordinal]:
+        """The elements at positions a..b-1, read off the prefix here."""
+        return self.prefix(b)[a:]
+
+    def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
+        """The elements >= beta before position r, in order, read off the
+        prefix here."""
+        return [p for p in self.prefix(r) if p >= beta]
+
 
 class ListOrder(OmegaOrder):
     """An explicit finite order, mainly for unit-level checks."""
@@ -167,9 +176,9 @@ class BlockOrder(OmegaOrder):
 
     The order is the list ``_seq`` and block i is
     ``_seq[_ends[i]:_ends[i + 1]]``.  ``_ranks`` maps points to their
-    positions; ``_peek(x)`` is x's position when x is listed, else None, and
-    grows nothing.  Here ``_ranks`` holds every listed point and ``_peek``
-    reads it; a subclass may keep fewer entries and work out the rest.
+    positions; ``_peek(x)`` is x's position when it is known without
+    listing another block, else None.  Here ``_ranks`` holds every listed
+    point and ``_peek`` reads it; a subclass may work out the rest.
     Blocks are built on demand, at most ``CEILING`` of them, by ``_extend``:
     ``grow(eta)`` here, overridden by subclasses; either appends through
     ``append_block``.

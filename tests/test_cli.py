@@ -7,6 +7,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 import traceback
 
 import pytest
@@ -407,12 +408,13 @@ def test_closed_stdout_ends_quietly():
 
 
 def test_deep_limit_chain_ends_in_a_ceiling_error():
-    # each limit w*k below w^2+w nests a few frames deeper; a low frame
-    # limit makes the chain too deep within a fraction of a second
+    # this rank lists stages of w^2's order up to about 500, and stage k
+    # reads the order at w*k through a frame per k; a low frame limit makes
+    # that too deep within a second
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(traceback.extract_stack()) + 150)
     try:
-        code, out, err = _run_in_process(["aa", "rank", "--alpha", "w^2+w", "60"])
+        code, out, err = _run_in_process(["aa", "rank", "--alpha", "w^2+w", "500"])
     finally:
         sys.setrecursionlimit(old)
     assert sys.getrecursionlimit() == old
@@ -421,6 +423,32 @@ def test_deep_limit_chain_ends_in_a_ceiling_error():
     assert "Traceback" not in err
     # with the usual limit the same process answers a shallower rank
     assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")
+
+
+_CEILING_AT_W2 = "error: ceiling: block construction at w*2 exceeded 20000 stages\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("aa rank --alpha w*2 w+100000000", None),
+    ("aa nth --alpha w*2 100000000", None),
+    ("aa rank --alpha w*3 100000", None),
+    # the last stages below the ceiling, and the first past it
+    ("aa rank --alpha w*2 w+19998", "39996"),
+    ("aa rank --alpha w*2 w+19999", None),
+    ("aa rank --alpha w*2 19998", "39997"),
+    ("aa rank --alpha w*2 19999", None),
+    ("aa nth --alpha w*2 39997", "19998"),
+    ("aa nth --alpha w*2 39998", None),
+    ("aa rank --alpha w*3 19997", "59992"),
+    ("aa rank --alpha w*3 19998", None),
+])
+def test_run_phase_lookups_stop_at_the_stage_ceiling(argv, want):
+    # a rank or point past stage 20,000 of w*2's order ends where listing
+    # the stages one by one would: at w*2's ceiling, also when asked at w*3
+    start = time.perf_counter()
+    got = _run_in_process(argv.split())
+    assert time.perf_counter() - start < 2
+    assert got == ((0, want + "\n", "") if want else (1, "", _CEILING_AT_W2))
 
 
 _RUN_AND_REPORT_RSS = """

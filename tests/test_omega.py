@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordtower import omega
 from ordtower import (
@@ -29,6 +29,7 @@ from ordtower import (
     fund_seq,
     ordinal,
     oset,
+    parse_ordinal,
 )
 from ordtower.omega import PatchedOrder
 
@@ -401,86 +402,96 @@ def _filter_extend(self):
     self._ends.append(len(self._seq))
 
 
-def test_limit_blocks_match_filter_rule(p, monkeypatch):
-    limits = [p(name) for name in ["w*2", "w*3", "w*5", "w*12", "w^2", "w^2+w*2",
-                                    "w^2+w*3", "w^2*2"]]
-    monkeypatch.setattr(omega.LimitOrder, "_extend", _filter_extend)
-    ref = AAOrders()
-    want = {eta: ref.limit_blocks(eta, 40) for eta in limits}
-    monkeypatch.undo()
+_LIMITS = ["w*2", "w*3", "w*5", "w*12", "w^2", "w^2+w*2", "w^2+w*3", "w^2*2"]
 
-    paths = {"structural": 0, "filter": 0}
-    chain_block = omega.LimitOrder._chain_block
 
-    def counting_chain_block(self, inner, m, q):
-        got = chain_block(self, inner, m, q)
-        paths["structural" if got is not None else "filter"] += 1
-        return got
+def _filter_blocks(limits, n):
+    # the first n blocks at each limit by the literal rule, in one context
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(omega.LimitOrder, "_extend", _filter_extend)
+        ref = AAOrders()
+        return {eta: ref.limit_blocks(eta, n) for eta in limits}
 
-    monkeypatch.setattr(omega.LimitOrder, "_chain_block", counting_chain_block)
+
+def _run_orders(ctx):
+    return [o for o in ctx._orders.values()
+            if isinstance(o, omega.LimitOrder) and o._inner is not None]
+
+
+def test_limit_blocks_match_filter_rule(p):
+    limits = [p(name) for name in _LIMITS]
+    want = _filter_blocks(limits, 40)
     orders = AAOrders()
     for eta in limits:
         assert orders.limit_blocks(eta, 40) == want[eta]
         o = orders.order(eta)
         assert o.prefix(len(o._seq)) == [x for b in want[eta] for x in b]
-    assert paths["structural"] > 0 and paths["filter"] > 0
+    # filter stages and listed run stages both made these blocks
+    runs = _run_orders(orders)
+    assert runs and any(len(o._ends) - 1 > o._s for o in runs)
+    assert orders.order(p("w^2"))._inner is None
 
 
-def test_run_ranks_match_filter_positions(p, monkeypatch):
-    # ranks read off the runs are the reference's positions, and asking for
-    # an unplaced point grows no order
-    limits = [p(name) for name in ["w*2", "w*3", "w*5", "w*12", "w^2", "w^2+w*2",
-                                    "w^2+w*3", "w^2*2"]]
-    monkeypatch.setattr(omega.LimitOrder, "_extend", _filter_extend)
-    ref = AAOrders()
-    want = {eta: [x for b in ref.limit_blocks(eta, 40) for x in b] for eta in limits}
-    monkeypatch.undo()
-
-    inners = {}
-    chain_block = omega.LimitOrder._chain_block
-
-    def recording_chain_block(self, inner, m, q):
-        got = chain_block(self, inner, m, q)
-        if got is not None:
-            inners.setdefault(self.eta, set()).add(id(inner))
-        return got
-
-    monkeypatch.setattr(omega.LimitOrder, "_chain_block", recording_chain_block)
+def test_run_ranks_match_filter_positions(p):
+    # ranks and nth worked out from the runs are the reference's positions,
+    # and working them out lists no run stage
+    limits = [p(name) for name in _LIMITS]
+    want = {eta: [x for b in bs for x in b] for eta, bs in _filter_blocks(limits, 40).items()}
     orders = AAOrders()
     for eta in limits:
-        orders.limit_blocks(eta, 40)
-    grown = {eta: o for eta, o in orders._orders.items() if isinstance(o, omega.LimitOrder)}
-    # the runs rely on this: one inner order per limit, q and m rising
-    assert sum(len(o._qs) for o in grown.values()) > 100
-    for eta, o in grown.items():
-        assert len(o._q0s) == len(o._qs) == len(o._ms)
-        assert inners.get(eta, set()) == ({id(o._inner)} if o._qs else set())
-        # a run is q0..q of lam's points and its tail point m - 1 (m0 = m - 1):
-        # runs never overlap in lam's points, m rises strictly, starts rise
-        assert all(q0 <= q for q0, q in zip(o._q0s, o._qs))
-        assert all(q <= q0 for q, q0 in zip(o._qs, o._q0s[1:]))
-        assert all(m < m1 for m, m1 in zip(o._ms, o._ms[1:]))
-        starts = [m - 1 + q0 for q0, m in zip(o._q0s, o._ms)]
-        assert all(a <= b for a, b in zip(starts, starts[1:]))
+        assert [orders.rank(eta, x) for x in want[eta]] == list(range(len(want[eta])))
+        assert [orders.nth(eta, k) for k in range(len(want[eta]))] == want[eta]
+    runs = _run_orders(orders)
+    assert len(runs) > 10
+    for o in runs:  # the run phase starts after the first successor stage
+        assert len(o._ends) - 1 == o._s <= 3
+        q = [e - n - o._c for n, e in enumerate(o._run_ends)]
+        assert q == [o._inner.rank(ordinal(n)) for n in range(len(q))]
+        assert all(a <= b for a, b in zip(q, q[1:]))
+    # past the reference's blocks: rank and nth invert each other
     for eta in limits:
         o = orders.order(eta)
-        assert [o.rank(x) for x in want[eta]] == list(range(len(want[eta])))
-    near = {eta: [enum_below(eta, i) for i in range(0, 30000, 97)] for eta in limits}
-    for eta in limits:
-        o = orders.order(eta)
-        if o._qs:  # past the last run: lam's points and tail offsets
-            lam, q, m = o._inner.bound, o._qs[-1], o._ms[-1]
-            near[eta] += [*o._inner.prefix(q + 50), *map(lam.plus, range(m + 50))]
-    lengths = _limit_lengths(orders)
-    for eta in limits:
-        o = orders.order(eta)
-        placed = set(o._seq)
-        unplaced = [x for x in near[eta] if x not in placed]
-        assert len(unplaced) > 50
-        assert all(o._peek(x) is None for x in unplaced)
-    for o in grown.values():
-        assert [o._peek(x) for x in o._seq] == list(range(len(o._seq)))
-    assert _limit_lengths(orders) == lengths
+        far = [enum_below(eta, i) for i in range(0, 400, 5)]
+        if o._inner is not None:
+            lam = o._inner.bound
+            far += [*o._inner.prefix(400), *map(lam.plus, range(0, 200, 7))]
+        assert [o.nth(o.rank(x)) for x in far] == far
+        top = o.rank(far[-1])
+        assert [o.rank(o.nth(k)) for k in range(top, top + 300)] == list(range(top, top + 300))
+    assert all(len(o._ends) - 1 == o._s for o in _run_orders(orders))
+
+
+_SHAPE_A = [f"w*{k}" for k in range(2, 9)] + [
+    f"w^2{top}+w*{k}" for top in ("", "*2") for k in range(1, 6)]
+_SHAPE_A_BLOCKS = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SHAPE_A),
+       st.lists(st.tuples(st.sampled_from(["blocks", "rank", "nth", "span", "above"]),
+                          st.integers(0, 10**6)), min_size=1, max_size=6))
+def test_shape_a_orders_match_filter_rule(name, asks):
+    # asked in any order on a fresh context, the run phase gives the blocks,
+    # ranks and points of the literal rule, up to w^2*2+w*5
+    eta = parse_ordinal(name)
+    lam = fund_seq(eta, 0)  # eta = lam + w
+    if eta not in _SHAPE_A_BLOCKS:
+        _SHAPE_A_BLOCKS.update(_filter_blocks([eta], 24))
+    want = _SHAPE_A_BLOCKS[eta]
+    flat = [x for b in want for x in b]
+    orders = AAOrders()
+    for kind, k in asks:
+        k %= len(flat)
+        if kind == "blocks":
+            assert orders.limit_blocks(eta, k % 25) == want[:k % 25]
+        elif kind == "rank":
+            assert orders.rank(eta, flat[k]) == k
+        elif kind == "nth":
+            assert orders.nth(eta, k) == flat[k]
+        elif kind == "span":
+            assert orders.order(eta).span(k // 3, k) == flat[k // 3:k]
+        else:  # past the listed points, the run tails
+            assert orders.order(eta).above(lam, k) == [x for x in flat[:k] if x >= lam]
 
 
 def test_planted_certificate_sends_a_shape_a_chain_through_adjust(p, monkeypatch):
@@ -513,7 +524,7 @@ def test_planted_certificate_sends_a_shape_a_chain_through_adjust(p, monkeypatch
     orders = AAOrders()
     for eta, alpha in first.items():
         assert orders.limit_blocks(eta, 40) == want[eta]
-        assert orders.order(eta)._qs == []
+        assert orders.order(eta)._inner is None
         alphas = [alpha.plus(i) for i in range(39)]
         assert [s[1] for s in orders._chain_orders[eta][1:40]] == alphas
         assert {(a, planted) for a in alphas} <= set(adjusted)
@@ -532,14 +543,14 @@ print(tracemalloc.get_traced_memory()[0])
 """
 
 
-def test_aa_suite_keeps_under_13_mib():
-    # what the aa suite leaves built, measured in a fresh process: 11.9 MiB
-    # with shared term pairs and int run columns, 13.1 and 14.0 MiB with
-    # only one of the two, 15.2-15.3 MiB with neither (Python 3.10 and 3.11)
+def test_aa_suite_keeps_under_6_mib():
+    # what the aa suite leaves built, measured in a fresh process: 4.6 MiB
+    # with shape-A orders in their run phase listed only as far as asked,
+    # 11.9 MiB when every run point was listed (Python 3.11)
     r = subprocess.run([sys.executable, "-c", _TRACE_AA_SUITE],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert int(r.stdout) < 13 * 2**20
+    assert int(r.stdout) < 6 * 2**20
 
 
 def test_limit_orders_build_only_what_a_certificate_needs(p):
@@ -549,10 +560,11 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert orders.verify_exception(cert, 100, 3)
     limits = [o for o in orders._orders.values() if isinstance(o, omega.LimitOrder)]
     assert len(limits) == 33
-    assert sum(len(o._ends) - 1 for o in limits) == 1617
-    assert sum(len(o._seq) for o in limits) == 25489
-    # run points get a rank entry only once asked: 3,664 entries today
-    assert sum(len(o._ranks) for o in limits) < 4000
+    assert sum(len(o._ends) - 1 for o in limits) == 128
+    assert sum(len(o._seq) for o in limits) == 2175
+    # only filter stages are listed with rank entries; run stages are memo ints
+    assert sum(len(o._ranks) for o in limits) == 2175
+    assert sum(len(o._run_ends) for o in limits) == 1584
     # structural stages build no order: 66 memoized orders today
     assert len(orders._orders) < 100
 
