@@ -325,8 +325,8 @@ def run(argv: list[str]) -> int:
     except OrdTowerError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 1
-    except RecursionError as exc:  # a limit's blocks nest once per limit below it
-        print(f"error: ceiling: limit orders nested too deeply ({exc})", file=sys.stderr)
+    except RecursionError:  # blocks nest once per limit; Python's text moves with call depth
+        print("error: ceiling: limit orders nested too deeply", file=sys.stderr)
         return 1
     if getattr(args, "output", "json") == "json":  # vc shatter prints only JSON
         print(json.dumps(payload, sort_keys=True))

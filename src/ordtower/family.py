@@ -61,9 +61,7 @@ def cofinal_extend(a, tower: Tower) -> OrdinalSet:
     if a and not a[-1] < CAP:
         raise CapExceededError(f"the largest point {a[-1]} is not below the cap {CAP}")
     alpha = a[-1].succ() if a else ONE
-    out = set(tower.close(alpha, a))
-    out.add(alpha)
-    return oset(out)
+    return tower.close(alpha, a) + (alpha,)  # alpha lies above the whole closure
 
 
 def ladder(length: int, bound, tower: Tower) -> tuple[list[Ordinal], list[OrdinalSet]]:
@@ -134,10 +132,12 @@ class FamilyWindow(namedtuple("FamilyWindow", "bound seed members")):
         return len(self.members)
 
     def to_dict(self) -> dict:
+        # members share most of their points, so each is formatted once
+        text = {x: str(x) for x in set().union(*self.members)}
         return {
             "bound": str(self.bound),
             "seed": self.seed,
-            "members": [[str(x) for x in m] for m in self.members],
+            "members": [[text[x] for x in m] for m in self.members],
         }
 
     @staticmethod
@@ -190,7 +190,7 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
     for x in enum_prefix(bound, 40) if bound > 0 else []:
         if x.is_limit() and x not in limits:
             limits.append(x)
-    for eta in sorted(limits):
+    for eta in oset(limits):
         for n in range(1, 5):
             push(tower.blocks(eta, n))
 

@@ -47,7 +47,6 @@ from .ordinals import (
     Ordinal,
     enum_below,
     fund_seq,
-    oset,
     parse_ordinal,
     _as_ord,
 )
@@ -326,9 +325,9 @@ class Tower(Orders):
     def close(self, alpha, a) -> OrdinalSet:
         """A finite superset of a whose union with {alpha} is turnstile-closed.
 
-        Every element of a must be < alpha.  Successor levels insert the
-        whole segment [lam, alpha); at a limit the first block covering a
-        is returned.
+        Every element of a must be < alpha.  Sorted by construction: lam's
+        shortest stage prefix covering the points below lam, sorted, then
+        the segment [lam, alpha).
         """
         alpha = self._check(alpha)
         o = self._order_at(alpha)
@@ -337,12 +336,12 @@ class Tower(Orders):
             if not x < alpha:
                 raise DomainError(f"close needs elements < alpha, got {x} >= {alpha}")
         lam, m = alpha.split()
-        points = o.prefix(m)  # the segment [lam, alpha), from the shared tail
+        points = []
         below = [x for x in a if x < lam]
         if below:  # the shortest stage at lam covering them
             blocks = self._order_at(lam)
-            points += blocks._seq[:blocks.cover(below)]
-        return oset(points)
+            points = sorted(blocks._seq[:blocks.cover(below)], key=ORD_KEY)
+        return tuple(points + o.segment(0) if m else points)  # the tail lies above them
 
     def blocks(self, eta, n: int) -> OrdinalSet:
         """The n-th closure block S_n of the chain at the limit eta."""

@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import DomainError, GuardExceededError
 from .family import FamilyWindow
-from .ordinals import Ordinal, _as_ord, oset
+from .ordinals import ORD_KEY, Ordinal, _as_ord, oset
 from .tower import Tower
 
 EXACT_LIMIT = 16
@@ -27,7 +27,7 @@ class SetSystemWindow:
     """A finite ground of sorted ordinals with member sets stored as bitmasks."""
 
     def __init__(self, ground: Sequence, sets: Sequence):
-        self.ground: tuple[Ordinal, ...] = tuple(sorted(_as_ord(p) for p in ground))
+        self.ground: tuple[Ordinal, ...] = tuple(sorted(map(_as_ord, ground), key=ORD_KEY))
         if len(set(self.ground)) != len(self.ground):
             raise DomainError("ground has duplicate points")
         self._index: dict[Ordinal, int] = {p: i for i, p in enumerate(self.ground)}
@@ -46,9 +46,11 @@ class SetSystemWindow:
         """Trace a family window onto a ground set (default: all points
         appearing in members)."""
         if ground is None:
-            ground = {p for mem in window.members for p in mem}
-        gset = {_as_ord(p) for p in ground}
-        return SetSystemWindow(ground, [[p for p in mem if p in gset] for mem in window.members])
+            ground = set().union(*window.members)
+        ground = sorted(map(_as_ord, ground), key=ORD_KEY)
+        bit = {p: 1 << i for i, p in enumerate(ground)}
+        masks = [sum(bit[p] for p in bit.keys() & mem) for mem in window.members]
+        return SetSystemWindow(ground, masks)
 
     @property
     def n(self) -> int:

@@ -15,7 +15,7 @@ from itertools import count
 from .errors import DomainError
 from .family import cofinal_extend, enumerate_family, is_closed, ladder
 from .omega import AAOrders, ExceptionCert, adjust_one
-from .ordinals import Ordinal, W, add, enum_below, ordinal, parse_ordinal
+from .ordinals import ORD_KEY, Ordinal, W, add, enum_below, ordinal, oset, parse_ordinal
 from .rng import Lcg
 from .tower import CAP, ListOrder, Tower
 from .vc import (
@@ -132,14 +132,14 @@ def _check_extend_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     rng = Lcg(cfg.seed + 2)
     for _ in range(300):
         size = 1 + rng.below(6)
-        a = {enum_below(cfg.bound, rng.below(16)) for _ in range(size)}
-        ext = cofinal_extend(tuple(sorted(a)), tower)
-        if not a.issubset(ext):
+        a = oset(enum_below(cfg.bound, rng.below(16)) for _ in range(size))
+        ext = cofinal_extend(a, tower)
+        if not set(ext).issuperset(a):
             return CheckResult("closure-extend-sound", False,
-                               f"extension dropped points of {sorted(a)}")
+                               f"extension dropped points of {list(a)}")
         if not is_closed(ext, tower):
             return CheckResult("closure-extend-sound", False,
-                               f"extension of {sorted(a)} is not closed")
+                               f"extension of {list(a)} is not closed")
     return CheckResult("closure-extend-sound", True,
                        "300 seeded sets extend to checked closed supersets")
 
@@ -153,12 +153,11 @@ def _check_close_sound(cfg: VerifyConfig, tower: Tower) -> CheckResult:
         if alpha.is_zero():
             continue
         size = 1 + rng.below(5)
-        a = {enum_below(alpha, rng.below(16)) for _ in range(size)}
-        closed = tower.close(alpha, tuple(sorted(a)))
-        full = tuple(sorted(set(closed) | {alpha}))
+        a = oset(enum_below(alpha, rng.below(16)) for _ in range(size))
+        full = oset([*tower.close(alpha, a), alpha])
         if not is_closed(full, tower):
             return CheckResult("closure-close-sound", False,
-                               f"close({alpha}, {sorted(a)}) with apex fails the check")
+                               f"close({alpha}, {list(a)}) with apex fails the check")
         done += 1
     return CheckResult("closure-close-sound", True,
                        "300 seeded closures stay closed with their apex")
@@ -184,8 +183,7 @@ def _check_closed_oracle(cfg: VerifyConfig, tower: Tower) -> CheckResult:
     rng = Lcg(cfg.seed + 4)
     for _ in range(500):
         size = 1 + rng.below(6)
-        a = tuple(sorted({enum_below(cfg.bound, rng.below(16))
-                          for _ in range(size)}))
+        a = oset(enum_below(cfg.bound, rng.below(16)) for _ in range(size))
         if is_closed(a, tower) != _closed_by_rank_counts(a, tower):
             return CheckResult("closed-alltriples-oracle", False,
                                f"routes disagree on {list(map(str, a))}")
@@ -218,7 +216,7 @@ def _check_cond4(cfg: VerifyConfig, tower: Tower) -> CheckResult:
 
 def _mixed_ground(pts, k: int):
     # 2k ground points: the k least naturals and the k least infinite points
-    pts = sorted(pts)
+    pts = sorted(pts, key=ORD_KEY)
     nats = [x for x in pts if x.is_natural()]
     lims = [x for x in pts if not x.is_natural()]
     ground = nats[:k] + lims[:k]

@@ -425,6 +425,23 @@ def test_deep_limit_chain_ends_in_a_ceiling_error():
     assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")
 
 
+def _run_nested(depth, argv):
+    return _run_nested(depth - 1, argv) if depth else _run_in_process(argv)
+
+
+@pytest.mark.parametrize("argv", ["aa nth --alpha w*400 3", "aa rank --alpha w*500 5"])
+def test_frame_limit_line_does_not_depend_on_the_callers_depth(argv):
+    # Python's RecursionError text names the operation where the limit trips,
+    # which changes with the frames the caller already holds
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 150)
+    try:
+        got = {_run_nested(depth, argv.split()) for depth in (0, 1, 2, 5)}
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == {(1, "", "error: ceiling: limit orders nested too deeply\n")}
+
+
 _CEILING_AT_W2 = "error: ceiling: block construction at w*2 exceeded 20000 stages\n"
 
 

@@ -6,6 +6,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordtower import (
     DomainError,
@@ -13,9 +14,11 @@ from ordtower import (
     FamilyWindow,
     IterationCeilingError,
     Lcg,
+    SetSystemWindow,
     W,
     cofinal_extend,
     entails,
+    enum_below,
     enumerate_family,
     is_closed,
     ladder,
@@ -24,6 +27,7 @@ from ordtower import (
     parse_ordinal,
 )
 from ordtower import verify
+from ordtower.ordinals import ORD_KEY
 from ordtower.tower import BlockOrder, Tower
 
 p = parse_ordinal
@@ -166,6 +170,29 @@ def test_cofinal_extend_sound(tower):
         ext = cofinal_extend(tuple(sorted(a)), tower)
         assert a <= set(ext)
         assert is_closed(ext, tower)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 199), st.lists(st.integers(0, 15), max_size=5))
+def test_closures_and_windows_are_built_sorted(i, js):
+    # close sorts lam's stage prefix once and appends the tail above it;
+    # windows format each point once and trace members through one bit map
+    tower = Tower()
+    alpha = enum_below(p("w^2*2"), i)
+    a = oset(enum_below(alpha, j) for j in js) if alpha else ()
+    closed = tower.close(alpha, a)
+    keys = list(map(ORD_KEY, closed))
+    assert keys == sorted(set(keys)) and closed == oset(closed)
+    ext = cofinal_extend(a, tower)
+    assert set(a) <= set(ext) and ext[-1] == (a[-1].succ() if a else ordinal(1))
+    members = (closed, ext, *(cofinal_extend(a[:k], tower) for k in range(1, len(a))))
+    window = FamilyWindow(alpha, 0, members)
+    assert window.to_dict()["members"] == [[str(x) for x in m] for m in members]
+    for ground in (None, a):
+        sys_ = SetSystemWindow.from_window(window, ground)
+        assert sys_.ground == oset(set().union(*members) if ground is None else ground)
+        assert sys_.masks == tuple(sum(1 << k for k, x in enumerate(sys_.ground) if x in m)
+                                   for m in members)
 
 
 def test_cofinal_extend_empty(tower):

@@ -5,7 +5,8 @@ default configuration on a fresh context; the check must print a FAIL line
 under its own name.  A check that no fault can turn red would show nothing.
 When these cases were written, every check had one whose fault turned no
 other check red; ``tail_upwards`` and ``close_is_segment_and_input`` turn
-several red.
+several red.  Faults the checks cannot see, such as a closure returned out
+of order, are planted under the property test in ``test_family.py`` that can.
 """
 
 import pathlib
@@ -17,6 +18,8 @@ import pytest
 from ordtower import AAOrders, Tower, cofinal_extend, family, ordinals, oset, parse_ordinal, verify
 from ordtower.omega import LimitOrder, PatchedOrder
 from ordtower.tower import BlockOrder, PrependOrder
+
+import test_family  # the property test of closures and windows
 
 _CHECKS = {
     "tower-trichotomy-roundtrip": (verify._check_trichotomy, Tower),
@@ -82,6 +85,21 @@ def close_at_a_limit_is_the_input(m):
     close = Tower.close
     m.setattr(Tower, "close",
               lambda self, alpha, a: oset(a) if alpha.is_limit() else close(self, alpha, a))
+
+
+def close_leaves_the_stage_prefix_unsorted(m):
+    # lam's stage prefix in its order at lam, then the tail: the same points,
+    # so the closure checks, which sort what close returns, stay green
+    def close(self, alpha, a):
+        lam, n = self._check(alpha).split()
+        below = [x for x in oset(a) if x < lam]
+        head = []
+        if below:
+            blocks = self._order_at(lam)
+            head = blocks._seq[:blocks.cover(below)]
+        return tuple(head + [lam.plus(j) for j in range(n)])
+
+    m.setattr(Tower, "close", close)
 
 
 def ladder_skips_least_free(m):
@@ -233,3 +251,10 @@ def test_every_check_catches_its_planted_fault(check, fault, detail, monkeypatch
     fault(monkeypatch)
     res = fn(verify.VerifyConfig()) if ctx is None else fn(verify.VerifyConfig(), ctx())
     assert res.line().startswith(f"FAIL {check}: {detail}")
+
+
+def test_closure_property_catches_an_unsorted_stage_prefix(monkeypatch):
+    close_leaves_the_stage_prefix_unsorted(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_family.test_closures_and_windows_are_built_sorted()
+    assert verify._check_close_sound(verify.VerifyConfig(), Tower()).passed
