@@ -49,10 +49,10 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import DomainError, IterationCeilingError
-from .ordinals import ONE, ORD_KEY, Ordinal, W, enum_below, ordinal, oset, _as_ord
+from .ordinals import ORD_KEY, Ordinal, W, enum_below, ordinal, oset, _as_ord
 from .rng import Lcg
 from . import tower
-from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point
+from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
 
@@ -471,13 +471,6 @@ class AAOrders(Orders):
             if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
                 return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)
-
-
-def _steps_by_one(eta: Ordinal) -> bool:
-    """Whether eta's adjusted chain steps by one past stage 1: when eta's last
-    exponent is 1, fund_seq(P + w*c, n) = P + w*(c-1) + n, and the step from
-    lam+m to lam+m+1 certifies no point."""
-    return eta._terms[-1][0] is ONE
 
 
 def _runs(o: OmegaOrder) -> bool:

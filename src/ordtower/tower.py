@@ -13,13 +13,23 @@ alpha; of type alpha for finite alpha) on {gamma < alpha}:
     listed in natural ordinal order, so alpha_n comes last.
 
 Each stage is built from its new points only.  With alpha_n = lam + m,
-S_n plus e, closed below alpha_n, is the tail lam .. lam+m-1 plus the
-shortest stage prefix of lam's order covering the points below lam
-(``BlockOrder.cover``).  A stage above a new lam covers every placed
-point, all of them below lam, and takes the whole tail; a stage over the
-previous lam covers only e, as the previous prefix holds the rest, and
-takes the tail past the previous chain point.  The new block is the
-prefix's unplaced points, sorted, then that tail, then alpha_n.  So a
+S_n plus e, closed below alpha_n, is the shared tail lam .. lam+m-1 plus
+the shortest stage prefix of lam's order covering the points below lam
+(``BlockOrder.cover``).  A stage takes one of two rules:
+
+  * new lam (a limit whose last exponent is >= 2, where chain points are
+    limits, and a shape-A limit's first stage): cover every placed point,
+    all below lam, and keep the prefix's unplaced points, sorted;
+  * same lam (the later stages of a shape-A limit P + w*c, whose chain
+    points are lam + n over lam = P + w*(c-1)): lam's order at positions
+    end0 .. end, where end also covers e, sorted.  No point is filtered
+    out, as the points placed below lam are lam's first end0.  The chain
+    point steps from lam + m0 to lam + m0 + 1: an e at or above lam is
+    never past lam + m0.
+
+Then comes the tail past the previous chain point, ending in alpha_n, read
+off the list kept per lam in ``Orders._tails``; growth builds no order at
+a chain point, and successor orders are built on demand only.  So a
 limit's order costs time linear in its length; the length itself grows
 fast: the least closed superset of {3, w*k+1} has 6, 11, 20, 38, 72,
 138, 268 and 526 points for k = 1..8, so the blocks at w^2 double with
@@ -42,6 +52,7 @@ from collections.abc import Callable
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
     CEILING,
+    ONE,
     ORD_KEY,
     ZERO,
     Ordinal,
@@ -150,20 +161,15 @@ class PrependOrder(OmegaOrder):
             return self.lam.plus(self.m - 1 - k)
         return self.inner.nth(k - self.m)
 
-    def _grown_tail(self) -> list[Ordinal]:
-        tail = self._tail
-        tail.extend(map(self.lam.plus, range(len(tail), self.m)))
-        return tail
-
     def prefix(self, k: int) -> list[Ordinal]:
-        m, tail = self.m, self._grown_tail()
+        m, tail = self.m, _grown(self._tail, self.m)
         if k <= m:
             return tail[m - k:m][::-1]
         return tail[m - 1::-1] + self.inner.prefix(k - m)
 
     def segment(self, j: int) -> list[Ordinal]:
         """The tail points lam+j .. lam+m-1, increasing."""
-        return self._grown_tail()[j:self.m]
+        return _grown(self._tail, self.m)[j:self.m]
 
     def __contains__(self, x) -> bool:
         j = self._offset(_as_ord(x))
@@ -346,42 +352,61 @@ class Tower(Orders):
     def blocks(self, eta, n: int) -> OrdinalSet:
         """The n-th closure block S_n of the chain at the limit eta."""
         eta = self._check(eta)
-        o = self._order_at(eta)
         if not eta.is_limit():
             raise DomainError(f"blocks requires a limit ordinal, got {eta}")
         if n < 0:
             raise DomainError(f"block index must be >= 0, got {n}")
-        return tuple(sorted(o.ensure_blocks(n), key=ORD_KEY))
+        return tuple(sorted(self._order_at(eta).ensure_blocks(n), key=ORD_KEY))
 
     # -- internals -----------------------------------------------------------
 
     def _grow(self, eta: Ordinal) -> None:
+        """Append eta's next block by the same-lam rule on a shape-A limit's
+        later stages, else by the new-lam rule (see the module docstring)."""
         o = self._orders[eta]
         order, chain = o._seq, o._ends
         if not order:  # the first block: publish the limit's order
             self._order[eta], self._chain[eta] = order, chain
         e = enum_below(eta, len(chain) - 1)
-        # order[-1] is the previous chain point, the largest point of S_n
-        mx = e if not order or e > order[-1] else order[-1]
-        # the previous stage: the index of its chain point lam0 + m0 in the
-        # fundamental sequence, and the stage prefix at lam0 it covered
-        k0, lam0, m0, end0 = o._last or (-1, None, 0, 0)
-        k, alpha_n = _next_chain_point(eta, mx, k0)
-        lam, m = alpha_n.split()
-        covered = [e]
-        if lam != lam0:  # every placed point lies below the new lam
-            end0, m0, covered = 0, -1, order + covered
-        end, new = end0, []
-        below = [x for x in covered if x < lam]
-        if below:  # lam's new points sort below the new tail, then alpha_n
-            prefix = self._order_at(lam)
-            end = max(end0, prefix.cover(below))
-            new = sorted((x for x in prefix._seq[end0:end] if x not in o._ranks), key=ORD_KEY)
-        if m:  # alpha_n is a successor
-            new += self._order_at(alpha_n).segment(m0 + 1)
-        new.append(alpha_n)
+        k0, end0 = o._last or (-1, 0)
+        if order and _steps_by_one(eta):  # same lam: the chain point lam+m0 steps by one
+            # an e >= lam is placed already: enum_below lists lam+j at index
+            # 2j+2 (at w, j at index j), and stage n starts from lam+m0 with
+            # m0 >= n-1 (m0 = n at w)
+            lam, m0 = order[-1].split()
+            k = m = m0 + 1  # fund_seq(eta, k) = lam+k
+            end, new = end0, []
+            if e < lam:  # the points placed below lam are lam's first end0, so none is new
+                prefix = self._order_at(lam)
+                end = max(end0, prefix.cover((e,)))
+                new = sorted(prefix._seq[end0:end], key=ORD_KEY)
+        else:  # new lam: cover every placed point, all of them below lam
+            # order[-1] is the previous chain point, the largest point of S_n
+            mx = e if not order or e > order[-1] else order[-1]
+            k, alpha_n = _next_chain_point(eta, mx, k0)
+            lam, m = alpha_n.split()
+            m0, end, new = -1, 0, []
+            below = [x for x in order + [e] if x < lam]
+            if below:  # lam's new points sort below the new tail, then alpha_n
+                prefix = self._order_at(lam)
+                end = prefix.cover(below)
+                new = sorted((x for x in prefix._seq[:end] if x not in o._ranks), key=ORD_KEY)
+        # the tail lam+m0+1 .. lam+m, ending in the chain point alpha_n
+        new += _grown(self._tails.setdefault(lam, [lam]), m + 1)[m0 + 1:m + 1]
         o.append_block(new)
-        o._last = (k, lam, m, end)
+        o._last = (k, end)
+
+
+def _steps_by_one(eta: Ordinal) -> bool:
+    """Whether eta is shape A, its chain stepping by one: when eta's last
+    exponent is 1, fund_seq(P + w*c, n) = P + w*(c-1) + n."""
+    return eta._terms[-1][0] is ONE
+
+
+def _grown(tail: list[Ordinal], m: int) -> list[Ordinal]:
+    """The shared tail [lam, lam+1, ...], grown in place to at least m entries."""
+    tail.extend(map(tail[0].plus, range(len(tail), m)))
+    return tail
 
 
 def _next_chain_point(eta: Ordinal, mx: Ordinal, k: int) -> tuple[int, Ordinal]:

@@ -55,6 +55,18 @@ def test_tower_close_and_blocks():
     assert (r.returncode, r.stdout) == (0, "0,1,2,3\n")
 
 
+def test_tower_blocks_refuses_before_building(monkeypatch, capsys):
+    # a successor or a negative index is refused before any order is built
+    def unused(self, alpha):
+        raise AssertionError(f"order at {alpha} built")
+
+    monkeypatch.setattr(tower.Orders, "_order_at", unused)
+    for argv, err in [(["w+3", "1"], "blocks requires a limit ordinal, got w+3"),
+                      (["w^2", "-1"], "block index must be >= 0, got -1")]:
+        assert cli.run(["tower", "blocks", "--alpha", *argv]) == 1
+        assert capsys.readouterr().err == f"error: domain: {err}\n"
+
+
 def test_tower_turnstile():
     assert run("tower", "turnstile", "--alpha", "9", "2", "5").stdout.strip() == "true"
     assert run("tower", "turnstile", "--alpha", "9", "5", "2").stdout.strip() == "false"

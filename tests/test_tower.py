@@ -21,6 +21,7 @@ from ordtower import (
     ordinal,
     parse_ordinal,
 )
+from ordtower.ordinals import ORD_KEY
 from ordtower.tower import BlockOrder, PrependOrder
 
 p = parse_ordinal
@@ -223,6 +224,62 @@ def test_orders_pinned_across_levels():
     assert digest == "24aad7c9091c4e2d89bda604c434ae21c76a790faf5e877890cfe944bcd5c634"
 
 
+def test_every_stage_pinned():
+    # _seq and _ends of every limit order a fresh tower grows for five deep
+    # requests, each stage of them; sha256 captured before shape-A stages
+    # over a repeated lam were read off lam's order and the shared tail
+    lines = []
+    for s, k in [("w", 4000), ("w*13", 3000), ("w^2", 1600), ("w^2+w*2", 800),
+                 ("w^2*3+w*4", 300)]:
+        t = Tower()
+        t.nth(p(s), k)
+        limits = [a for a, o in t._orders.items() if isinstance(o, BlockOrder)]
+        for eta in sorted(limits, key=ORD_KEY):
+            o = t._orders[eta]
+            lines.append(f"{s} {eta} {','.join(map(str, o._seq))} {','.join(map(str, o._ends))}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "154383be17f6ee5dfbe4e065d64e1f5c5385b38cd385175f66e04cd6d131aa56"
+
+
+def test_growth_builds_no_order_per_chain_point():
+    # the chain points lam+n of shape-A stages come off the tail kept per
+    # lam: growing w^2 keeps 0, w^2 and the limit orders w .. w*8, not an
+    # order per chain point (528 of them)
+    t = Tower()
+    t.nth(p("w^2"), 300)
+    assert len(t._orders) <= 12
+    for lam, tail in t._tails.items():
+        assert tail == [lam.plus(j) for j in range(len(tail))]
+    # a successor order is built on demand, over the same tail
+    o = t.order(p("w*3+40"))
+    assert isinstance(o, PrependOrder) and o._tail is t._tails[p("w*3")]
+    assert o.segment(0) == t._tails[p("w*3")][:40]
+
+
+def test_growth_over_tails_grown_by_successor_orders():
+    # closures at successors grow the tails at w .. w*3 past any chain
+    # point first; the limit orders grown after them match a fresh tower's
+    warm, fresh = Tower(), Tower()
+    for s in ["w+90", "w*2+90", "w*3+90"]:
+        warm.close(p(s), [])
+    for t in (warm, fresh):
+        t.nth(p("w^2"), 300)
+        t.nth(p("w*4"), 60)
+    assert warm._order == fresh._order and warm._chain == fresh._chain
+
+
+def test_shape_a_enumeration_trails_the_chain():
+    # the same-lam rule steps the chain point by one: at stage n >= 1 it is
+    # lam+m0 with m0 >= n-1 (m0 = n at w), and e = lam+j never lies past it
+    for s in ["w", "w*2", "w*7", "w^2+w", "w^2*2+w*3"]:
+        eta = p(s)
+        lam = fund_seq(eta, 0)
+        for n in range(1, 600):
+            e = enum_below(eta, n)
+            if e >= lam:
+                assert e.split()[1] <= (n if lam == ordinal(0) else n - 1), (s, n)
+
+
 def test_tower_suite_builds_no_omega_context(monkeypatch):
     from ordtower import verify
 
@@ -253,8 +310,8 @@ def test_grow_matches_full_close_rule(monkeypatch):
     # the first blocks at each limit, as many as the inherent growth of
     # closed sets allows: at w^3 the fifth block already needs more than
     # CEILING stages at w^2*4+w*13
-    cases = [("w", 60), ("w*2", 60), ("w*5", 60), ("w^2+w*2", 30),
-             ("w^2", 8), ("w^2*2", 8), ("w^3", 4)]
+    cases = [("w", 60), ("w*2", 60), ("w*3", 60), ("w*5", 60), ("w^2+w*2", 30),
+             ("w^2+w*3", 30), ("w^2", 8), ("w^2*2", 8), ("w^3", 4)]
     want = {}
     for s, n in cases:
         ref = FullCloseTower().order(p(s))
