@@ -17,18 +17,16 @@ S_n plus e, closed below alpha_n, is the shared tail lam .. lam+m-1 plus
 the shortest stage prefix of lam's order covering the points below lam
 (``BlockOrder.cover``).  A stage takes one of two rules:
 
-  * new lam (a limit whose last exponent is >= 2, where chain points are
-    limits, and a shape-A limit's first stage): cover every placed point,
-    all below lam, and keep the prefix's unplaced points, sorted;
-  * same lam (the later stages of a shape-A limit P + w*c, whose chain
-    points are lam + n over lam = P + w*(c-1)): lam's order at positions
-    end0 .. end, where end also covers e, sorted.  No point is filtered
-    out, as the points placed below lam are lam's first end0.  The chain
-    point steps from lam + m0 to lam + m0 + 1: an e at or above lam is
-    never past lam + m0.
+  * new lam (a limit whose last exponent is >= 2, and a shape-A limit's
+    first stage): cover every placed point, all below lam, and keep the
+    prefix's unplaced points, sorted;
+  * same lam (the later stages of a shape-A limit P + w*c, chain points
+    lam + n over lam = P + w*(c-1)): lam's order at positions end0 .. end,
+    end also covering e, sorted, with no filter, as the points placed
+    below lam are lam's first end0; the chain point steps by one.
 
 Then comes the tail past the previous chain point, ending in alpha_n, read
-off the list kept per lam in ``Orders._tails``; growth builds no order at
+off the list kept per lam (``Orders._tail``); growth builds no order at
 a chain point, and successor orders are built on demand only.  So a
 limit's order costs time linear in its length; the length itself grows
 fast: the least closed superset of {3, w*k+1} has 6, 11, 20, 38, 72,
@@ -283,9 +281,13 @@ class Orders:
         if got is None:
             lam, m = alpha.split()
             got = self._orders[alpha] = (
-                PrependOrder(self._order_at(lam), self._tails.setdefault(lam, [lam]), m)
+                PrependOrder(self._order_at(lam), self._tail(lam), m)
                 if m > 0 else self._limit_order(alpha))
         return got
+
+    def _tail(self, lam: Ordinal, m: int = 1) -> list[Ordinal]:
+        """The list [lam, lam+1, ...] shared by the orders above lam, m long or more."""
+        return _grown(self._tails.setdefault(lam, [lam]), m)
 
     def rank(self, alpha, x) -> int:
         """Position of x in the well-order attached to alpha; requires x < alpha."""
@@ -368,13 +370,13 @@ class Tower(Orders):
         if not order:  # the first block: publish the limit's order
             self._order[eta], self._chain[eta] = order, chain
         e = enum_below(eta, len(chain) - 1)
-        k0, end0 = o._last or (-1, 0)
+        # k: the last new-lam chain point's index in fund_seq; end0: the cover at lam
+        k, end0 = o._last or (-1, 0)
         if order and _steps_by_one(eta):  # same lam: the chain point lam+m0 steps by one
-            # an e >= lam is placed already: enum_below lists lam+j at index
-            # 2j+2 (at w, j at index j), and stage n starts from lam+m0 with
-            # m0 >= n-1 (m0 = n at w)
+            # an e >= lam is placed already: enum_below lists lam+j at index 2j+2
+            # (j at index j at w), and stage n starts at lam+m0, m0 >= n-1
             lam, m0 = order[-1].split()
-            k = m = m0 + 1  # fund_seq(eta, k) = lam+k
+            m = m0 + 1
             end, new = end0, []
             if e < lam:  # the points placed below lam are lam's first end0, so none is new
                 prefix = self._order_at(lam)
@@ -383,7 +385,7 @@ class Tower(Orders):
         else:  # new lam: cover every placed point, all of them below lam
             # order[-1] is the previous chain point, the largest point of S_n
             mx = e if not order or e > order[-1] else order[-1]
-            k, alpha_n = _next_chain_point(eta, mx, k0)
+            k, alpha_n = _next_chain_point(eta, mx, k)
             lam, m = alpha_n.split()
             m0, end, new = -1, 0, []
             below = [x for x in order + [e] if x < lam]
@@ -392,7 +394,7 @@ class Tower(Orders):
                 end = prefix.cover(below)
                 new = sorted((x for x in prefix._seq[:end] if x not in o._ranks), key=ORD_KEY)
         # the tail lam+m0+1 .. lam+m, ending in the chain point alpha_n
-        new += _grown(self._tails.setdefault(lam, [lam]), m + 1)[m0 + 1:m + 1]
+        new += self._tail(lam, m + 1)[m0 + 1:m + 1]
         o.append_block(new)
         o._last = (k, end)
 
