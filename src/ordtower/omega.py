@@ -27,15 +27,17 @@ A limit keeps its chain's stages in one list, grown in order on demand:
 the next fund_seq index, alpha_i, the composed certificate (stage
 i-1's joined with the step's exception points, and the previous one
 itself when the step adds no point) and the adjusted order, which
-``chain_order`` builds on first use.  When eta's last exponent is 1
-(shape A) every chain point after stage 1 is the previous one plus 1,
-since fund_seq(P + w*c, n) = P + w*(c-1) + n, and that step certifies no
-point.  So after its first stage at an unadjusted lam+m, such an order is
-fixed by lam's order and one offset: it is in its run phase, where a
-stage is listed only when its block is asked for, and ranks, points and
-spans come from a formula over one memo of lam's ranks of the naturals
-(see ``LimitOrder``).  Its later stages build no order and no stage
-record.
+``chain_order`` builds on first use.  Only the next stage's build reads
+an adjusted order, so that build releases it; asked for again, it is
+rebuilt from the nearest stage that is kept or certifies nothing.
+When eta's last exponent is 1 (shape A) every chain point after stage 1
+is the previous one plus 1, since fund_seq(P + w*c, n) = P + w*(c-1) + n,
+and that step certifies no point.  So after its first stage at an
+unadjusted lam+m, such an order is fixed by lam's order and one offset:
+it is in its run phase, where a stage is listed only when its block is
+asked for, and ranks, points and spans come from a formula over one int
+array of stage ends, read from lam's ranks of the naturals (see
+``LimitOrder``).  Its later stages build no order and no stage record.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -45,6 +47,7 @@ memoized: a successor lam+m reorders nothing below lam.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -132,12 +135,13 @@ class LimitOrder(BlockOrder):
     (``_c``, and s is ``_s``).  With I = lam's order (``_inner``) and
     q(n) = I.rank(n), stage i lists the tail point lam+(i-1+c), then I's
     positions q(i-1)..q(i)-1, I-position qx at i+c+qx; it ends at
-    e(i) = i+c+q(i), and the one memo ``_run_ends`` holds e(0), e(1), ...
-    So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
-    not listed before stage s at i+c+I.rank(x), i the least stage with
-    q(i) > I.rank(x); ``nth`` bisects the ends.  A run stage is listed
-    only when ``ensure_blocks`` asks for its block; the memo grows one
-    stage at a time, with the same ceiling as listing.
+    e(i) = i+c+q(i), and the one memo ``_run_ends``, an int array of one
+    machine word a stage, holds e(0), e(1), ...  So lam+j sits at e(j-c),
+    a natural n at e(n)+1, and any other x < lam not listed before stage
+    s at i+c+I.rank(x), i the least stage with q(i) > I.rank(x); ``nth``
+    bisects the ends.  A run stage is listed only when ``ensure_blocks``
+    asks for its block; the memo grows one stage at a time, with the same
+    ceiling as listing.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
@@ -145,7 +149,7 @@ class LimitOrder(BlockOrder):
         self.ctx = ctx
         self._inner: OmegaOrder | None = None  # lam's order, in the run phase
         self._c = self._s = 0  # m_i - i in the run phase, and its first stage
-        self._run_ends: list[int] = []
+        self._run_ends = array("q")
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
@@ -167,9 +171,9 @@ class LimitOrder(BlockOrder):
         if m and not cert:  # only a shape-A chain has successors: stage i+1 on are runs
             inner, c = self.ctx._order_at(lam), m - i
             self._inner, self._c, self._s = inner, c, i + 1
-            self._run_ends = [n + c + inner.rank(ordinal(n)) for n in range(i + 1)]
+            self._run_ends = array("q", [n + c + inner.rank(ordinal(n)) for n in range(i + 1)])
 
-    def _grown(self, n: int) -> list[int]:
+    def _grown(self, n: int) -> array:
         """The memo of stage ends through stage n, each stage after the
         ceiling check that listing it would make."""
         e, inner, c = self._run_ends, self._inner, self._c
@@ -359,7 +363,8 @@ class AAOrders(Orders):
         """Stage i of eta's adjusted chain, as [the next fund_seq index,
         alpha_i (omega, then the fundamental sequence values above omega),
         the certificate composed up to alpha_i, the adjusted order there or
-        None until ``chain_order`` builds it]."""
+        None, before ``chain_order`` builds it and once the next stage's
+        build releases it]."""
         stages = self._chain_orders.get(eta)
         if stages is None:
             stages = self._chain_orders[eta] = [[0, W, (), self._order_at(W)]]
@@ -381,12 +386,14 @@ class AAOrders(Orders):
             stages, j = self._chain_orders[eta], i
             while stages[j][3] is None and stages[j][2]:
                 j -= 1
-            inner = None
+            prev = None
             for s in stages[j:i + 1]:
                 if s[3] is None:
                     outer = self._order_at(s[1])
-                    s[3] = _adjust(inner, outer, s[2]) if s[2] else outer
-                inner = s[3]
+                    s[3] = _adjust(prev[3], outer, s[2]) if s[2] else outer
+                    if prev is not None:  # only this build reads it; rebuilt if asked again
+                        prev[3] = None
+                prev = s
         return stage[3]
 
     # -- exception certificates ----------------------------------------------

@@ -318,7 +318,7 @@ def fund_seq(lam, n: int) -> Ordinal:
 # w*k takes k).
 
 CEILING = 20000  # the one work bound: descent steps, and blocks per limit's order
-_enum_answers: dict = {}  # (eta, n) -> enum_below(eta, n)
+_enum_answers: dict = {}  # eta -> {n: enum_below(eta, n)}, made at eta's first answer
 
 
 def enum_below(eta, n: int) -> Ordinal:
@@ -328,9 +328,11 @@ def enum_below(eta, n: int) -> Ordinal:
     finite ordinal (indices past eta-1 then repeat 0).
     """
     eta = _as_ord(eta)
-    got = _enum_answers.get((eta, n))
-    if got is not None:
-        return got
+    memo = _enum_answers.get(eta)
+    if memo is not None:
+        got = memo.get(n)
+        if got is not None:
+            return got
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     if eta.is_zero():
@@ -342,7 +344,9 @@ def enum_below(eta, n: int) -> Ordinal:
         steps += 1
         start, lam, m, j = _position(lam, j - m)
         base = add(base, start)
-    got = _enum_answers[eta, n] = add(base, lam.plus(m - 1 - j)) if j < m else base
+    if memo is None:
+        memo = _enum_answers[eta] = {}
+    got = memo[n] = add(base, lam.plus(m - 1 - j)) if j < m else base
     return got
 
 
@@ -379,18 +383,22 @@ def enum_prefix(eta, n: int) -> list:
     if not n:
         return []
     eta = _as_ord(eta)
-    got = []
-    for i in range(n):
-        x = _enum_answers.get((eta, i))
-        if x is None:
-            break
-        got.append(x)
-    else:
-        return got
+    memo = _enum_answers.get(eta)
+    if memo is not None:
+        got = []
+        for i in range(n):
+            x = memo.get(i)
+            if x is None:
+                break
+            got.append(x)
+        else:
+            return got
     if eta.is_zero():
         raise DomainError("enum_below requires eta > 0")
     got = _prefix(eta, n)
-    _enum_answers.update(zip([(eta, i) for i in range(n)], got))
+    if memo is None:
+        memo = _enum_answers[eta] = {}
+    memo.update(enumerate(got))
     return got
 
 

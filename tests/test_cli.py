@@ -481,23 +481,27 @@ def test_run_phase_lookups_stop_at_the_stage_ceiling(argv, want):
 
 
 _RUN_AND_REPORT_RSS = """
-import resource, sys
+import re, sys
 from ordtower import cli
 code = cli.run(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+# VmHWM is this process's own peak RSS; ru_maxrss would also count the
+# parent's RSS at the fork, which the pytest process can make the larger
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1), file=sys.stderr)
 sys.exit(code)
 """
 
 
 def test_deep_aa_rank_stays_small():
-    # the limit orders below w^2+w list about 2.4 million points; ranking
-    # all but 81,000 from their runs, not one dict entry each, keeps this
-    # call near 80 MB, where a rank entry per point takes about 190 MB
+    # the limit orders below w^2+w hold about 2.4 million points; read from
+    # run formulas over int arrays, not listed with a rank entry each, they
+    # keep this call near 24 MiB (21 MiB on Python 3.10), where a rank entry
+    # per point took about 190 MB
     r = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_RSS,
                         "aa", "rank", "--alpha", "w^2+w", "150"],
                        capture_output=True, text=True, timeout=120)
     assert (r.returncode, r.stdout) == (0, "22951\n")
-    assert int(r.stderr) < 130 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(r.stderr) < 45 * 1024
 
 
 def test_malformed_window_files_are_domain_errors(tmp_path):

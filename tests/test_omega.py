@@ -432,6 +432,20 @@ def test_limit_blocks_match_filter_rule(p):
     assert orders.order(p("w^2"))._inner is None
 
 
+def test_chain_orders_release_the_stage_before_and_rebuild_it(p):
+    # building stage i from stage i-1 frees stage i-1's adjusted order;
+    # asked for again, it is rebuilt with the same points from the nearest
+    # stage that is kept or certifies nothing (here stage 1, at w*2)
+    orders = AAOrders()
+    eta = p("w^2")
+    first = [orders.chain_order(eta, i).prefix(40) for i in range(6)]
+    stages = orders._chain_orders[eta]
+    assert [len(s[2]) for s in stages] == [0, 0, 3, 4, 5, 6]
+    assert [s[3] is None for s in stages] == [False] + [True] * 4 + [False]
+    assert [orders.chain_order(eta, i).prefix(40) for i in range(6)] == first
+    assert [s[3] is None for s in stages] == [False] + [True] * 3 + [False] * 2
+
+
 def test_run_ranks_match_filter_positions(p):
     # ranks and nth worked out from the runs are the reference's positions,
     # and working them out lists no run stage
@@ -543,14 +557,16 @@ print(tracemalloc.get_traced_memory()[0])
 """
 
 
-def test_aa_suite_keeps_under_6_mib():
-    # what the aa suite leaves built, measured in a fresh process: 4.6 MiB
-    # with shape-A orders in their run phase listed only as far as asked,
-    # 11.9 MiB when every run point was listed (Python 3.11)
+def test_aa_suite_keeps_under_4_2_mib():
+    # what the aa suite leaves built, measured in a fresh process: 3.6 MiB
+    # (3.7 on Python 3.10) with run ends as an int array, superseded chain
+    # orders released and one enumeration dict per limit; 4.6 MiB with a
+    # list, every chain order kept and a tuple key per answer; 11.9 MiB
+    # when every run point was listed
     r = subprocess.run([sys.executable, "-c", _TRACE_AA_SUITE],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert int(r.stdout) < 6 * 2**20
+    assert int(r.stdout) < 4.2 * 2**20
 
 
 def test_limit_orders_build_only_what_a_certificate_needs(p):

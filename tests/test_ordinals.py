@@ -440,13 +440,32 @@ def test_enum_prefix_edges():
         assert str(e.value) == f"enumeration below {eta} exceeded 20000 descent steps"
 
 
+def test_rejected_enumerations_leave_the_memo_unchanged(monkeypatch):
+    # a limit's answer dict is made only once an index of it has an answer
+    from ordtower import ordinals
+
+    monkeypatch.setattr(ordinals, "_enum_answers", {})
+    enum_below(p("w*2"), 3)
+    before = {eta: dict(got) for eta, got in ordinals._enum_answers.items()}
+    with pytest.raises(DomainError, match="enum_below requires eta > 0"):
+        enum_below(ZERO, 0)
+    with pytest.raises(DomainError, match="index must be >= 0, got -1"):
+        enum_below(W, -1)
+    with pytest.raises(DomainError, match="enum_below requires eta > 0"):
+        enum_prefix(ZERO, 1)
+    with pytest.raises(IterationCeilingError):
+        enum_below(p("w*99999999999999"), 0)
+    assert ordinals._enum_answers == before
+
+
 def test_enum_prefix_reads_a_whole_prefix_from_the_memo(monkeypatch):
     from ordtower import ordinals
 
     monkeypatch.setattr(ordinals, "_enum_answers", {})
     eta = p("w^2+w")
     want = enum_prefix(eta, 50)
-    assert [ordinals._enum_answers[eta, i] for i in range(50)] == want
+    assert list(ordinals._enum_answers) == [eta]
+    assert [ordinals._enum_answers[eta][i] for i in range(50)] == want
     monkeypatch.setattr(ordinals, "_prefix", None)  # any listing would fail
     assert enum_prefix(eta, 50) == want and enum_prefix(eta, 20) == want[:20]
     with pytest.raises(TypeError):
