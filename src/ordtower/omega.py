@@ -61,8 +61,7 @@ _POOL = 60  # verify_exception samples pairs of this many candidate points
 
 
 class CanonicalOmega(OmegaOrder):
-    def __init__(self):
-        self.bound = W
+    bound = W
 
     def rank(self, x) -> int:
         x = _as_ord(x)
@@ -75,14 +74,8 @@ class CanonicalOmega(OmegaOrder):
             raise DomainError(f"rank index must be >= 0, got {k}")
         return ordinal(k)
 
-    def prefix(self, k: int) -> list[Ordinal]:
-        return self.span(0, k)
-
     def span(self, a: int, b: int) -> list[Ordinal]:
         return list(map(ordinal, range(a, b)))
-
-    def __contains__(self, x) -> bool:
-        return _as_ord(x) < W
 
 
 class PatchedOrder(OmegaOrder):
@@ -109,9 +102,6 @@ class PatchedOrder(OmegaOrder):
             raise DomainError(f"rank index must be >= 0, got {k}")
         return self.head[k] if k < len(self.head) else self.outer.nth(k)
 
-    def prefix(self, k: int) -> list[Ordinal]:
-        return self.span(0, k)
-
     def span(self, a: int, b: int) -> list[Ordinal]:
         n = len(self.head)
         return self.head[a:b] + (self.outer.span(max(a, n), b) if b > n else [])
@@ -122,7 +112,7 @@ class PatchedOrder(OmegaOrder):
         got = [p for p in self.head[:r] if p >= beta]
         return got + self.outer.above(beta, r)[len(got):] if r > len(self.head) else got
 
-    def __contains__(self, x) -> bool:
+    def __contains__(self, x) -> bool:  # the outer order may be explicit, with no bound
         return _as_ord(x) in self.outer
 
 
@@ -229,9 +219,6 @@ class LimitOrder(BlockOrder):
             return self._inner.bound.plus(i - 1 + c)
         return self._inner.nth(k - i - c)
 
-    def prefix(self, k: int) -> list[Ordinal]:
-        return self.span(0, k)
-
     def span(self, a: int, b: int) -> list[Ordinal]:
         # stage by stage: its tail point, then a span of I, one frame deeper
         k = max(a, self._listed(b))
@@ -262,10 +249,13 @@ class LimitOrder(BlockOrder):
 
 
 class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
-    """Finite certified superset (the sorted tuple points) of where the
-    orders at lower and upper may disagree."""
+    """Finite certified superset (the sorted tuple points, normalized by
+    ``oset``) of where the orders at lower and upper may disagree."""
 
     __slots__ = ()
+
+    def __new__(cls, lower, upper, points):
+        return super().__new__(cls, lower, upper, oset(points))
 
     def to_dict(self) -> dict:
         return {

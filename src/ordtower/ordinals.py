@@ -125,35 +125,31 @@ class Ordinal:
     __hash__ = object.__hash__
 
     def __lt__(self, other) -> bool:
-        if type(other) is Ordinal:
-            return self._key < other._key
-        other = _maybe_ord(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
         return self._key < other._key
 
     def __le__(self, other) -> bool:
-        if type(other) is Ordinal:
-            return self._key <= other._key
-        other = _maybe_ord(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
         return self._key <= other._key
 
     def __gt__(self, other) -> bool:
-        if type(other) is Ordinal:
-            return self._key > other._key
-        other = _maybe_ord(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
         return self._key > other._key
 
     def __ge__(self, other) -> bool:
-        if type(other) is Ordinal:
-            return self._key >= other._key
-        other = _maybe_ord(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
         return self._key >= other._key
 
     def __add__(self, other) -> "Ordinal":

@@ -66,7 +66,12 @@ OrdinalSet = tuple[Ordinal, ...]
 
 
 class OmegaOrder:
-    """A well-order of type omega given by a computable rank function."""
+    """A well-order of type omega given by a computable rank function.
+
+    A subclass gives ``rank``, ``nth``, ``span`` (by ``nth`` here) and
+    ``bound``; ``prefix``, ``above`` and ``x in o`` (x < bound) derive from
+    them.  An explicit order has no bound and tests membership itself.
+    """
 
     bound: Ordinal | None = None
 
@@ -76,21 +81,20 @@ class OmegaOrder:
     def nth(self, k: int) -> Ordinal:
         raise NotImplementedError
 
-    def __contains__(self, x) -> bool:
-        raise NotImplementedError
+    def span(self, a: int, b: int) -> list[Ordinal]:
+        """The elements at positions a..b-1; subclasses give bulk versions."""
+        return [self.nth(i) for i in range(a, b)]
 
     def prefix(self, k: int) -> list[Ordinal]:
-        """First k elements; subclasses override with bulk versions."""
-        return [self.nth(i) for i in range(k)]
-
-    def span(self, a: int, b: int) -> list[Ordinal]:
-        """The elements at positions a..b-1, read off the prefix here."""
-        return self.prefix(b)[a:]
+        """The first k elements."""
+        return self.span(0, k)
 
     def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
-        """The elements >= beta before position r, in order, read off the
-        prefix here."""
-        return [p for p in self.prefix(r) if p >= beta]
+        """The elements >= beta before position r, in order."""
+        return [p for p in self.span(0, r) if p >= beta]
+
+    def __contains__(self, x) -> bool:
+        return _as_ord(x) < self.bound
 
 
 class ListOrder(OmegaOrder):
@@ -121,9 +125,9 @@ class PrependOrder(OmegaOrder):
     """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
 
     ``tail`` is the list [lam, lam+1, ...] shared by every order above the
-    same limit lam.  Only ``prefix`` and ``segment`` read it, growing it to
-    m entries; ``rank`` and ``nth`` work on offsets from lam, so a large m
-    costs nothing until a prefix needs the whole tail.
+    same limit lam.  Only ``span`` reads it, growing it to the entries it
+    lists; ``rank`` and ``nth`` work on offsets from lam, so a large m
+    costs nothing until a span needs the tail.
     """
 
     def __init__(self, inner: OmegaOrder, tail: list[Ordinal], m: int):
@@ -136,19 +140,12 @@ class PrependOrder(OmegaOrder):
     def bound(self) -> Ordinal:
         return self.lam.plus(self.m)
 
-    def _offset(self, x: Ordinal) -> int | None:
-        """j with x == lam+j (m when x is lam+w or more); None below lam."""
-        if x < self.lam:
-            return None
-        lam, j = x.split()
-        return j if lam is self.lam else self.m
-
     def rank(self, x) -> int:
         x = _as_ord(x)
-        j = self._offset(x)
-        if j is None:
+        if x < self.lam:
             return self.m + self.inner.rank(x)
-        if j >= self.m:
+        lam, j = x.split()
+        if lam is not self.lam or j >= self.m:
             raise DomainError(f"{x} is not below {self.bound}")
         return self.m - 1 - j
 
@@ -159,19 +156,10 @@ class PrependOrder(OmegaOrder):
             return self.lam.plus(self.m - 1 - k)
         return self.inner.nth(k - self.m)
 
-    def prefix(self, k: int) -> list[Ordinal]:
-        m, tail = self.m, _grown(self._tail, self.m)
-        if k <= m:
-            return tail[m - k:m][::-1]
-        return tail[m - 1::-1] + self.inner.prefix(k - m)
-
-    def segment(self, j: int) -> list[Ordinal]:
-        """The tail points lam+j .. lam+m-1, increasing."""
-        return _grown(self._tail, self.m)[j:self.m]
-
-    def __contains__(self, x) -> bool:
-        j = self._offset(_as_ord(x))
-        return j is None or j < self.m
+    def span(self, a: int, b: int) -> list[Ordinal]:
+        m = self.m
+        got = _grown(self._tail, m - a)[max(m - b, 0):m - a][::-1] if a < m else []
+        return got + self.inner.span(max(a - m, 0), b - m) if b > m else got
 
 
 class BlockOrder(OmegaOrder):
@@ -247,13 +235,10 @@ class BlockOrder(OmegaOrder):
             self._next_block()
         return self._seq[k]
 
-    def prefix(self, k: int) -> list[Ordinal]:
-        while len(self._seq) < k:
+    def span(self, a: int, b: int) -> list[Ordinal]:
+        while len(self._seq) < b:
             self._next_block()
-        return self._seq[:k]
-
-    def __contains__(self, x) -> bool:
-        return _as_ord(x) < self.eta
+        return self._seq[a:b]
 
 
 class Orders:
@@ -338,7 +323,6 @@ class Tower(Orders):
         the segment [lam, alpha).
         """
         alpha = self._check(alpha)
-        o = self._order_at(alpha)
         a = [_as_ord(x) for x in a]
         for x in a:
             if not x < alpha:
@@ -349,7 +333,7 @@ class Tower(Orders):
         if below:  # the shortest stage at lam covering them
             blocks = self._order_at(lam)
             points = sorted(blocks._seq[:blocks.cover(below)], key=ORD_KEY)
-        return tuple(points + o.segment(0) if m else points)  # the tail lies above them
+        return tuple(points + self._tail(lam, m)[:m] if m else points)  # the tail lies above them
 
     def blocks(self, eta, n: int) -> OrdinalSet:
         """The n-th closure block S_n of the chain at the limit eta."""

@@ -45,6 +45,9 @@ _PINS = {
     "tower rank --alpha w+1 w --output json": "929801171b69a4b1",
     "tower nth --alpha w*2 5": "7576410f3b85c88e",
     "tower nth --alpha w*2 5 --output json": "926f7110cec296f6",
+    # error: domain: rank index must be >= 0, got -1
+    "tower nth --alpha 0 -1": "116f309d645947e8",
+    "tower nth --alpha w+3 -1": "116f309d645947e8",
     "tower close --alpha w 2,5": "8efad31039a6a36a",
     "tower close --alpha w 2,5 --output json": "2b010fbfbf5dc7f8",
     "tower close --alpha w ''": "d15324a4af6e9afb",

@@ -307,6 +307,15 @@ def test_adjust_one_hand_example():
     assert [got.rank(k) for k in range(5)] == [0, 1, 2, 3, 4]
 
 
+def test_adjust_one_reads_int_certificate_points_as_ordinals():
+    # a certificate made with int points adjusts like one made with ordinals
+    inner, outer = ListOrder([1, 0]), ListOrder([0, 1, 2])
+    for points in [(0,), [0], [ordinal(0)]]:
+        got = adjust_one(inner, outer, ExceptionCert(lower=W, upper=W, points=points))
+        assert strs(got.prefix(3)) == ["1", "0", "2"]
+    assert ExceptionCert(lower=W, upper=W, points=(3, 0, 3)).points == (ordinal(0), ordinal(3))
+
+
 @st.composite
 def adjust_cases(draw):
     # inner: a permutation of 0..n-1; outer: those points and up to 3 more,
@@ -363,6 +372,46 @@ def test_adjusted_order_extends_inner(orders, p):
 def test_list_order_duplicates():
     with pytest.raises(DomainError):
         ListOrder([1, 1])
+
+
+def _order_of_each_class(name):
+    """A fresh order of each OmegaOrder class, the limit orders in both phases."""
+    tower, aa = Tower(), AAOrders()
+    return {
+        "list": lambda: ListOrder([3, 0, W, 2, 1]),
+        "prepend": lambda: tower.order(parse_ordinal("w*2+5")),
+        "block": lambda: tower.order(parse_ordinal("w*3")),
+        "canonical": CanonicalOmega,
+        "run": lambda: aa.order(parse_ordinal("w*2")),
+        "filter": lambda: aa.order(parse_ordinal("w^2")),
+        "aa-prepend": lambda: aa.order(parse_ordinal("w^2+3")),
+        "patched": lambda: adjust_one(ListOrder([1, 0]), aa.order(parse_ordinal("w*2")), [0]),
+    }[name]()
+
+
+_PROBES = [0, 4, *map(parse_ordinal, [
+    "0", "4", "w", "w+3", "w+5", "w*2", "w*2+4", "w*2+5", "w*3", "w^2", "w^2+2", "w^2+3", "w^3"])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["list", "prepend", "block", "canonical", "run", "filter",
+                        "aa-prepend", "patched"]),
+       st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60), st.sampled_from(_PROBES)),
+                min_size=1, max_size=4))
+def test_every_order_class_derives_its_reads_from_span_and_bound(name, asks):
+    # span lists nth's points, prefix and above read span, and membership
+    # is x < bound; asked in any order on a fresh order
+    o = _order_of_each_class(name)
+    top = 5 if name == "list" else 61
+    for a, b, x in asks:
+        a, b = sorted((a % top, b % top))
+        assert o.span(a, b) == [o.nth(i) for i in range(a, b)]
+        assert o.prefix(b) == o.span(0, b)
+        assert o.above(parse_ordinal(str(x)), b) == [y for y in o.prefix(b) if y >= x]
+        if o.bound is not None:
+            assert (x in o) == (x < o.bound)
+        else:
+            assert (x in o) == (x in o.prefix(top))
 
 
 @pytest.mark.parametrize("context", [Tower, AAOrders])

@@ -35,14 +35,24 @@ def cnf(ts):
 
 @given(terms.map(cnf), terms.map(cnf), st.integers(1, 400))
 def test_prepend_offsets_are_differences_from_lam(a, x, m):
-    # x = lam+j reads as j; x >= lam+w reads as m, x < lam as None
+    # x = lam+j, j < m, ranks m-1-j; x >= lam+m (lam+w or more too) is not
+    # in the order; x < lam ranks m plus its inner rank
     lam = a.split()[0]
-    o = PrependOrder(ListOrder(()), [lam], m)
+    o = PrependOrder(ListOrder([x] if x < lam else []), [lam], m)
     d = difference(x, lam) if x >= lam else None
-    assert o._offset(x) == (None if d is None else d.natural() if d.is_natural() else m)
-    assert o._offset(add(lam, m // 2)) == m // 2
+    j = None if d is None else d.natural() if d.is_natural() else m
+    assert (x in o) == (j is None or j < m)
+    if j is None:
+        assert o.rank(x) == m
+    elif j < m:
+        assert o.rank(x) == m - 1 - j
+    else:
+        with pytest.raises(DomainError):
+            o.rank(x)
+    assert o.rank(add(lam, m // 2)) == m - 1 - m // 2
     assert o.bound == add(lam, m)
-    assert o.nth(0) == add(lam, m - 1) and o.segment(0) == [add(lam, j) for j in range(m)]
+    assert o.nth(0) == add(lam, m - 1) and o.span(0, m)[::-1] == [add(lam, j) for j in range(m)]
+    assert o.span(m // 2, m) == [add(lam, j) for j in range(m - 1 - m // 2, -1, -1)]
 
 
 def test_rank_finite(tower):
@@ -250,10 +260,13 @@ def test_growth_builds_no_order_per_chain_point():
     assert len(t._orders) <= 12
     for lam, tail in t._tails.items():
         assert tail == [lam.plus(j) for j in range(len(tail))]
-    # a successor order is built on demand, over the same tail
+    # a successor order is built on demand, over the same tail; a closure
+    # there reads the tail without building it
+    assert t.close(p("w*3+40"), []) == tuple(t._tails[p("w*3")][:40])
+    assert p("w*3+40") not in t._orders
     o = t.order(p("w*3+40"))
     assert isinstance(o, PrependOrder) and o._tail is t._tails[p("w*3")]
-    assert o.segment(0) == t._tails[p("w*3")][:40]
+    assert o.span(0, 40)[::-1] == t._tails[p("w*3")][:40]
 
 
 def test_growth_over_tails_grown_by_successor_orders():
