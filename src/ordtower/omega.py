@@ -35,9 +35,11 @@ is the previous one plus 1, since fund_seq(P + w*c, n) = P + w*(c-1) + n,
 and that step certifies no point.  So after its first stage at an
 unadjusted lam+m, such an order is fixed by lam's order and one offset:
 it is in its run phase, where a stage is listed only when its block is
-asked for, and ranks, points and spans come from a formula over one int
-array of stage ends, read from lam's ranks of the naturals (see
-``LimitOrder``).  Its later stages build no order and no stage record.
+asked for, and ranks, points and spans come from a formula over two
+int arrays grown together: lam's ranks of the naturals and the stage
+ends they give.  A rank bisects the first, a position the second, each
+with the C ``bisect_right`` and no key (see ``LimitOrder``).  Its later
+stages build no order and no stage record.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -125,13 +127,14 @@ class LimitOrder(BlockOrder):
     (``_c``, and s is ``_s``).  With I = lam's order (``_inner``) and
     q(n) = I.rank(n), stage i lists the tail point lam+(i-1+c), then I's
     positions q(i-1)..q(i)-1, I-position qx at i+c+qx; it ends at
-    e(i) = i+c+q(i), and the one memo ``_run_ends``, an int array of one
-    machine word a stage, holds e(0), e(1), ...  So lam+j sits at e(j-c),
-    a natural n at e(n)+1, and any other x < lam not listed before stage
-    s at i+c+I.rank(x), i the least stage with q(i) > I.rank(x); ``nth``
-    bisects the ends.  A run stage is listed only when ``ensure_blocks``
-    asks for its block; the memo grows one stage at a time, with the same
-    ceiling as listing.
+    e(i) = i+c+q(i).  Two int arrays of one machine word a stage hold
+    q(0), q(1), ... (``_run_ranks``) and e(0), e(1), ... (``_run_ends``).
+    So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
+    not listed before stage s at i+c+I.rank(x), i the least stage with
+    q(i) > I.rank(x): ``bisect_right`` on q.  ``nth`` and ``span`` find
+    a position's stage by ``bisect_right`` on e.  A run stage is listed
+    only when ``ensure_blocks`` asks for its block; the arrays grow one
+    stage at a time, with the same ceiling as listing.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
@@ -139,15 +142,16 @@ class LimitOrder(BlockOrder):
         self.ctx = ctx
         self._inner: OmegaOrder | None = None  # lam's order, in the run phase
         self._c = self._s = 0  # m_i - i in the run phase, and its first stage
-        self._run_ends = array("q")
+        self._run_ranks = array("q")  # q(0), q(1), ...
+        self._run_ends = array("q")  # e(0), e(1), ...
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
         inner, c = self._inner, self._c
         if inner is not None:  # a run stage, listed for its block
-            e = self._grown(i)
-            self.list_block([inner.bound.plus(i - 1 + c),
-                             *inner.span(e[i - 1] - (i - 1) - c, e[i] - i - c)])
+            self._grown(i)
+            q = self._run_ranks
+            self.list_block([inner.bound.plus(i - 1 + c), *inner.span(q[i - 1], q[i])])
             return
         if not i:  # omega's order has nothing before 0
             self.append_block([])
@@ -161,21 +165,24 @@ class LimitOrder(BlockOrder):
         if m and not cert:  # only a shape-A chain has successors: stage i+1 on are runs
             inner, c = self.ctx._order_at(lam), m - i
             self._inner, self._c, self._s = inner, c, i + 1
-            self._run_ends = array("q", [n + c + inner.rank(ordinal(n)) for n in range(i + 1)])
+            q = self._run_ranks = array("q", [inner.rank(ordinal(n)) for n in range(i + 1)])
+            self._run_ends = array("q", [n + c + r for n, r in enumerate(q)])
 
     def _grown(self, n: int) -> array:
-        """The memo of stage ends through stage n, each stage after the
-        ceiling check that listing it would make."""
-        e, inner, c = self._run_ends, self._inner, self._c
+        """The stage ends through stage n, each stage after the ceiling
+        check that listing it would make; q grows with them."""
+        e, q, inner, c = self._run_ends, self._run_ranks, self._inner, self._c
         while len(e) <= n:
             t = len(e)
             if t >= tower.CEILING:
                 raise IterationCeilingError(
                     f"block construction at {self.eta} exceeded {tower.CEILING} stages")
             if _runs(inner) and t >= inner._s - 1:  # I lists t at its run stage t+1
-                e.append(t + c + 1 + inner._grown(t + 1)[t])
+                r = inner._grown(t + 1)[t] + 1
             else:
-                e.append(t + c + inner.rank(ordinal(t)))
+                r = inner.rank(ordinal(t))
+            q.append(r)
+            e.append(t + c + r)
         return e
 
     def _stage_at(self, k: int) -> int:
@@ -195,7 +202,7 @@ class LimitOrder(BlockOrder):
         got = self._ranks.get(x)
         if got is not None or self._inner is None:
             return got
-        inner, e, c = self._inner, self._run_ends, self._c
+        inner, c = self._inner, self._c
         if x.is_natural():  # n is listed at stage n+1, after its tail point
             n = x.natural()
             return self._grown(n + 1)[n] + 1
@@ -204,10 +211,10 @@ class LimitOrder(BlockOrder):
             return self._grown(j + 1)[j]
         # I's rank comes first, so a ceiling met there names I, as listing would
         qx = inner._peek(x) if _runs(inner) else inner.rank(x)
-        while e[-1] - len(e) + 1 - c <= qx:  # until q(i) > qx
-            self._grown(len(e))
-        i = bisect_right(range(len(e)), qx, key=lambda i: e[i] - i - c)
-        return i + c + qx
+        q = self._run_ranks
+        while q[-1] <= qx:  # until the least i with q(i) > qx is held
+            self._grown(len(q))
+        return bisect_right(q, qx) + c + qx
 
     def nth(self, k: int) -> Ordinal:
         if k < 0:

@@ -314,14 +314,19 @@ def fund_seq(lam, n: int) -> Ordinal:
 # w*k takes k).
 
 CEILING = 20000  # the one work bound: descent steps, and blocks per limit's order
-_enum_answers: dict = {}  # eta -> {n: enum_below(eta, n)}, made at eta's first answer
+# limit lam -> {n: enum_below(lam, n)}, made at lam's first answer; a
+# successor lam + m reads lam's dict, so no successor is a key
+_enum_answers: dict = {}
 
 
 def enum_below(eta, n: int) -> Ordinal:
     """n-th value of the canonical enumeration of {gamma < eta}.
 
     Surjective onto the predecessors of eta; injective unless eta is a
-    finite ordinal (indices past eta-1 then repeat 0).
+    finite ordinal (indices past eta-1 then repeat 0).  At eta = lam + m
+    the top points lam+m-1, ..., lam are answered by arithmetic, and an
+    index n >= m is lam's index n - m, reached by the same descent steps;
+    so answers are memoized per limit, and a ceiling error names eta.
     """
     eta = _as_ord(eta)
     memo = _enum_answers.get(eta)
@@ -333,7 +338,19 @@ def enum_below(eta, n: int) -> Ordinal:
         raise DomainError(f"index must be >= 0, got {n}")
     if eta.is_zero():
         raise DomainError("enum_below requires eta > 0")
-    base, (lam, m), j, steps = ZERO, eta.split(), n, 0
+    top, m = eta.split()
+    if n < m:
+        return top.plus(m - 1 - n)
+    if top is ZERO:
+        return ZERO
+    if m:  # a successor: top's answer at n - m
+        n -= m
+        memo = _enum_answers.get(top)
+        if memo is not None:
+            got = memo.get(n)
+            if got is not None:
+                return got
+    base, lam, m, j, steps = ZERO, top, 0, n, 0
     while j >= m and lam is not ZERO:  # base + enum_below(lam + m, j) is the answer
         if steps == CEILING:
             raise _ceiling(eta)
@@ -341,7 +358,7 @@ def enum_below(eta, n: int) -> Ordinal:
         start, lam, m, j = _position(lam, j - m)
         base = add(base, start)
     if memo is None:
-        memo = _enum_answers[eta] = {}
+        memo = _enum_answers[top] = {}
     got = memo[n] = add(base, lam.plus(m - 1 - j)) if j < m else base
     return got
 
@@ -372,42 +389,52 @@ def _position(eta: Ordinal, n: int) -> tuple:
 
 def enum_prefix(eta, n: int) -> list:
     """First n enumeration values of {gamma < eta} as a list: the list, or
-    the first error, of [enum_below(eta, i) for i in range(n)].  The answers
-    go into enum_below's memo, and a prefix it holds whole is read from it."""
+    the first error, of [enum_below(eta, i) for i in range(n)].  As there,
+    the top points of eta = lam + m come by arithmetic and the rest is
+    lam's prefix, which goes into enum_below's memo under lam and is read
+    from it when the memo holds it whole."""
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
     if not n:
         return []
     eta = _as_ord(eta)
-    memo = _enum_answers.get(eta)
+    if eta.is_zero():
+        raise DomainError("enum_below requires eta > 0")
+    lam, m = eta.split()
+    got = list(map(lam.plus, range(m - 1, max(m - n, 0) - 1, -1)))
+    n -= m
+    if n <= 0:
+        return got
+    if lam is ZERO:
+        return got + [ZERO] * n
+    memo = _enum_answers.get(lam)
     if memo is not None:
-        got = []
+        rest = []
         for i in range(n):
             x = memo.get(i)
             if x is None:
                 break
-            got.append(x)
+            rest.append(x)
         else:
-            return got
-    if eta.is_zero():
-        raise DomainError("enum_below requires eta > 0")
-    got = _prefix(eta, n)
+            return got + rest
+    rest = _prefix(lam, n, eta)
     if memo is None:
-        memo = _enum_answers[eta] = {}
-    memo.update(enumerate(got))
-    return got
+        memo = _enum_answers[lam] = {}
+    memo.update(enumerate(rest))
+    return got + rest
 
 
-def _prefix(eta: Ordinal, n: int) -> list:
-    """enum_prefix(eta, n) for eta, n > 0: enum_below's descent for each
-    index, stopped at the first state an earlier index has already taken
-    down.  Blocks of one length share their states, so each (limit, offset)
-    descends once per call.  Each state keeps its count of descent steps, so
-    the call fails exactly when enum_below would, at the same index."""
+def _prefix(top: Ordinal, n: int, eta: Ordinal) -> list:
+    """enum_prefix(top, n) for a limit top and n > 0, failing with eta's
+    ceiling error: enum_below's descent for each index, stopped at the
+    first state an earlier index has already taken down.  Blocks of one
+    length share their states, so each (limit, offset) descends once per
+    call.  Each state keeps its count of descent steps, so the call fails
+    exactly when enum_below would, at the same index."""
     memo = {}  # (lam, m, j) -> (enum_below(lam + m, j), its descent steps)
-    got, top = [], eta.split()
+    got = []
     for i in range(n):
-        path, (lam, m), j, hit = [], top, i, None
+        path, lam, m, j, hit = [], top, 0, i, None
         while j >= m and lam is not ZERO and hit is None:
             if len(path) == CEILING:
                 raise _ceiling(eta)

@@ -36,6 +36,13 @@ _PINS = {
     "ord enum w+2 --count 3 --output json": "13df01eba5071894",
     "ord enum w+2 --count 0": "b0efbbc43054beee",
     "ord enum w+2 --count 0 --output json": "52b63d0da4a4e988",
+    # a successor's top points answer at any depth: w*20001, then three lines
+    "ord enum 'w*20001+3' 2": "6e09dc466f0a4bd6",
+    "ord enum 'w*20001+3' --count 3": "58c3671a7d2a0028",
+    # below them the ceiling names the eta asked for, not its limit: error:
+    # ceiling: enumeration below w*20001+3 exceeded 20000 descent steps
+    "ord enum 'w*20001+3' 3": "2b07545b7355f530",
+    "ord enum 'w*20001+3' --count 4": "2b07545b7355f530",
     "ord parse w^1*1+0": "f574e3717c34074b",
     "ord parse w^1*1+0 --output json": "3044b3bb1bdb110c",
     "ord fund 1 1": "cdb265b9f4fae44c",

@@ -508,9 +508,10 @@ def test_run_ranks_match_filter_positions(p):
     assert len(runs) > 10
     for o in runs:  # the run phase starts after the first successor stage
         assert len(o._ends) - 1 == o._s <= 3
-        q = [e - n - o._c for n, e in enumerate(o._run_ends)]
+        q = list(o._run_ranks)  # bisected by _peek; the ends by _stage_at
         assert q == [o._inner.rank(ordinal(n)) for n in range(len(q))]
-        assert all(a <= b for a, b in zip(q, q[1:]))
+        assert list(o._run_ends) == [n + o._c + r for n, r in enumerate(q)]
+        assert all(a < b for a, b in zip(q, q[1:]))
     # past the reference's blocks: rank and nth invert each other
     for eta in limits:
         o = orders.order(eta)
@@ -607,9 +608,10 @@ print(tracemalloc.get_traced_memory()[0])
 
 
 def test_aa_suite_keeps_under_4_2_mib():
-    # what the aa suite leaves built, measured in a fresh process: 3.6 MiB
-    # (3.7 on Python 3.10) with run ends as an int array, superseded chain
-    # orders released and one enumeration dict per limit; 4.6 MiB with a
+    # what the aa suite leaves built, measured in a fresh process: 3.5 MiB
+    # with run ends and inner ranks as int arrays, superseded chain orders
+    # released and enumeration answers kept under limits only; 3.6 MiB
+    # (3.7 on Python 3.10) with one dict per eta; 4.6 MiB with a
     # list, every chain order kept and a tuple key per answer; 11.9 MiB
     # when every run point was listed
     r = subprocess.run([sys.executable, "-c", _TRACE_AA_SUITE],

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from itertools import count, islice
 
@@ -470,6 +472,61 @@ def test_enum_prefix_reads_a_whole_prefix_from_the_memo(monkeypatch):
     assert enum_prefix(eta, 50) == want and enum_prefix(eta, 20) == want[:20]
     with pytest.raises(TypeError):
         enum_prefix(eta, 51)
+
+
+_LIMITS_BELOW_W3 = sorted({x for x in ENUM_ETAS if x.is_limit() and x < p("w^3")}
+                          | {p(e) for e in SHAPE_ETAS if p(e) < p("w^3")})
+
+
+@given(st.sampled_from(_LIMITS_BELOW_W3), st.integers(0, 6), st.integers(0, 120),
+       st.sampled_from([None, 3, 40]))
+def test_successor_enumeration_is_its_top_points_then_its_limit(lam, m, n, ceiling):
+    # below lam + m: the top points by arithmetic, then lam's enumeration
+    # with the same descent steps, so a ceiling error differs only in the
+    # eta it names; every answer is memoized under a limit
+    from ordtower import ordinals
+
+    eta, old = lam.plus(m), ordinals.CEILING
+    if ceiling is not None:
+        ordinals.CEILING = ceiling
+    try:
+        ordinals._enum_answers.clear()
+        if n < m:
+            want = p(f"{lam}+{m - 1 - n}") if m - 1 - n else lam
+        else:
+            want = _listed_or_error(enum_below, lam, n - m)
+            if isinstance(want, tuple):
+                want = want[0], want[1].replace(f"below {lam} ", f"below {eta} ")
+        ordinals._enum_answers.clear()
+        assert _listed_or_error(enum_below, eta, n) == want
+        by_index = _listed_or_error(_prefix_by_index, eta, n)
+        ordinals._enum_answers.clear()
+        assert _listed_or_error(enum_prefix, eta, n) == by_index
+        assert all(key.is_limit() for key in ordinals._enum_answers)
+    finally:
+        ordinals.CEILING = old
+        ordinals._enum_answers.clear()
+
+
+_VERIFY_ALL_MEMO = """
+import contextlib, io
+from ordtower import cli, ordinals
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run(["verify", "all", "--seed", "1"])
+memo = ordinals._enum_answers
+print(all(eta.is_limit() for eta in memo), sum(map(len, memo.values())))
+"""
+
+
+def test_verify_all_keeps_its_enumeration_memo_small():
+    # in a fresh process, verify all --seed 1 leaves 3,307 answers under 32
+    # limits; 9,800 under 102 keys when each successor had its own dict
+    r = subprocess.run([sys.executable, "-c", _VERIFY_ALL_MEMO],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    limits_only, entries = r.stdout.split()
+    assert limits_only == "True"
+    assert int(entries) < 3500
 
 
 def test_long_prefix_descends_each_state_once(monkeypatch):
