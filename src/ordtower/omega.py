@@ -54,7 +54,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import DomainError, IterationCeilingError
-from .ordinals import ORD_KEY, Ordinal, W, enum_below, ordinal, oset, _as_ord
+from .ordinals import ORD_KEY, Ordinal, W, enum_below, ordinal, oset
 from .rng import Lcg
 from . import tower
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
@@ -65,15 +65,10 @@ _POOL = 60  # verify_exception samples pairs of this many candidate points
 class CanonicalOmega(OmegaOrder):
     bound = W
 
-    def rank(self, x) -> int:
-        x = _as_ord(x)
-        if not x.is_natural():
-            raise DomainError(f"{x} is not below w")
+    def _rank(self, x: Ordinal) -> int:
         return x.natural()
 
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
+    def _nth(self, k: int) -> Ordinal:
         return ordinal(k)
 
     def span(self, a: int, b: int) -> list[Ordinal]:
@@ -94,15 +89,12 @@ class PatchedOrder(OmegaOrder):
         self.head = head
         self._ranks = {x: i for i, x in enumerate(head)}
 
-    def rank(self, x) -> int:
-        x = _as_ord(x)
+    def _rank(self, x: Ordinal) -> int:
         got = self._ranks.get(x)
-        return got if got is not None else self.outer.rank(x)
+        return got if got is not None else self.outer._rank(x)
 
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
-        return self.head[k] if k < len(self.head) else self.outer.nth(k)
+    def _nth(self, k: int) -> Ordinal:
+        return self.head[k] if k < len(self.head) else self.outer._nth(k)
 
     def span(self, a: int, b: int) -> list[Ordinal]:
         n = len(self.head)
@@ -114,8 +106,8 @@ class PatchedOrder(OmegaOrder):
         got = [p for p in self.head[:r] if p >= beta]
         return got + self.outer.above(beta, r)[len(got):] if r > len(self.head) else got
 
-    def __contains__(self, x) -> bool:  # the outer order may be explicit, with no bound
-        return _as_ord(x) in self.outer
+    def _has(self, x: Ordinal) -> bool:  # the outer order may be explicit, with no bound
+        return self.outer._has(x)
 
 
 class LimitOrder(BlockOrder):
@@ -131,7 +123,7 @@ class LimitOrder(BlockOrder):
     q(0), q(1), ... (``_run_ranks``) and e(0), e(1), ... (``_run_ends``).
     So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
     not listed before stage s at i+c+I.rank(x), i the least stage with
-    q(i) > I.rank(x): ``bisect_right`` on q.  ``nth`` and ``span`` find
+    q(i) > I.rank(x): ``bisect_right`` on q.  ``_nth`` and ``span`` find
     a position's stage by ``bisect_right`` on e.  A run stage is listed
     only when ``ensure_blocks`` asks for its block; the arrays grow one
     stage at a time, with the same ceiling as listing.
@@ -158,14 +150,14 @@ class LimitOrder(BlockOrder):
             return
         # the points >= alpha_{i-1} before i-1, then those from i-1 to i
         oi, stages = self.ctx.chain_order(self.eta, i), self.ctx._chain_orders[self.eta]
-        r1, r = oi.rank(ordinal(i - 1)), oi.rank(ordinal(i))
+        r1, r = oi._rank(ordinal(i - 1)), oi._rank(ordinal(i))
         self.append_block(oi.above(stages[i - 1][1], r1) + oi.span(r1, r))
         _, alpha, cert, _ = stages[i]
         lam, m = alpha.split()
         if m and not cert:  # only a shape-A chain has successors: stage i+1 on are runs
             inner, c = self.ctx._order_at(lam), m - i
             self._inner, self._c, self._s = inner, c, i + 1
-            q = self._run_ranks = array("q", [inner.rank(ordinal(n)) for n in range(i + 1)])
+            q = self._run_ranks = array("q", [inner._rank(ordinal(n)) for n in range(i + 1)])
             self._run_ends = array("q", [n + c + r for n, r in enumerate(q)])
 
     def _grown(self, n: int) -> array:
@@ -180,7 +172,7 @@ class LimitOrder(BlockOrder):
             if _runs(inner) and t >= inner._s - 1:  # I lists t at its run stage t+1
                 r = inner._grown(t + 1)[t] + 1
             else:
-                r = inner.rank(ordinal(t))
+                r = inner._rank(ordinal(t))
             q.append(r)
             e.append(t + c + r)
         return e
@@ -210,21 +202,19 @@ class LimitOrder(BlockOrder):
             j = x.split()[1] - c
             return self._grown(j + 1)[j]
         # I's rank comes first, so a ceiling met there names I, as listing would
-        qx = inner._peek(x) if _runs(inner) else inner.rank(x)
+        qx = inner._peek(x) if _runs(inner) else inner._rank(x)
         q = self._run_ranks
         while q[-1] <= qx:  # until the least i with q(i) > qx is held
             self._grown(len(q))
         return bisect_right(q, qx) + c + qx
 
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
+    def _nth(self, k: int) -> Ordinal:
         if k < self._listed(k + 1):
             return self._seq[k]
         i, c = self._stage_at(k), self._c
         if k == self._run_ends[i - 1]:
             return self._inner.bound.plus(i - 1 + c)
-        return self._inner.nth(k - i - c)
+        return self._inner._nth(k - i - c)
 
     def span(self, a: int, b: int) -> list[Ordinal]:
         # stage by stage: its tail point, then a span of I, one frame deeper
@@ -348,10 +338,10 @@ class AAOrders(Orders):
 
     def limit_blocks(self, eta, n: int) -> list[tuple[Ordinal, ...]]:
         """First n blocks b_0..b_{n-1} of the limit construction at eta."""
-        o = self._order_at(self._check(eta))
-        if not isinstance(o, LimitOrder):
+        eta = self._check(eta)
+        if not eta.is_limit() or eta is W:  # w's order is the canonical one
             raise DomainError(f"{eta} is not a limit above w")
-        seq, ends = o.ensure_blocks(n), o._ends
+        seq, ends = self._blocks(eta, n)
         return [tuple(seq[ends[i]:ends[i + 1]]) for i in range(n)]
 
     # -- the adjusted chain ---------------------------------------------------

@@ -329,11 +329,6 @@ def enum_below(eta, n: int) -> Ordinal:
     so answers are memoized per limit, and a ceiling error names eta.
     """
     eta = _as_ord(eta)
-    memo = _enum_answers.get(eta)
-    if memo is not None:
-        got = memo.get(n)
-        if got is not None:
-            return got
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     if eta.is_zero():
@@ -343,13 +338,10 @@ def enum_below(eta, n: int) -> Ordinal:
         return top.plus(m - 1 - n)
     if top is ZERO:
         return ZERO
-    if m:  # a successor: top's answer at n - m
-        n -= m
-        memo = _enum_answers.get(top)
-        if memo is not None:
-            got = memo.get(n)
-            if got is not None:
-                return got
+    n -= m  # top's answer at n - m
+    memo = _enum_answers.get(top)
+    if memo is not None and (got := memo.get(n)) is not None:
+        return got
     base, lam, m, j, steps = ZERO, top, 0, n, 0
     while j >= m and lam is not ZERO:  # base + enum_below(lam + m, j) is the answer
         if steps == CEILING:

@@ -38,8 +38,9 @@ both layers; a subclass supplies only a limit's order: ``Tower`` the
 closure step above, ``omega.AAOrders`` the adjusted chain.  ``rank`` and
 ``nth`` are total and inverse on {gamma < alpha}, with the same domain
 errors in both layers; the ``turnstile`` relation compares ranks and is
-the closure notion used by the family layer.  Blocks are only
-published once fully computed.
+the closure notion used by the family layer.  Public reads check their
+input once; past that, orders read each other through the trusted
+``_rank``/``_nth``.  Blocks are only published once fully computed.
 """
 
 from __future__ import annotations
@@ -68,22 +69,30 @@ OrdinalSet = tuple[Ordinal, ...]
 class OmegaOrder:
     """A well-order of type omega given by a computable rank function.
 
-    A subclass gives ``rank``, ``nth``, ``span`` (by ``nth`` here) and
-    ``bound``; ``prefix``, ``above`` and ``x in o`` (x < bound) derive from
-    them.  An explicit order has no bound and tests membership itself.
+    ``rank``, ``nth`` and ``x in o`` check their input once.  A subclass
+    gives ``bound`` and the trusted reads that orders make of each other:
+    ``_rank`` of an Ordinal in the order, ``_nth`` of a k >= 0, and ``_has``
+    (x < bound here; an explicit order has no bound).  ``span`` (by ``_nth``
+    here), ``prefix`` and ``above`` derive from them.
     """
 
     bound: Ordinal | None = None
 
     def rank(self, x) -> int:
-        raise NotImplementedError
+        x = _as_ord(x)
+        if not self._has(x):
+            raise DomainError(f"{x} is not in this order" if self.bound is None
+                              else f"{x} is not below {self.bound}")
+        return self._rank(x)
 
     def nth(self, k: int) -> Ordinal:
-        raise NotImplementedError
+        if k < 0:
+            raise DomainError(f"rank index must be >= 0, got {k}")
+        return self._nth(k)
 
     def span(self, a: int, b: int) -> list[Ordinal]:
         """The elements at positions a..b-1; subclasses give bulk versions."""
-        return [self.nth(i) for i in range(a, b)]
+        return [self._nth(i) for i in range(a, b)]
 
     def prefix(self, k: int) -> list[Ordinal]:
         """The first k elements."""
@@ -94,7 +103,10 @@ class OmegaOrder:
         return [p for p in self.span(0, r) if p >= beta]
 
     def __contains__(self, x) -> bool:
-        return _as_ord(x) < self.bound
+        return self._has(_as_ord(x))
+
+    def _has(self, x: Ordinal) -> bool:
+        return x < self.bound
 
 
 class ListOrder(OmegaOrder):
@@ -106,19 +118,16 @@ class ListOrder(OmegaOrder):
         if len(self._ranks) != len(self.elements):
             raise DomainError("explicit order has duplicate elements")
 
-    def rank(self, x) -> int:
-        x = _as_ord(x)
-        if x not in self._ranks:
-            raise DomainError(f"{x} is not in this order")
+    def _rank(self, x: Ordinal) -> int:
         return self._ranks[x]
 
-    def nth(self, k: int) -> Ordinal:
-        if not 0 <= k < len(self.elements):
+    def _nth(self, k: int) -> Ordinal:
+        if k >= len(self.elements):
             raise DomainError(f"rank {k} out of range")
         return self.elements[k]
 
-    def __contains__(self, x) -> bool:
-        return _as_ord(x) in self._ranks
+    def _has(self, x: Ordinal) -> bool:
+        return x in self._ranks
 
 
 class PrependOrder(OmegaOrder):
@@ -126,7 +135,7 @@ class PrependOrder(OmegaOrder):
 
     ``tail`` is the list [lam, lam+1, ...] shared by every order above the
     same limit lam.  Only ``span`` reads it, growing it to the entries it
-    lists; ``rank`` and ``nth`` work on offsets from lam, so a large m
+    lists; ``_rank`` and ``_nth`` work on offsets from lam, so a large m
     costs nothing until a span needs the tail.
     """
 
@@ -134,27 +143,18 @@ class PrependOrder(OmegaOrder):
         self.inner = inner
         self.lam = tail[0]
         self.m = m
+        self.bound = self.lam.plus(m)
         self._tail = tail
 
-    @property
-    def bound(self) -> Ordinal:
-        return self.lam.plus(self.m)
-
-    def rank(self, x) -> int:
-        x = _as_ord(x)
+    def _rank(self, x: Ordinal) -> int:
         if x < self.lam:
-            return self.m + self.inner.rank(x)
-        lam, j = x.split()
-        if lam is not self.lam or j >= self.m:
-            raise DomainError(f"{x} is not below {self.bound}")
-        return self.m - 1 - j
+            return self.m + self.inner._rank(x)
+        return self.m - 1 - x.split()[1]
 
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
+    def _nth(self, k: int) -> Ordinal:
         if k < self.m:
             return self.lam.plus(self.m - 1 - k)
-        return self.inner.nth(k - self.m)
+        return self.inner._nth(k - self.m)
 
     def span(self, a: int, b: int) -> list[Ordinal]:
         m = self.m
@@ -211,26 +211,18 @@ class BlockOrder(OmegaOrder):
 
     def cover(self, xs) -> int:
         """Length of the shortest block prefix listing every x in xs."""
-        top = 1 + max(map(self.rank, xs), default=-1)
+        top = 1 + max(map(self._rank, xs), default=-1)
         return self._ends[bisect_left(self._ends, top)]
 
     def _peek(self, x: Ordinal) -> int | None:
         return self._ranks.get(x)
 
-    def rank(self, x) -> int:
-        x = _as_ord(x)
-        got = self._ranks.get(x)
-        if got is not None:  # placed points lie below eta
-            return got
-        if not x < self.eta:
-            raise DomainError(f"{x} is not below {self.eta}")
+    def _rank(self, x: Ordinal) -> int:
         while (got := self._peek(x)) is None:
             self._next_block()
         return got
 
-    def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
+    def _nth(self, k: int) -> Ordinal:
         while len(self._seq) <= k:
             self._next_block()
         return self._seq[k]
@@ -274,12 +266,19 @@ class Orders:
         """The list [lam, lam+1, ...] shared by the orders above lam, m long or more."""
         return _grown(self._tails.setdefault(lam, [lam]), m)
 
+    def _blocks(self, eta: Ordinal, n: int) -> tuple[list[Ordinal], list[int]]:
+        """Blocks 0..n-1 at the limit eta, in order, and the block ends."""
+        if n < 0:
+            raise DomainError(f"block index must be >= 0, got {n}")
+        o = self._order_at(eta)
+        return o.ensure_blocks(n), o._ends
+
     def rank(self, alpha, x) -> int:
         """Position of x in the well-order attached to alpha; requires x < alpha."""
         alpha, x = self._check(alpha), _as_ord(x)
         if not x < alpha:
             raise DomainError(f"rank needs x < alpha, got x={x}, alpha={alpha}")
-        return self._order_at(alpha).rank(x)
+        return self._order_at(alpha)._rank(x)
 
     def nth(self, alpha, k: int) -> Ordinal:
         """Inverse of rank: the element of {gamma < alpha} at position k."""
@@ -288,7 +287,7 @@ class Orders:
             raise DomainError(f"rank index must be >= 0, got {k}")
         if alpha.is_natural() and k >= alpha.natural():
             raise DomainError(f"rank {k} out of range for alpha={alpha}")
-        return self._order_at(alpha).nth(k)
+        return self._order_at(alpha)._nth(k)
 
 
 class Tower(Orders):
@@ -311,7 +310,8 @@ class Tower(Orders):
         alpha, beta, gamma = self._check(alpha), _as_ord(beta), _as_ord(gamma)
         if not (beta < alpha and gamma < alpha):
             return False
-        return self.rank(alpha, gamma) < self.rank(alpha, beta)
+        o = self._order_at(alpha)
+        return o._rank(gamma) < o._rank(beta)
 
     # -- closure -------------------------------------------------------------
 
@@ -340,9 +340,7 @@ class Tower(Orders):
         eta = self._check(eta)
         if not eta.is_limit():
             raise DomainError(f"blocks requires a limit ordinal, got {eta}")
-        if n < 0:
-            raise DomainError(f"block index must be >= 0, got {n}")
-        return tuple(sorted(self._order_at(eta).ensure_blocks(n), key=ORD_KEY))
+        return tuple(sorted(self._blocks(eta, n)[0], key=ORD_KEY))
 
     # -- internals -----------------------------------------------------------
 

@@ -171,6 +171,16 @@ def test_limit_blocks_shape(orders, p):
         orders.limit_blocks(W, 2)
 
 
+def test_limit_blocks_refuses_a_negative_index_like_tower_blocks(orders, p):
+    # one block-index check serves both families, after their limit checks
+    for call in (lambda: orders.limit_blocks(p("w*2"), -1), lambda: Tower().blocks(p("w*2"), -1)):
+        with pytest.raises(DomainError, match="^block index must be >= 0, got -1$"):
+            call()
+    with pytest.raises(DomainError, match="^w\\+3 is not a limit above w$"):
+        orders.limit_blocks(p("w+3"), -1)
+    assert orders.limit_blocks(p("w*2"), 0) == []
+
+
 def test_exception_set_frozen_values(orders, p):
     cases = {
         ("w", "w*2"): [],
@@ -400,9 +410,12 @@ _PROBES = [0, 4, *map(parse_ordinal, [
                 min_size=1, max_size=4))
 def test_every_order_class_derives_its_reads_from_span_and_bound(name, asks):
     # span lists nth's points, prefix and above read span, and membership
-    # is x < bound; asked in any order on a fresh order
+    # is x < bound; asked in any order on a fresh order.  The public rank
+    # and nth are inverse on the order, and refuse what lies outside it
+    # with one message per kind: every bounded class names its bound
     o = _order_of_each_class(name)
     top = 5 if name == "list" else 61
+    outside = "is not in this order" if o.bound is None else f"is not below {o.bound}"
     for a, b, x in asks:
         a, b = sorted((a % top, b % top))
         assert o.span(a, b) == [o.nth(i) for i in range(a, b)]
@@ -412,6 +425,17 @@ def test_every_order_class_derives_its_reads_from_span_and_bound(name, asks):
             assert (x in o) == (x < o.bound)
         else:
             assert (x in o) == (x in o.prefix(top))
+        if x in o:
+            assert o.nth(o.rank(x)) == x
+        else:
+            with pytest.raises(DomainError) as got:
+                o.rank(x)
+            assert str(got.value) == f"{x} {outside}"
+    for bad, message in [(lambda: o.nth(-1), "rank index must be >= 0, got -1"),
+                         (lambda: o.rank(1.5), "not an ordinal: 1.5")]:
+        with pytest.raises(DomainError) as got:
+            bad()
+        assert str(got.value) == message
 
 
 @pytest.mark.parametrize("context", [Tower, AAOrders])

@@ -49,10 +49,10 @@ def nth_late_from_50(m):
 
 
 def tail_upwards(m):
-    # PrependOrder.nth lists lam, lam+1, ... where rank has lam+m-1 first
-    nth = PrependOrder.nth
-    m.setattr(PrependOrder, "nth",
-              lambda self, k: self.lam.plus(k) if 0 <= k < self.m else nth(self, k))
+    # PrependOrder._nth lists lam, lam+1, ... where _rank has lam+m-1 first
+    nth = PrependOrder._nth
+    m.setattr(PrependOrder, "_nth",
+              lambda self, k: self.lam.plus(k) if k < self.m else nth(self, k))
 
 
 def verbose_literals(m):
@@ -182,7 +182,7 @@ def trace_drops_empty(m):
 
 def limit_nth_one_late(m):
     # of the aa checks only aa-order-type asks a limit order for nth
-    m.setattr(LimitOrder, "nth", lambda self, k: BlockOrder.nth(self, k + 1))
+    m.setattr(LimitOrder, "_nth", lambda self, k: BlockOrder._nth(self, k + 1))
 
 
 def swaps_a_pair(m):
