@@ -71,7 +71,7 @@ class CanonicalOmega(OmegaOrder):
     def _nth(self, k: int) -> Ordinal:
         return ordinal(k)
 
-    def span(self, a: int, b: int) -> list[Ordinal]:
+    def _span(self, a: int, b: int) -> list[Ordinal]:
         return list(map(ordinal, range(a, b)))
 
 
@@ -96,9 +96,9 @@ class PatchedOrder(OmegaOrder):
     def _nth(self, k: int) -> Ordinal:
         return self.head[k] if k < len(self.head) else self.outer._nth(k)
 
-    def span(self, a: int, b: int) -> list[Ordinal]:
+    def _span(self, a: int, b: int) -> list[Ordinal]:
         n = len(self.head)
-        return self.head[a:b] + (self.outer.span(max(a, n), b) if b > n else [])
+        return self.head[a:b] + (self.outer._span(max(a, n), b) if b > n else [])
 
     def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
         # the head holds the outer order's first len(head) points, so the
@@ -123,7 +123,7 @@ class LimitOrder(BlockOrder):
     q(0), q(1), ... (``_run_ranks``) and e(0), e(1), ... (``_run_ends``).
     So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
     not listed before stage s at i+c+I.rank(x), i the least stage with
-    q(i) > I.rank(x): ``bisect_right`` on q.  ``_nth`` and ``span`` find
+    q(i) > I.rank(x): ``bisect_right`` on q.  ``_nth`` and ``_span`` find
     a position's stage by ``bisect_right`` on e.  A run stage is listed
     only when ``ensure_blocks`` asks for its block; the arrays grow one
     stage at a time, with the same ceiling as listing.
@@ -143,7 +143,7 @@ class LimitOrder(BlockOrder):
         if inner is not None:  # a run stage, listed for its block
             self._grown(i)
             q = self._run_ranks
-            self.list_block([inner.bound.plus(i - 1 + c), *inner.span(q[i - 1], q[i])])
+            self.list_block([inner.bound.plus(i - 1 + c), *inner._span(q[i - 1], q[i])])
             return
         if not i:  # omega's order has nothing before 0
             self.append_block([])
@@ -151,7 +151,7 @@ class LimitOrder(BlockOrder):
         # the points >= alpha_{i-1} before i-1, then those from i-1 to i
         oi, stages = self.ctx.chain_order(self.eta, i), self.ctx._chain_orders[self.eta]
         r1, r = oi._rank(ordinal(i - 1)), oi._rank(ordinal(i))
-        self.append_block(oi.above(stages[i - 1][1], r1) + oi.span(r1, r))
+        self.append_block(oi.above(stages[i - 1][1], r1) + oi._span(r1, r))
         _, alpha, cert, _ = stages[i]
         lam, m = alpha.split()
         if m and not cert:  # only a shape-A chain has successors: stage i+1 on are runs
@@ -216,7 +216,7 @@ class LimitOrder(BlockOrder):
             return self._inner.bound.plus(i - 1 + c)
         return self._inner._nth(k - i - c)
 
-    def span(self, a: int, b: int) -> list[Ordinal]:
+    def _span(self, a: int, b: int) -> list[Ordinal]:
         # stage by stage: its tail point, then a span of I, one frame deeper
         k = max(a, self._listed(b))
         got = self._seq[a:b]
@@ -230,7 +230,7 @@ class LimitOrder(BlockOrder):
                     k += 1
                 end = min(b, e[i])
                 if k < end:
-                    got += inner.span(k - i - c, end - i - c)
+                    got += inner._span(k - i - c, end - i - c)
                     k = end
                 i += 1
         return got
@@ -425,7 +425,10 @@ class AAOrders(Orders):
         is ranked at most once per order, on first use and in the order
         the samples ask, so the orders grow as with a rank per use.  Once
         every candidate has both ranks and no pair disagrees, no later
-        sample can, so the check ends there, at any sample count."""
+        sample can, so the check ends there, at any sample count.  Ranking
+        the whole pool up front leaves verify's output as it is, but at
+        upper w^3 a call with 0 or 1 samples then recurses past the frame
+        limit where ranking lazily answers."""
         if samples < 0:
             raise DomainError(f"sample count must be >= 0, got {samples}")
         lo = lower_order if lower_order is not None else self.order(cert.lower)

@@ -69,11 +69,11 @@ OrdinalSet = tuple[Ordinal, ...]
 class OmegaOrder:
     """A well-order of type omega given by a computable rank function.
 
-    ``rank``, ``nth`` and ``x in o`` check their input once.  A subclass
-    gives ``bound`` and the trusted reads that orders make of each other:
-    ``_rank`` of an Ordinal in the order, ``_nth`` of a k >= 0, and ``_has``
-    (x < bound here; an explicit order has no bound).  ``span`` (by ``_nth``
-    here), ``prefix`` and ``above`` derive from them.
+    ``rank``, ``nth``, ``span`` and ``x in o`` check their input once.  A
+    subclass gives ``bound`` and the trusted reads that orders make of each
+    other: ``_rank`` of an Ordinal in the order, ``_nth`` of a k >= 0, and
+    ``_has`` (x < bound here; an explicit order has no bound).  ``_span``
+    (by ``_nth`` here), ``prefix`` and ``above`` derive from them.
     """
 
     bound: Ordinal | None = None
@@ -86,12 +86,24 @@ class OmegaOrder:
         return self._rank(x)
 
     def nth(self, k: int) -> Ordinal:
-        if k < 0:
-            raise DomainError(f"rank index must be >= 0, got {k}")
+        self._positions(k, k + 1)
         return self._nth(k)
 
     def span(self, a: int, b: int) -> list[Ordinal]:
-        """The elements at positions a..b-1; subclasses give bulk versions."""
+        """The elements at positions a..b-1."""
+        self._positions(a, b)
+        return self._span(a, b)
+
+    def _positions(self, a: int, b: int) -> None:
+        # refuse a..b-1 unless all are positions: an order of finite type n has 0..n-1
+        if a < 0:
+            raise DomainError(f"rank index must be >= 0, got {a}")
+        n = self.bound.natural() if self.bound is not None and self.bound.is_natural() else b
+        if b > n:
+            raise DomainError(f"rank {max(a, n)} out of range for alpha={self.bound}")
+
+    def _span(self, a: int, b: int) -> list[Ordinal]:
+        # span for 0 <= a, b within the order; subclasses give bulk versions
         return [self._nth(i) for i in range(a, b)]
 
     def prefix(self, k: int) -> list[Ordinal]:
@@ -100,7 +112,7 @@ class OmegaOrder:
 
     def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
         """The elements >= beta before position r, in order."""
-        return [p for p in self.span(0, r) if p >= beta]
+        return [p for p in self._span(0, r) if p >= beta]
 
     def __contains__(self, x) -> bool:
         return self._has(_as_ord(x))
@@ -134,7 +146,7 @@ class PrependOrder(OmegaOrder):
     """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
 
     ``tail`` is the list [lam, lam+1, ...] shared by every order above the
-    same limit lam.  Only ``span`` reads it, growing it to the entries it
+    same limit lam.  Only ``_span`` reads it, growing it to the entries it
     lists; ``_rank`` and ``_nth`` work on offsets from lam, so a large m
     costs nothing until a span needs the tail.
     """
@@ -156,10 +168,10 @@ class PrependOrder(OmegaOrder):
             return self.lam.plus(self.m - 1 - k)
         return self.inner._nth(k - self.m)
 
-    def span(self, a: int, b: int) -> list[Ordinal]:
+    def _span(self, a: int, b: int) -> list[Ordinal]:
         m = self.m
         got = _grown(self._tail, m - a)[max(m - b, 0):m - a][::-1] if a < m else []
-        return got + self.inner.span(max(a - m, 0), b - m) if b > m else got
+        return got + self.inner._span(max(a - m, 0), b - m) if b > m else got
 
 
 class BlockOrder(OmegaOrder):
@@ -226,11 +238,6 @@ class BlockOrder(OmegaOrder):
         while len(self._seq) <= k:
             self._next_block()
         return self._seq[k]
-
-    def span(self, a: int, b: int) -> list[Ordinal]:
-        while len(self._seq) < b:
-            self._next_block()
-        return self._seq[a:b]
 
 
 class Orders:

@@ -164,7 +164,10 @@ def shatter_certificate(sys_: SetSystemWindow, a) -> dict:
 
 
 def cond4_check(a, tower: Tower) -> bool:
-    """Some arrangement (x; y, z) of a 3-set satisfies the ternary relation."""
+    """Some arrangement (x; y, z) of a 3-set satisfies the ternary relation.
+
+    For a < b < c only z = c can hold, and then exactly one of (a; b, c) and
+    (b; a, c) does, so this tests only that c's order ranks a and b apart."""
     pts = oset(a)
     if len(pts) != 3:
         raise DomainError(f"arrangement check needs exactly 3 points, got {len(pts)}")

@@ -289,6 +289,13 @@ def test_deep_enumeration_ends_in_an_error():
                         "exceeded 20000 descent steps\n")
 
 
+def test_closure_past_the_block_ceiling_ends_in_an_error():
+    # close(w^2, [5]) needs more stages at w*14 than the reach ceiling allows
+    r = run("tower", "close", "--alpha", "w^2", "5", timeout=10)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: ceiling: block construction at w*14 exceeded 20000 stages\n"
+
+
 def test_verify_below_a_tiny_bound_ends_in_a_domain_error():
     # at bound 1 every closure apex drawn is 0; the draws are budgeted, so
     # the check stops instead of looping

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordtower import omega
 from ordtower import (
@@ -389,6 +389,7 @@ def _order_of_each_class(name):
     tower, aa = Tower(), AAOrders()
     return {
         "list": lambda: ListOrder([3, 0, W, 2, 1]),
+        "finite": lambda: tower.order(7),
         "prepend": lambda: tower.order(parse_ordinal("w*2+5")),
         "block": lambda: tower.order(parse_ordinal("w*3")),
         "canonical": CanonicalOmega,
@@ -404,17 +405,19 @@ _PROBES = [0, 4, *map(parse_ordinal, [
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["list", "prepend", "block", "canonical", "run", "filter",
+@given(st.sampled_from(["list", "finite", "prepend", "block", "canonical", "run", "filter",
                         "aa-prepend", "patched"]),
        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60), st.sampled_from(_PROBES)),
                 min_size=1, max_size=4))
+@example("finite", [(0, 6, parse_ordinal("4"))])
 def test_every_order_class_derives_its_reads_from_span_and_bound(name, asks):
     # span lists nth's points, prefix and above read span, and membership
     # is x < bound; asked in any order on a fresh order.  The public rank
     # and nth are inverse on the order, and refuse what lies outside it
-    # with one message per kind: every bounded class names its bound
+    # with one message per kind: every bounded class names its bound, and
+    # an order of finite type refuses positions past its end
     o = _order_of_each_class(name)
-    top = 5 if name == "list" else 61
+    top = {"list": 5, "finite": 7}.get(name, 61)
     outside = "is not in this order" if o.bound is None else f"is not below {o.bound}"
     for a, b, x in asks:
         a, b = sorted((a % top, b % top))
@@ -431,10 +434,15 @@ def test_every_order_class_derives_its_reads_from_span_and_bound(name, asks):
             with pytest.raises(DomainError) as got:
                 o.rank(x)
             assert str(got.value) == f"{x} {outside}"
-    for bad, message in [(lambda: o.nth(-1), "rank index must be >= 0, got -1"),
-                         (lambda: o.rank(1.5), "not an ordinal: 1.5")]:
+    bad = [(lambda: o.nth(-1), "rank index must be >= 0, got -1"),
+           (lambda: o.span(-1, 3), "rank index must be >= 0, got -1"),
+           (lambda: o.rank(1.5), "not an ordinal: 1.5")]
+    if name == "finite":
+        bad += [(lambda: o.nth(8), "rank 8 out of range for alpha=7"),
+                (lambda: o.span(0, 8), "rank 7 out of range for alpha=7")]
+    for ask, message in bad:
         with pytest.raises(DomainError) as got:
-            bad()
+            ask()
         assert str(got.value) == message
 
 
@@ -623,10 +631,11 @@ def test_planted_certificate_sends_a_shape_a_chain_through_adjust(p, monkeypatch
 _TRACE_AA_SUITE = """
 import tracemalloc
 from ordtower.omega import AAOrders
-from ordtower.verify import VerifyConfig, suite_aa
+from ordtower.verify import SUITES, VerifyConfig
 tracemalloc.start()
 ctx = AAOrders()
-suite_aa(VerifyConfig(seed=1), ctx)
+for check in SUITES["aa"]:
+    check(VerifyConfig(seed=1), ctx)
 print(tracemalloc.get_traced_memory()[0])
 """
 
