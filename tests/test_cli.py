@@ -305,6 +305,45 @@ def test_verify_below_a_tiny_bound_ends_in_a_domain_error():
     assert "Traceback" not in r.stderr
 
 
+_VERIFY_GRID = """
+import contextlib, hashlib, io
+from ordtower import cli
+digest = hashlib.sha256()
+for bound in ("w*2", "w*5", "w^2"):
+    for seed in range(1, 11):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(["verify", "all", "--bound", bound, "--seed", str(seed)])
+        digest.update(f"{bound}\\t{seed}\\t{code}\\n{out.getvalue()}".encode())
+print(digest.hexdigest())
+"""
+
+
+def test_verify_all_on_a_grid_of_seeds_and_bounds_is_pinned():
+    # 30 runs, each on fresh contexts, all exit 0; the digest over (bound,
+    # seed, exit code, stdout) pins every line, so a change that moves one
+    # must re-pin it on purpose
+    r = subprocess.run([sys.executable, "-c", _VERIFY_GRID],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "e54f221563b6ba0cf3bdca11230ab0b4ec0a4d4e65cbfbec24ed018e8447381d\n"
+
+
+@pytest.mark.parametrize("bound", ["w^2+w", "w^2*2"])
+def test_verify_above_w_squared_answers(bound):
+    # closures of about 6,000 points, judged once per limit segment
+    r = run("verify", "all", "--bound", bound, "--seed", "1", timeout=60)
+    assert (r.returncode, r.stderr) == (0, "")
+    lines = r.stdout.splitlines()
+    assert len(lines) == 14 and all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_at_w_squared_times_3_stops_at_the_ceiling():
+    r = run("verify", "all", "--bound", "w^2*3", "--seed", "1", timeout=60)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: ceiling: block construction at w*14 exceeded 20000 stages\n"
+
+
 def test_deep_index_answers_at_once():
     # each descent step finds its walk position by arithmetic, and these take 2 and 3 steps
     assert run("ord", "enum", "w^2", "100000000").stdout.strip() == "w*8989+5152"

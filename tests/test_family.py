@@ -83,7 +83,7 @@ def test_closed_agrees_with_triples_oracle(tower):
         a = {enum_below(p("w^2"), rng.below(16)) for _ in range(1 + rng.below(6))}
         a = tuple(sorted(a))
         assert is_closed(a, tower) == closed_by_triples(a, tower)
-        assert verify._closed_by_rank_counts(a, tower) == closed_by_triples(a, tower)
+        assert verify._closed_by_segments(a, tower) == closed_by_triples(a, tower)
 
 
 def seeded_closed_and_open_sets(seed, n, tower):
@@ -107,6 +107,24 @@ def test_closed_agrees_with_triples_on_closures(tower):
     verdicts = [is_closed(a, tower) for a in sets]
     assert verdicts == [closed_by_triples(a, tower) for a in sets]
     assert True in verdicts and False in verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 31), max_size=5), st.integers(0, 63))
+@example([9, 25, 5, 29], 0)  # w, w+1, w^2, w^2+3: tails above two limits
+@example([30], 13)  # w^2+w*2+14 alone: its closure minus a point of its own tail
+def test_segment_route_agrees_with_is_closed_and_triples(js, k):
+    # raw sets below w^2+w*3, their closures, and each closure with one added
+    # point dropped; indices below 32 keep closures within 56 points, small
+    # enough for the cubic oracle
+    tower = Tower()
+    a = oset(enum_below(p("w^2+w*3"), j) for j in js)
+    ext = cofinal_extend(a, tower)
+    added = [x for x in ext if x not in a]
+    holed = tuple(x for x in ext if x != added[k % len(added)])
+    for s in (a, ext, holed):
+        want = closed_by_triples(s, tower)
+        assert is_closed(s, tower) == want and verify._closed_by_segments(s, tower) == want
 
 
 def test_closed_asks_the_ranks_and_grows_the_orders_of_the_triples(tower, monkeypatch):

@@ -107,13 +107,20 @@ def ladder_skips_least_free(m):
     m.setattr(family, "_least_unused", lambda used, bound: least({*used, least(used, bound)}, bound))
 
 
-def rank_count_off_by_one(m):
-    def largest_rank_is_k(a, tower):
-        pts = list(a)
-        return all(max(tower.rank(alpha, beta) for beta in pts[:k]) == k
-                   for k, alpha in enumerate(pts) if k)
+def segment_tail_one_high(m):
+    # the n points below lam+m, 0 < n <= m, must start at lam+(m-n+1), one too high
+    def closed(a, tower):
+        for n, alpha in enumerate(a):
+            lam, k = alpha.split()
+            if k:
+                ok = not n or a[0] == lam.plus(k - n + 1) if n <= k else a[n - k] == lam
+            else:
+                ok = not n or max(tower.rank(alpha, beta) for beta in a[:n]) == n - 1
+            if not ok:
+                return False
+        return True
 
-    m.setattr(verify, "_closed_by_rank_counts", largest_rank_is_k)
+    m.setattr(verify, "_closed_by_segments", closed)
 
 
 def closed_one_position_short(m):
@@ -221,7 +228,7 @@ _FAULTS = [
     ("closure-close-sound", close_is_segment_and_input, "close("),
     ("closure-close-sound", close_at_a_limit_is_the_input, "close(w, "),
     ("ladder-biconditional", ladder_skips_least_free, "rung 1 at 3 is not the least free point"),
-    ("closed-alltriples-oracle", rank_count_off_by_one, "routes disagree on "),
+    ("closed-alltriples-oracle", segment_tail_one_high, "routes disagree on "),
     ("closed-alltriples-oracle", closed_one_position_short, "routes disagree on ['1', 'w*3']"),
     ("cond4-triples", cond4_increasing_only, "no arrangement works for "),
     ("window-vc-dim", vc_dim_off_by_one, "exact dimension 3 != 2"),
