@@ -56,7 +56,6 @@ from collections import namedtuple
 from .errors import DomainError, IterationCeilingError
 from .ordinals import ORD_KEY, Ordinal, W, enum_below, ordinal, oset
 from .rng import Lcg
-from . import tower
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
@@ -165,10 +164,7 @@ class LimitOrder(BlockOrder):
         check that listing it would make; q grows with them."""
         e, q, inner, c = self._run_ends, self._run_ranks, self._inner, self._c
         while len(e) <= n:
-            t = len(e)
-            if t >= tower.CEILING:
-                raise IterationCeilingError(
-                    f"block construction at {self.eta} exceeded {tower.CEILING} stages")
+            self._check_stage(t := len(e))
             if _runs(inner) and t >= inner._s - 1:  # I lists t at its run stage t+1
                 r = inner._grown(t + 1)[t] + 1
             else:

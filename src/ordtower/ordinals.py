@@ -308,10 +308,12 @@ def fund_seq(lam, n: int) -> Ordinal:
 #      exponent of fund_seq(eta, i); block 0 is infinite when lam0 > 0 (at
 #      w^w*2 it is [0, w^w+1)), one point at head = 1 (w^w), else empty.
 # So _position finds position n's block [start, start+lam'+m') and offset j
-# by arithmetic.  As addition is associative, enum_below descends one block
-# at a time with a running left summand.  Each step lands strictly lower and
-# depends only on (eta, n); past CEILING steps the call raises (index 0 at
-# w*k takes k).
+# by arithmetic.  As addition is associative, _descend goes down one block
+# at a time to a state (lam', m', j) and adds the starts back on the way up.
+# Each step lands strictly lower and depends only on (eta, n); past CEILING
+# steps the call raises (index 0 at w*k takes k).  A prefix shares its
+# states, each with its value and its own step count, so it descends each
+# state once and fails exactly where the index path does.
 
 CEILING = 20000  # the one work bound: descent steps, and blocks per limit's order
 # limit lam -> {n: enum_below(lam, n)}, made at lam's first answer; a
@@ -325,8 +327,8 @@ def enum_below(eta, n: int) -> Ordinal:
     Surjective onto the predecessors of eta; injective unless eta is a
     finite ordinal (indices past eta-1 then repeat 0).  At eta = lam + m
     the top points lam+m-1, ..., lam are answered by arithmetic, and an
-    index n >= m is lam's index n - m, reached by the same descent steps;
-    so answers are memoized per limit, and a ceiling error names eta.
+    index n >= m is lam's index n - m, taken down by ``_descend``; so
+    answers are memoized per limit, and a ceiling error names eta.
     """
     eta = _as_ord(eta)
     if n < 0:
@@ -342,16 +344,8 @@ def enum_below(eta, n: int) -> Ordinal:
     memo = _enum_answers.get(top)
     if memo is not None and (got := memo.get(n)) is not None:
         return got
-    base, lam, m, j, steps = ZERO, top, 0, n, 0
-    while j >= m and lam is not ZERO:  # base + enum_below(lam + m, j) is the answer
-        if steps == CEILING:
-            raise _ceiling(eta)
-        steps += 1
-        start, lam, m, j = _position(lam, j - m)
-        base = add(base, start)
-    if memo is None:
-        memo = _enum_answers[top] = {}
-    got = memo[n] = add(base, lam.plus(m - 1 - j)) if j < m else base
+    got = _descend(top, n, eta, {})
+    _enum_answers.setdefault(top, {})[n] = got
     return got
 
 
@@ -382,9 +376,10 @@ def _position(eta: Ordinal, n: int) -> tuple:
 def enum_prefix(eta, n: int) -> list:
     """First n enumeration values of {gamma < eta} as a list: the list, or
     the first error, of [enum_below(eta, i) for i in range(n)].  As there,
-    the top points of eta = lam + m come by arithmetic and the rest is
-    lam's prefix, which goes into enum_below's memo under lam and is read
-    from it when the memo holds it whole."""
+    the top points of eta = lam + m come by arithmetic; each further index
+    is read from enum_below's memo under lam, or taken down by
+    ``_descend`` with the states the call has descended already, and
+    memoized."""
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
     if not n:
@@ -399,48 +394,37 @@ def enum_prefix(eta, n: int) -> list:
         return got
     if lam is ZERO:
         return got + [ZERO] * n
-    memo = _enum_answers.get(lam)
-    if memo is not None:
-        rest = []
-        for i in range(n):
-            x = memo.get(i)
-            if x is None:
-                break
-            rest.append(x)
-        else:
-            return got + rest
-    rest = _prefix(lam, n, eta)
-    if memo is None:
-        memo = _enum_answers[lam] = {}
-    memo.update(enumerate(rest))
-    return got + rest
-
-
-def _prefix(top: Ordinal, n: int, eta: Ordinal) -> list:
-    """enum_prefix(top, n) for a limit top and n > 0, failing with eta's
-    ceiling error: enum_below's descent for each index, stopped at the
-    first state an earlier index has already taken down.  Blocks of one
-    length share their states, so each (limit, offset) descends once per
-    call.  Each state keeps its count of descent steps, so the call fails
-    exactly when enum_below would, at the same index."""
-    memo = {}  # (lam, m, j) -> (enum_below(lam + m, j), its descent steps)
-    got = []
+    memo, states = _enum_answers.get(lam, {}), {}
     for i in range(n):
-        path, lam, m, j, hit = [], top, 0, i, None
-        while j >= m and lam is not ZERO and hit is None:
-            if len(path) == CEILING:
-                raise _ceiling(eta)
-            start, lam, m, j = _position(lam, j - m)
-            path.append((start, (lam, m, j)))
-            hit = memo.get((lam, m, j))
-        value, steps = hit or ((lam.plus(m - 1 - j) if j < m else ZERO), 0)
-        if len(path) + steps > CEILING:
-            raise _ceiling(eta)
-        for start, state in reversed(path):
-            memo[state] = value, steps
-            value, steps = add(start, value), steps + 1
-        got.append(value)
+        x = memo.get(i)
+        if x is None:
+            x = memo[i] = _descend(lam, i, eta, states)
+            _enum_answers[lam] = memo
+        got.append(x)
     return got
+
+
+def _descend(top: Ordinal, i: int, eta: Ordinal, states: dict) -> Ordinal:
+    """enum_below(top, i) for a limit top, failing with eta's ceiling
+    error.  The walk stops at the first state found in states, then
+    records every state of its path there.  states maps (lam, m, j) to
+    (enum_below(lam + m, j), its descent steps), so a hit adds its own
+    steps and the ceiling is exact."""
+    path, lam, m, j, hit = [], top, 0, i, None
+    while j >= m and lam is not ZERO and hit is None:
+        if len(path) == CEILING:
+            raise _ceiling(eta)
+        start, lam, m, j = _position(lam, j - m)
+        state = lam, m, j
+        path.append((start, state))
+        hit = states.get(state)
+    value, steps = hit or ((lam.plus(m - 1 - j) if j < m else ZERO), 0)
+    if len(path) + steps > CEILING:
+        raise _ceiling(eta)
+    for start, state in reversed(path):
+        states[state] = value, steps
+        value, steps = add(start, value), steps + 1
+    return value
 
 
 def _ceiling(eta: Ordinal) -> IterationCeilingError:

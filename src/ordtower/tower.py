@@ -199,10 +199,15 @@ class BlockOrder(OmegaOrder):
         self.grow(self.eta)
 
     def _next_block(self) -> None:
-        if len(self._ends) > CEILING:
+        self._check_stage(len(self._ends) - 1)
+        self._extend()
+
+    def _check_stage(self, i: int) -> None:
+        """Refuse stage i unless i < ``CEILING``: the one stage ceiling of
+        every block construction."""
+        if i >= CEILING:
             raise IterationCeilingError(
                 f"block construction at {self.eta} exceeded {CEILING} stages")
-        self._extend()
 
     def append_block(self, points: list[Ordinal]) -> None:
         """List points, none of them listed yet, as the next block."""

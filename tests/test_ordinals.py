@@ -412,6 +412,12 @@ def test_enum_prefix_matches_enum_below(eta, n):
        st.integers(0, 60), st.integers(1, 12))
 def test_enum_prefix_fails_where_enum_below_does(eta, n, ceiling):
     # with a low ceiling some prefixes pass it; the first error is the same
+    assert prefix_matches_index_path(eta, n, ceiling)
+
+
+def prefix_matches_index_path(eta, n, ceiling):
+    """Whether enum_prefix(eta, n) gives the list, or the first error, of
+    the index path, both from an empty memo under the given ceiling."""
     from ordtower import ordinals
 
     old = ordinals.CEILING
@@ -420,7 +426,7 @@ def test_enum_prefix_fails_where_enum_below_does(eta, n, ceiling):
         ordinals._enum_answers.clear()
         want = _listed_or_error(_prefix_by_index, eta, n)
         ordinals._enum_answers.clear()
-        assert _listed_or_error(enum_prefix, eta, n) == want
+        return _listed_or_error(enum_prefix, eta, n) == want
     finally:
         ordinals.CEILING = old
         ordinals._enum_answers.clear()
@@ -468,10 +474,35 @@ def test_enum_prefix_reads_a_whole_prefix_from_the_memo(monkeypatch):
     want = enum_prefix(eta, 50)
     assert list(ordinals._enum_answers) == [eta]
     assert [ordinals._enum_answers[eta][i] for i in range(50)] == want
-    monkeypatch.setattr(ordinals, "_prefix", None)  # any listing would fail
+    monkeypatch.setattr(ordinals, "_descend", None)  # any descent would fail
     assert enum_prefix(eta, 50) == want and enum_prefix(eta, 20) == want[:20]
     with pytest.raises(TypeError):
         enum_prefix(eta, 51)
+
+
+@pytest.mark.parametrize("eta", ["w^(w+1)+w^w", "w^2+w*3", "w^w*2"])
+def test_enum_prefix_descends_only_the_indices_missing_from_the_memo(eta, monkeypatch):
+    # every third index memoized by enum_below: the prefix reads those and
+    # descends the rest, so it takes fewer steps than a cold listing
+    from ordtower import ordinals
+
+    eta, calls, position = p(eta), [0], ordinals._position
+
+    def counting(lam, n):
+        calls[0] += 1
+        return position(lam, n)
+
+    monkeypatch.setattr(ordinals, "_enum_answers", {})
+    monkeypatch.setattr(ordinals, "_position", counting)
+    cold = enum_prefix(eta, 300)
+    cold_calls = calls[0]
+    ordinals._enum_answers.clear()
+    for i in range(0, 300, 3):
+        enum_below(eta, i)
+    calls[0] = 0
+    got = enum_prefix(eta, 300)
+    assert 0 < calls[0] < cold_calls
+    assert got == cold == _prefix_by_index(eta, 300)
 
 
 _LIMITS_BELOW_W3 = sorted({x for x in ENUM_ETAS if x.is_limit() and x < p("w^3")}

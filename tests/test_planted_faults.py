@@ -6,7 +6,8 @@ under its own name.  A check that no fault can turn red would show nothing.
 When these cases were written, every check had one whose fault turned no
 other check red; ``tail_upwards`` and ``close_is_segment_and_input`` turn
 several red.  Faults the checks cannot see, such as a closure returned out
-of order, are planted under the property test in ``test_family.py`` that can.
+of order or a prefix that passes the descent ceiling, are planted under the
+property test in ``test_family.py`` or ``test_ordinals.py`` that can.
 """
 
 import pathlib
@@ -16,10 +17,12 @@ from math import comb
 import pytest
 
 from ordtower import AAOrders, Tower, cofinal_extend, family, ordinals, oset, parse_ordinal, verify
+from ordtower.errors import IterationCeilingError
 from ordtower.omega import LimitOrder, PatchedOrder
 from ordtower.tower import BlockOrder, PrependOrder
 
 import test_family  # the property test of closures and windows
+import test_ordinals  # the prefix-vs-index comparison of enumerations
 
 _CHECKS = {
     "tower-trichotomy-roundtrip": (verify._check_trichotomy, Tower),
@@ -265,3 +268,25 @@ def test_closure_property_catches_an_unsorted_stage_prefix(monkeypatch):
     with pytest.raises(AssertionError):
         test_family.test_closures_and_windows_are_built_sorted()
     assert verify._check_close_sound(verify.VerifyConfig(), Tower()).passed
+
+
+def test_prefix_comparison_catches_a_descent_that_forgets_hit_steps(monkeypatch):
+    # a state found by an earlier index counts no further steps, so the
+    # prefix answers where the index path stops at the ceiling
+    descend = ordinals._descend
+
+    def forgetful(top, i, eta, states):
+        got = descend(top, i, eta, states)
+        states.update((state, (value, 0)) for state, (value, _) in states.items())
+        return got
+
+    monkeypatch.setattr(ordinals, "_enum_answers", {})
+    eta = parse_ordinal("w^w*2")
+    assert test_ordinals.prefix_matches_index_path(eta, 200, 2)
+    monkeypatch.setattr(ordinals, "_descend", forgetful)
+    assert not test_ordinals.prefix_matches_index_path(eta, 200, 2)
+    monkeypatch.setattr(ordinals, "CEILING", 2)
+    assert len(ordinals.enum_prefix(eta, 200)) == 200
+    ordinals._enum_answers.clear()
+    with pytest.raises(IterationCeilingError, match="exceeded 2 descent steps"):
+        test_ordinals._prefix_by_index(eta, 200)
