@@ -15,6 +15,7 @@ from collections import namedtuple
 
 from .errors import CapExceededError, DomainError, IterationCeilingError
 from .ordinals import (
+    CEILING,
     ONE,
     ZERO,
     Ordinal,
@@ -200,7 +201,7 @@ def enumerate_family(bound, count: int, seed: int, tower: Tower) -> FamilyWindow
         size = 1 + rng.below(4)
         a = [enum_below(bound, rng.below(200)) for _ in range(size)]
         misses = 0 if push(cofinal_extend(a, tower)) else misses + 1
-        if misses == 20_000:  # so a window that cannot fill ends in bounded time
+        if misses == CEILING:  # so a window that cannot fill ends in bounded time
             raise IterationCeilingError(
                 f"could not reach {count} distinct members below {bound}")
     return FamilyWindow(bound=bound, seed=seed, members=tuple(sorted(members)))

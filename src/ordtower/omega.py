@@ -7,8 +7,8 @@ supplies the limit rule:
 
   * base: the canonical order on the naturals;
   * alpha = lam + m: a ``PrependOrder``, the tail lam+m-1, ..., lam in
-    front of lam's order, reading its points from one list per limit lam
-    shared by every order above lam;
+    front of lam's order, its points made by offsets from lam as they
+    are read;
   * alpha a limit: a ``LimitOrder``, the ``BlockOrder`` whose next block
     comes from the adjusted chain.  Orders along the fundamental-sequence
     chain alpha_0 = omega < alpha_1 < ... are adjusted one by one so each
@@ -122,10 +122,10 @@ class LimitOrder(BlockOrder):
     q(0), q(1), ... (``_run_ranks``) and e(0), e(1), ... (``_run_ends``).
     So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
     not listed before stage s at i+c+I.rank(x), i the least stage with
-    q(i) > I.rank(x): ``bisect_right`` on q.  ``_nth`` and ``_span`` find
-    a position's stage by ``bisect_right`` on e.  A run stage is listed
-    only when ``ensure_blocks`` asks for its block; the arrays grow one
-    stage at a time, with the same ceiling as listing.
+    q(i) > I.rank(x): ``bisect_right`` on q.  ``_span`` finds a position's
+    stage by ``bisect_right`` on e, and ``_nth`` is a span of one.  A run
+    stage is listed only when ``ensure_blocks`` asks for its block; the
+    arrays grow one stage at a time, with the same ceiling as listing.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
@@ -205,12 +205,7 @@ class LimitOrder(BlockOrder):
         return bisect_right(q, qx) + c + qx
 
     def _nth(self, k: int) -> Ordinal:
-        if k < self._listed(k + 1):
-            return self._seq[k]
-        i, c = self._stage_at(k), self._c
-        if k == self._run_ends[i - 1]:
-            return self._inner.bound.plus(i - 1 + c)
-        return self._inner._nth(k - i - c)
+        return self._span(k, k + 1)[0]
 
     def _span(self, a: int, b: int) -> list[Ordinal]:
         # stage by stage: its tail point, then a span of I, one frame deeper

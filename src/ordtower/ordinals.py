@@ -315,7 +315,7 @@ def fund_seq(lam, n: int) -> Ordinal:
 # states, each with its value and its own step count, so it descends each
 # state once and fails exactly where the index path does.
 
-CEILING = 20000  # the one work bound: descent steps, and blocks per limit's order
+CEILING = 20000  # the one work bound: descent steps, blocks per limit, window misses
 # limit lam -> {n: enum_below(lam, n)}, made at lam's first answer; a
 # successor lam + m reads lam's dict, so no successor is a key
 _enum_answers: dict = {}
@@ -335,6 +335,11 @@ def enum_below(eta, n: int) -> Ordinal:
         raise DomainError(f"index must be >= 0, got {n}")
     if eta.is_zero():
         raise DomainError("enum_below requires eta > 0")
+    return _answer(eta, n, {})
+
+
+def _answer(eta: Ordinal, n: int, states: dict) -> Ordinal:
+    """enum_below(eta, n) for eta > 0 and n >= 0, descending with states."""
     top, m = eta.split()
     if n < m:
         return top.plus(m - 1 - n)
@@ -344,7 +349,7 @@ def enum_below(eta, n: int) -> Ordinal:
     memo = _enum_answers.get(top)
     if memo is not None and (got := memo.get(n)) is not None:
         return got
-    got = _descend(top, n, eta, {})
+    got = _descend(top, n, eta, states)
     _enum_answers.setdefault(top, {})[n] = got
     return got
 
@@ -375,33 +380,16 @@ def _position(eta: Ordinal, n: int) -> tuple:
 
 def enum_prefix(eta, n: int) -> list:
     """First n enumeration values of {gamma < eta} as a list: the list, or
-    the first error, of [enum_below(eta, i) for i in range(n)].  As there,
-    the top points of eta = lam + m come by arithmetic; each further index
-    is read from enum_below's memo under lam, or taken down by
-    ``_descend`` with the states the call has descended already, and
-    memoized."""
+    the first error, of [enum_below(eta, i) for i in range(n)].  Each index
+    takes enum_below's own path, with one ``_descend`` state dict shared by
+    the whole prefix, so no state is descended twice in a call."""
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
-    if not n:
-        return []
     eta = _as_ord(eta)
-    if eta.is_zero():
+    if n and eta.is_zero():
         raise DomainError("enum_below requires eta > 0")
-    lam, m = eta.split()
-    got = list(map(lam.plus, range(m - 1, max(m - n, 0) - 1, -1)))
-    n -= m
-    if n <= 0:
-        return got
-    if lam is ZERO:
-        return got + [ZERO] * n
-    memo, states = _enum_answers.get(lam, {}), {}
-    for i in range(n):
-        x = memo.get(i)
-        if x is None:
-            x = memo[i] = _descend(lam, i, eta, states)
-            _enum_answers[lam] = memo
-        got.append(x)
-    return got
+    states: dict = {}
+    return [_answer(eta, i, states) for i in range(n)]
 
 
 def _descend(top: Ordinal, i: int, eta: Ordinal, states: dict) -> Ordinal:

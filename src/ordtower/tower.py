@@ -26,12 +26,12 @@ the shortest stage prefix of lam's order covering the points below lam
     below lam are lam's first end0; the chain point steps by one.
 
 Then comes the tail past the previous chain point, ending in alpha_n, read
-off the list kept per lam (``Orders._tail``); growth builds no order at
-a chain point, and successor orders are built on demand only.  So a
-limit's order costs time linear in its length; the length itself grows
-fast: the least closed superset of {3, w*k+1} has 6, 11, 20, 38, 72,
-138, 268 and 526 points for k = 1..8, so the blocks at w^2 double with
-each step of w.
+off the list the tower keeps per lam (``Tower._tail``), which ``close``
+reads too; growth builds no order at a chain point, and successor orders
+are built on demand only.  So a limit's order costs time linear in its
+length; the length itself grows fast: the least closed superset of
+{3, w*k+1} has 6, 11, 20, 38, 72, 138, 268 and 526 points for k = 1..8,
+so the blocks at w^2 double with each step of w.
 
 ``Orders`` holds the memo, the successor rule and ``rank``/``nth`` for
 both layers; a subclass supplies only a limit's order: ``Tower`` the
@@ -145,18 +145,15 @@ class ListOrder(OmegaOrder):
 class PrependOrder(OmegaOrder):
     """Order on {gamma < lam+m}: the tail lam+m-1 ... lam, then lam's order.
 
-    ``tail`` is the list [lam, lam+1, ...] shared by every order above the
-    same limit lam.  Only ``_span`` reads it, growing it to the entries it
-    lists; ``_rank`` and ``_nth`` work on offsets from lam, so a large m
-    costs nothing until a span needs the tail.
+    Every read works on offsets from lam, so a large m costs nothing: a
+    span makes only the tail points it lists.
     """
 
-    def __init__(self, inner: OmegaOrder, tail: list[Ordinal], m: int):
+    def __init__(self, inner: OmegaOrder, lam: Ordinal, m: int):
         self.inner = inner
-        self.lam = tail[0]
+        self.lam = lam
         self.m = m
-        self.bound = self.lam.plus(m)
-        self._tail = tail
+        self.bound = lam.plus(m)
 
     def _rank(self, x: Ordinal) -> int:
         if x < self.lam:
@@ -170,7 +167,7 @@ class PrependOrder(OmegaOrder):
 
     def _span(self, a: int, b: int) -> list[Ordinal]:
         m = self.m
-        got = _grown(self._tail, m - a)[max(m - b, 0):m - a][::-1] if a < m else []
+        got = list(map(self.lam.plus, range(m - 1 - a, max(m - b, 0) - 1, -1))) if a < m else []
         return got + self.inner._span(max(a - m, 0), b - m) if b > m else got
 
 
@@ -247,12 +244,11 @@ class BlockOrder(OmegaOrder):
 
 class Orders:
     """Memoized orders up to ``CAP``.  ``_orders`` starts with the least
-    order; lam + m gets a ``PrependOrder`` over lam's, reading the tail kept
-    per lam, and any other limit the subclass's ``_limit_order``."""
+    order; lam + m gets a ``PrependOrder`` over lam's, and any other limit
+    the subclass's ``_limit_order``."""
 
     def __init__(self, least: dict[Ordinal, OmegaOrder]):
         self._orders: dict[Ordinal, OmegaOrder] = least
-        self._tails: dict[Ordinal, list[Ordinal]] = {}
 
     def _check(self, alpha) -> Ordinal:
         alpha = _as_ord(alpha)
@@ -270,13 +266,9 @@ class Orders:
         if got is None:
             lam, m = alpha.split()
             got = self._orders[alpha] = (
-                PrependOrder(self._order_at(lam), self._tail(lam), m)
+                PrependOrder(self._order_at(lam), lam, m)
                 if m > 0 else self._limit_order(alpha))
         return got
-
-    def _tail(self, lam: Ordinal, m: int = 1) -> list[Ordinal]:
-        """The list [lam, lam+1, ...] shared by the orders above lam, m long or more."""
-        return _grown(self._tails.setdefault(lam, [lam]), m)
 
     def _blocks(self, eta: Ordinal, n: int) -> tuple[list[Ordinal], list[int]]:
         """Blocks 0..n-1 at the limit eta, in order, and the block ends."""
@@ -309,6 +301,7 @@ class Tower(Orders):
         # chain as prefix lengths, S_i == set(order[:chain[i]])
         self._order: dict[Ordinal, list[Ordinal]] = {}
         self._chain: dict[Ordinal, list[int]] = {}
+        self._tails: dict[Ordinal, list[Ordinal]] = {}  # per lam: [lam, lam+1, ...]
 
     def _limit_order(self, eta: Ordinal) -> OmegaOrder:
         return BlockOrder(eta, self._grow)
@@ -356,6 +349,12 @@ class Tower(Orders):
 
     # -- internals -----------------------------------------------------------
 
+    def _tail(self, lam: Ordinal, m: int) -> list[Ordinal]:
+        """The list [lam, lam+1, ...] kept per lam, grown to m entries or more."""
+        tail = self._tails.setdefault(lam, [lam])
+        tail.extend(map(lam.plus, range(len(tail), m)))
+        return tail
+
     def _grow(self, eta: Ordinal) -> None:
         """Append eta's next block by the same-lam rule on a shape-A limit's
         later stages, else by the new-lam rule (see the module docstring)."""
@@ -397,12 +396,6 @@ def _steps_by_one(eta: Ordinal) -> bool:
     """Whether eta is shape A, its chain stepping by one: when eta's last
     exponent is 1, fund_seq(P + w*c, n) = P + w*(c-1) + n."""
     return eta._terms[-1][0] is ONE
-
-
-def _grown(tail: list[Ordinal], m: int) -> list[Ordinal]:
-    """The shared tail [lam, lam+1, ...], grown in place to at least m entries."""
-    tail.extend(map(tail[0].plus, range(len(tail), m)))
-    return tail
 
 
 def _next_chain_point(eta: Ordinal, mx: Ordinal, k: int) -> tuple[int, Ordinal]:

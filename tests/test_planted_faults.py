@@ -6,8 +6,9 @@ under its own name.  A check that no fault can turn red would show nothing.
 When these cases were written, every check had one whose fault turned no
 other check red; ``tail_upwards`` and ``close_is_segment_and_input`` turn
 several red.  Faults the checks cannot see, such as a closure returned out
-of order or a prefix that passes the descent ceiling, are planted under the
-property test in ``test_family.py`` or ``test_ordinals.py`` that can.
+of order, a prefix that passes the descent ceiling or a run stage listed out
+of order, are planted under the property test in ``test_family.py``,
+``test_ordinals.py`` or ``test_omega.py`` that can.
 """
 
 import pathlib
@@ -22,6 +23,7 @@ from ordtower.omega import LimitOrder, PatchedOrder
 from ordtower.tower import BlockOrder, PrependOrder
 
 import test_family  # the property test of closures and windows
+import test_omega  # the read contract of every order class
 import test_ordinals  # the prefix-vs-index comparison of enumerations
 
 _CHECKS = {
@@ -290,3 +292,31 @@ def test_prefix_comparison_catches_a_descent_that_forgets_hit_steps(monkeypatch)
     ordinals._enum_answers.clear()
     with pytest.raises(IterationCeilingError, match="exceeded 2 descent steps"):
         test_ordinals._prefix_by_index(eta, 200)
+
+
+def run_tail_after_its_chunk(m):
+    # past the listed points, each run stage lists its tail point after its
+    # span of lam's order, not before it; nth reads span, so the two agree
+    span = LimitOrder._span
+
+    def late_tail(self, a, b):
+        got = []
+        for k in range(a, b):
+            if k < self._listed(k + 1):
+                got += self._seq[k:k + 1]
+                continue
+            i = self._stage_at(k)
+            lo, hi = self._run_ends[i - 1], self._run_ends[i]
+            got += span(self, lo, lo + 1) if k == hi - 1 else span(self, k + 1, k + 2)
+        return got
+
+    m.setattr(LimitOrder, "_span", late_tail)
+
+
+def test_order_contract_catches_a_run_stage_with_its_tail_point_last(monkeypatch):
+    contract = test_omega.test_every_order_class_derives_its_reads_from_span_and_bound
+    asks = [(0, 12, parse_ordinal("w"))]
+    contract.hypothesis.inner_test("run", asks)
+    run_tail_after_its_chunk(monkeypatch)
+    with pytest.raises(AssertionError):
+        contract.hypothesis.inner_test("run", asks)

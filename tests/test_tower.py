@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordtower import (
+    AAOrders,
     CapExceededError,
     DomainError,
     IterationCeilingError,
@@ -38,7 +39,7 @@ def test_prepend_offsets_are_differences_from_lam(a, x, m):
     # x = lam+j, j < m, ranks m-1-j; x >= lam+m (lam+w or more too) is not
     # in the order; x < lam ranks m plus its inner rank
     lam = a.split()[0]
-    o = PrependOrder(ListOrder([x] if x < lam else []), [lam], m)
+    o = PrependOrder(ListOrder([x] if x < lam else []), lam, m)
     d = difference(x, lam) if x >= lam else None
     j = None if d is None else d.natural() if d.is_natural() else m
     assert (x in o) == (j is None or j < m)
@@ -258,15 +259,35 @@ def test_growth_builds_no_order_per_chain_point():
     t = Tower()
     t.nth(p("w^2"), 300)
     assert len(t._orders) <= 12
-    for lam, tail in t._tails.items():
-        assert tail == [lam.plus(j) for j in range(len(tail))]
-    # a successor order is built on demand, over the same tail; a closure
-    # there reads the tail without building it
-    assert t.close(p("w*3+40"), []) == tuple(t._tails[p("w*3")][:40])
+    # a closure at a successor reads the tail without building its order;
+    # the order, built on demand, lists the same tail from the top down
+    tail = [p("w*3").plus(j) for j in range(40)]
+    assert t.close(p("w*3+40"), []) == tuple(tail)
     assert p("w*3+40") not in t._orders
     o = t.order(p("w*3+40"))
-    assert isinstance(o, PrependOrder) and o._tail is t._tails[p("w*3")]
-    assert o.span(0, 40)[::-1] == t._tails[p("w*3")][:40]
+    assert isinstance(o, PrependOrder)
+    assert o.span(0, 40)[::-1] == tail and o.prefix(42)[40:] == t.order(p("w*3")).prefix(2)
+
+
+@pytest.mark.parametrize("context, alpha, read", [
+    (Tower, "w+100000", lambda o: o.prefix(3)),
+    (AAOrders, "w^2+100000", lambda o: o.span(0, 2)),
+], ids=["tower", "aa"])
+def test_a_span_far_above_lam_makes_only_its_points(context, alpha, read, monkeypatch):
+    # a successor order's span makes the tail points it lists, not the
+    # 10^5 tail points from lam up to them
+    o = context().order(p(alpha))
+    calls, plus = [0], Ordinal.plus
+
+    def counting(self, m):
+        calls[0] += 1
+        return plus(self, m)
+
+    monkeypatch.setattr(Ordinal, "plus", counting)
+    got = read(o)
+    assert calls[0] <= 3
+    lam, m = p(alpha).split()
+    assert got == [lam.plus(m - 1 - k) for k in range(len(got))]
 
 
 def test_growth_over_tails_grown_by_successor_orders():
