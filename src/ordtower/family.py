@@ -80,14 +80,12 @@ def ladder(length: int, bound, tower: Tower) -> tuple[list[Ordinal], list[Ordina
         raise DomainError("ladder needs bound > 0")
     points = [ZERO]
     sets = [cofinal_extend(points, tower)]
-    used = set(sets[0])
-    used.add(ZERO)
+    used = set(sets[0])  # cofinal_extend(points) contains points
     while len(points) < length:
         points.append(_least_unused(used, bound))
         s = cofinal_extend(points, tower)
         sets.append(s)
         used.update(s)
-        used.add(points[-1])
     return points, sets
 
 

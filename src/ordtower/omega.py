@@ -32,14 +32,15 @@ an adjusted order, so that build releases it; asked for again, it is
 rebuilt from the nearest stage that is kept or certifies nothing.
 When eta's last exponent is 1 (shape A) every chain point after stage 1
 is the previous one plus 1, since fund_seq(P + w*c, n) = P + w*(c-1) + n,
-and that step certifies no point.  So after its first stage at an
-unadjusted lam+m, such an order is fixed by lam's order and one offset:
-it is in its run phase, where a stage is listed only when its block is
-asked for, and ranks, points and spans come from a formula over two
-int arrays grown together: lam's ranks of the naturals and the stage
-ends they give.  A rank bisects the first, a position the second, each
-with the C ``bisect_right`` and no key (see ``LimitOrder``).  Its later
-stages build no order and no stage record.
+and that step certifies no point: lam+j+1 reorders nothing below lam+j.
+So after its first stage at an unadjusted lam+m, such an order is fixed
+by lam's order and one offset: it is in its run phase, where a stage is
+listed only when its block is asked for, and ranks, points and spans
+come from a formula over two int arrays grown together: lam's ranks of
+the naturals and the stage ends they give.  A rank bisects the first, a
+position the second, each with the C ``bisect_right`` and no key (see
+``LimitOrder``).  Its later stages build no order, and a stage record
+only when ``exception_points`` scans that far.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -56,7 +57,7 @@ from collections import namedtuple
 from .errors import DomainError, IterationCeilingError
 from .ordinals import ORD_KEY, Ordinal, W, enum_below, ordinal, oset
 from .rng import Lcg
-from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
+from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
 
@@ -339,22 +340,19 @@ class AAOrders(Orders):
 
     def _stage(self, eta: Ordinal, i: int) -> list:
         """Stage i of eta's adjusted chain, as [the next fund_seq index,
-        alpha_i (omega, then the fundamental sequence values above omega),
-        the certificate composed up to alpha_i, the adjusted order there or
-        None, before ``chain_order`` builds it and once the next stage's
-        build releases it]."""
+        alpha_i, the certificate composed up to alpha_i, the adjusted order
+        there or None, before ``chain_order`` builds it and once the next
+        stage's build releases it].  Each stage after omega's takes the next
+        fund_seq value above omega and the step's exception points (none on
+        a shape-A chain past stage 1, where each is the previous plus 1)."""
         stages = self._chain_orders.get(eta)
         if stages is None:
             stages = self._chain_orders[eta] = [[0, W, (), self._order_at(W)]]
-        by_one = _steps_by_one(eta)
         while len(stages) <= i:  # built in order, each from the one before
             n, prev, cert, _ = stages[-1]
-            if by_one and len(stages) > 1:
-                alpha = prev.plus(1)
-            else:
-                n, alpha = _next_chain_point(eta, W, n - 1)
-                step = self.exception_points(prev, alpha)
-                cert = oset(cert + step) if cert and step else cert or step
+            n, alpha = _next_chain_point(eta, W, n - 1)
+            step = self.exception_points(prev, alpha)
+            cert = oset(cert + step) if cert and step else cert or step
             stages.append([n + 1, alpha, cert, None])
         return stages[i]
 

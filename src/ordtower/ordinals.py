@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import isqrt
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt
 
 from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalSyntaxError
 
@@ -35,6 +35,18 @@ Term = tuple["Ordinal", int]
 
 _TABLE: dict = {}  # terms -> the one Ordinal with those terms
 _PAIRS: dict = {}  # each term pair (e, c) and key pair (e._key, c) -> its one copy
+
+
+def _comparison(op):
+    """The Ordinal method comparing sort keys by op (lt, le, gt or ge); an
+    int stands for its finite ordinal, any other operand is NotImplemented."""
+    def method(self, other) -> bool:
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
+        return op(self._key, other._key)
+    return method
 
 
 class Ordinal:
@@ -124,33 +136,7 @@ class Ordinal:
 
     __hash__ = object.__hash__
 
-    def __lt__(self, other) -> bool:
-        if type(other) is not Ordinal:
-            other = _maybe_ord(other)
-            if other is None:
-                return NotImplemented
-        return self._key < other._key
-
-    def __le__(self, other) -> bool:
-        if type(other) is not Ordinal:
-            other = _maybe_ord(other)
-            if other is None:
-                return NotImplemented
-        return self._key <= other._key
-
-    def __gt__(self, other) -> bool:
-        if type(other) is not Ordinal:
-            other = _maybe_ord(other)
-            if other is None:
-                return NotImplemented
-        return self._key > other._key
-
-    def __ge__(self, other) -> bool:
-        if type(other) is not Ordinal:
-            other = _maybe_ord(other)
-            if other is None:
-                return NotImplemented
-        return self._key >= other._key
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (lt, le, gt, ge))
 
     def __add__(self, other) -> "Ordinal":
         other = _maybe_ord(other)
@@ -241,7 +227,7 @@ def add(a, b) -> Ordinal:
     e0, c0 = b._terms[0]
     i = 0
     ts = a._terms
-    while i < len(ts) and compare(ts[i][0], e0) > 0:
+    while i < len(ts) and ts[i][0] > e0:
         i += 1
     if i < len(ts) and ts[i][0] is e0:
         head = ts[:i] + ((e0, ts[i][1] + c0),)
@@ -261,10 +247,9 @@ def difference(a, b) -> Ordinal:
     if i == len(a._terms):
         raise DomainError(f"cannot subtract: {b} > {a}")
     (ea, ca), (eb, cb) = a._terms[i], b._terms[i]
-    c = compare(ea, eb)
-    if c > 0:
+    if ea > eb:
         return Ordinal(a._terms[i:])
-    if c == 0 and ca > cb:
+    if ea is eb and ca > cb:
         return Ordinal(((ea, ca - cb),) + a._terms[i + 1:])
     raise DomainError(f"cannot subtract: {b} > {a}")
 

@@ -393,8 +393,8 @@ class Tower(Orders):
 
 
 def _steps_by_one(eta: Ordinal) -> bool:
-    """Whether eta is shape A, its chain stepping by one: when eta's last
-    exponent is 1, fund_seq(P + w*c, n) = P + w*(c-1) + n."""
+    """Whether eta is shape A, its chain stepping by one, for ``Tower._grow``'s
+    same-lam rule: with last exponent 1, fund_seq(P + w*c, n) = P + w*(c-1) + n."""
     return eta._terms[-1][0] is ONE
 
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import wraps
 from itertools import count
 
-from .errors import DomainError
+from .errors import DomainError, IterationCeilingError
 from .family import cofinal_extend, enumerate_family, is_closed, ladder
 from .omega import AAOrders, ExceptionCert, adjust_one
 from .ordinals import ORD_KEY, Ordinal, W, add, enum_below, ordinal, oset, parse_ordinal
@@ -41,11 +41,15 @@ class CheckResult(namedtuple("CheckResult", "name passed detail")):
 
 
 def _check(name: str):
-    """The check `name`: check(cfg, ctx) runs the body and wraps its (passed, detail)."""
+    """The check `name`: check(cfg, ctx) runs the body and wraps its (passed,
+    detail); a work ceiling met in the body is its FAIL detail."""
     def make(body):
         @wraps(body)
         def check(cfg: VerifyConfig, ctx=None) -> CheckResult:
-            return CheckResult(name, *body(cfg, ctx))
+            try:
+                return CheckResult(name, *body(cfg, ctx))
+            except IterationCeilingError as exc:
+                return CheckResult(name, False, f"{exc.kind}: {exc}")
         return check
     return make
 

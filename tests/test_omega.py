@@ -449,7 +449,8 @@ def test_every_order_class_derives_its_reads_from_span_and_bound(name, asks):
 
 
 @pytest.mark.parametrize("context", [Tower, AAOrders])
-def test_successor_tails_are_shared_per_limit(p, context):
+def test_successor_orders_at_one_limit_list_their_heads_first(p, context):
+    # lam+m's order lists the heads lam+m-1, ..., lam, then lam's order
     orders = context()
 
     def check(alpha):
@@ -465,9 +466,9 @@ def test_successor_tails_are_shared_per_limit(p, context):
     names = ["w+5", "w+3", "w*2+4"]
     for name in names:
         check(p(name))
-    # w+3 reads its heads from the tail w+5 built
-    assert orders.order(p("w+3")).prefix(1)[0] is orders.order(p("w+5")).prefix(3)[2]
-    # a longer tail appends; shorter orders keep their heads
+    # successors of one limit agree on their heads: w+3's first is w+5's third
+    assert orders.order(p("w+3")).prefix(1)[0] == orders.order(p("w+5")).prefix(3)[2]
+    # a longer successor order at the same limit leaves the shorter ones' heads as they were
     check(p("w+9"))
     for name in names:
         check(p(name))

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import operator
 import pickle
 import subprocess
 import sys
@@ -102,6 +103,25 @@ def test_int_interop():
     assert ordinal(3) < 5
     assert W != 3
     assert W != "w"
+
+
+# each order operator, with the answers of compare for which it holds
+_ORDER_OPS = [(operator.lt, {-1}), (operator.le, {-1, 0}), (operator.gt, {1}), (operator.ge, {0, 1})]
+
+
+@given(small_ordinals(), small_ordinals(), st.integers(0, 12))
+def test_order_operators_agree_with_compare(a, b, n):
+    for op, holds in _ORDER_OPS:
+        assert op(a, b) is (compare(a, b) in holds)
+        # an int stands for its finite ordinal on either side; on the left,
+        # int's method gives NotImplemented and Ordinal's opposite one answers
+        assert op(a, n) is (compare(a, n) in holds)
+        assert op(n, a) is (compare(n, a) in holds)
+        for other in ["w", 1.0, None, True]:
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
 
 
 def _pickle_roundtrip(x):

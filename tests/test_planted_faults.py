@@ -8,7 +8,10 @@ other check red; ``tail_upwards`` and ``close_is_segment_and_input`` turn
 several red.  Faults the checks cannot see, such as a closure returned out
 of order, a prefix that passes the descent ceiling or a run stage listed out
 of order, are planted under the property test in ``test_family.py``,
-``test_ordinals.py`` or ``test_omega.py`` that can.
+``test_ordinals.py`` or ``test_omega.py`` that can.  Two more cases make
+one check's body raise under ``verify all``: a ceiling must become that
+check's FAIL line and leave the other 13 as they are, a domain error must
+end the run in its ``error:`` line.
 """
 
 import pathlib
@@ -17,8 +20,8 @@ from math import comb
 
 import pytest
 
-from ordtower import AAOrders, Tower, cofinal_extend, family, ordinals, oset, parse_ordinal, verify
-from ordtower.errors import IterationCeilingError
+from ordtower import AAOrders, Tower, cli, cofinal_extend, family, ordinals, oset, parse_ordinal, verify
+from ordtower.errors import DomainError, IterationCeilingError
 from ordtower.omega import LimitOrder, PatchedOrder
 from ordtower.tower import BlockOrder, PrependOrder
 
@@ -263,6 +266,33 @@ def test_every_check_catches_its_planted_fault(check, fault, detail, monkeypatch
     fault(monkeypatch)
     res = fn(verify.VerifyConfig()) if ctx is None else fn(verify.VerifyConfig(), ctx())
     assert res.line().startswith(f"FAIL {check}: {detail}")
+
+
+_VERIFY_ALL = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs" / "verify-all.txt"
+
+
+def raises(error):
+    def planted(*args):
+        raise error("planted")
+
+    return planted
+
+
+def test_a_ceiling_in_one_check_is_its_fail_line(monkeypatch, capsys):
+    # only ladder-biconditional builds a ladder
+    monkeypatch.setattr(verify, "ladder", raises(IterationCeilingError))
+    assert cli.run(["verify", "all", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    want = _VERIFY_ALL.read_text().splitlines()[1:]
+    want[4] = "FAIL ladder-biconditional: ceiling: planted"
+    assert (out.splitlines(), err) == (want, "")
+
+
+def test_a_domain_error_in_one_check_ends_the_run(monkeypatch, capsys):
+    # it rejects the invocation, so no check prints a verdict
+    monkeypatch.setattr(verify, "ladder", raises(DomainError))
+    assert cli.run(["verify", "all", "--seed", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: domain: planted\n")
 
 
 def test_closure_property_catches_an_unsorted_stage_prefix(monkeypatch):
