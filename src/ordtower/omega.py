@@ -40,7 +40,13 @@ come from a formula over two int arrays grown together: lam's ranks of
 the naturals and the stage ends they give.  A rank bisects the first, a
 position the second, each with the C ``bisect_right`` and no key (see
 ``LimitOrder``).  Its later stages build no order, and a stage record
-only when ``exception_points`` scans that far.
+only when ``exception_points`` scans that far.  A read grows the arrays
+exactly to the stage whose end it reads, down the whole chain of run
+orders, and a listed order at its foot only to the block holding that
+natural.  Listing stage t would need stage t+j of the order j levels
+down, so near ``tower.CEILING`` a read checks that by arithmetic and,
+where listing would pass the ceiling, is refused at once with the
+ceiling line of the deepest limit order of its chain.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -54,8 +60,9 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 
+from . import tower
 from .errors import DomainError, IterationCeilingError
-from .ordinals import ORD_KEY, Ordinal, W, enum_below, ordinal, oset
+from .ordinals import ORD_KEY, ZERO, Ordinal, W, enum_below, ordinal, oset
 from .rng import Lcg
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point
 
@@ -125,8 +132,9 @@ class LimitOrder(BlockOrder):
     not listed before stage s at i+c+I.rank(x), i the least stage with
     q(i) > I.rank(x): ``bisect_right`` on q.  ``_span`` finds a position's
     stage by ``bisect_right`` on e, and ``_nth`` is a span of one.  A run
-    stage is listed only when ``ensure_blocks`` asks for its block; the
-    arrays grow one stage at a time, with the same ceiling as listing.
+    stage is listed only when ``ensure_blocks`` asks for its block; a read
+    grows the arrays exactly through the stage whose end it reads, and
+    meets listing's ceiling by arithmetic (``_reach``).
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
@@ -134,6 +142,7 @@ class LimitOrder(BlockOrder):
         self.ctx = ctx
         self._inner: OmegaOrder | None = None  # lam's order, in the run phase
         self._c = self._s = 0  # m_i - i in the run phase, and its first stage
+        self._depth = eta._terms[-1][1]  # c of eta = P + w*c bounds the run chain below
         self._run_ranks = array("q")  # q(0), q(1), ...
         self._run_ends = array("q")  # e(0), e(1), ...
 
@@ -161,18 +170,31 @@ class LimitOrder(BlockOrder):
             self._run_ends = array("q", [n + c + r for n, r in enumerate(q)])
 
     def _grown(self, n: int) -> array:
-        """The stage ends through stage n, each stage after the ceiling
-        check that listing it would make; q grows with them."""
-        e, q, inner, c = self._run_ends, self._run_ranks, self._inner, self._c
-        while len(e) <= n:
-            self._check_stage(t := len(e))
-            if _runs(inner) and t >= inner._s - 1:  # I lists t at its run stage t+1
-                r = inner._grown(t + 1)[t] + 1
-            else:
-                r = inner._rank(ordinal(t))
+        """The stage ends through stage n, and q with them: e(t) needs I's
+        rank of t, which reads I's own stage t and no further.  Listing stage
+        t would need more, stage t+j j levels down, so a new stage within
+        the chain's depth of the ceiling is refused as listing would be."""
+        e = self._run_ends
+        if n < len(e):
+            return e
+        q, inner, c = self._run_ranks, self._inner, self._c
+        # from here on I lists t at its run stage t+1, after e_I(t)
+        s = inner._s - 1 if type(inner) is LimitOrder and inner._inner is not None else n + 1
+        for t in range(len(e), n + 1):
+            if t + self._depth >= tower.CEILING:
+                self._reach(t)
+            r = inner._grown(t)[t] + 1 if t >= s else inner._rank(ordinal(t))
             q.append(r)
             e.append(t + c + r)
         return e
+
+    def _reach(self, t: int) -> None:
+        """Refuse stage t as listing would: it needs stage t+j of the order j
+        levels down, so the deepest limit order of the chain refuses first."""
+        o = self
+        while type(o._inner) is LimitOrder:
+            o, t = o._inner, t + 1
+        o._check_stage(t)
 
     def _stage_at(self, k: int) -> int:
         """The run stage holding position k, which lies past the listed points."""
@@ -191,15 +213,20 @@ class LimitOrder(BlockOrder):
         got = self._ranks.get(x)
         if got is not None or self._inner is None:
             return got
-        inner, c = self._inner, self._c
-        if x.is_natural():  # n is listed at stage n+1, after its tail point
-            n = x.natural()
-            return self._grown(n + 1)[n] + 1
-        if not x < inner.bound:  # the tail point lam+j, listed at stage j-c+1
+        inner, c, ts = self._inner, self._c, x._terms
+        if not ts or ts[0][0] is ZERO:  # n is listed at stage n+1, after its tail point
+            n = ts[0][1] if ts else 0
+            if n + 1 + self._depth >= tower.CEILING:
+                self._reach(n + 1)
+            return self._grown(n)[n] + 1
+        if x._key >= inner.bound._key:  # the tail point lam+j, listed at stage j-c+1
             j = x.split()[1] - c
-            return self._grown(j + 1)[j]
+            if j + 1 + self._depth >= tower.CEILING:
+                self._reach(j + 1)
+            return self._grown(j)[j]
         # I's rank comes first, so a ceiling met there names I, as listing would
-        qx = inner._peek(x) if _runs(inner) else inner._rank(x)
+        runs = type(inner) is LimitOrder and inner._inner is not None
+        qx = inner._peek(x) if runs else inner._rank(x)
         q = self._run_ranks
         while q[-1] <= qx:  # until the least i with q(i) > qx is held
             self._grown(len(q))
@@ -457,11 +484,6 @@ class AAOrders(Orders):
             if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
                 return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)
-
-
-def _runs(o: OmegaOrder) -> bool:
-    """Whether o is a limit order in its run phase."""
-    return isinstance(o, LimitOrder) and o._inner is not None
 
 
 def _same_order(lo_r: list[int], hi_r: list[int]) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import isqrt
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter, ge, gt, le
 
 from .errors import DomainError, IterationCeilingError, NotALimitError, OrdinalSyntaxError
 
@@ -38,7 +38,7 @@ _PAIRS: dict = {}  # each term pair (e, c) and key pair (e._key, c) -> its one c
 
 
 def _comparison(op):
-    """The Ordinal method comparing sort keys by op (lt, le, gt or ge); an
+    """The Ordinal method comparing sort keys by op (le, gt or ge); an
     int stands for its finite ordinal, any other operand is NotImplemented."""
     def method(self, other) -> bool:
         if type(other) is not Ordinal:
@@ -50,7 +50,7 @@ def _comparison(op):
 
 
 class Ordinal:
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms", "_key", "_split")  # _split: split()'s answer, filled on first use
 
     def __new__(cls, terms: tuple[Term, ...] = ()):
         o = _TABLE.get(terms)
@@ -58,7 +58,7 @@ class Ordinal:
             pair = _PAIRS.setdefault
             terms = tuple([pair(t, t) for t in terms])
             o = _TABLE[terms] = object.__new__(cls)
-            o._terms = terms
+            o._terms, o._split = terms, None
             # nested-tuple image of the CNF; tuple order coincides with ordinal order
             o._key = tuple([pair(k, k) for k in [(e._key, c) for e, c in terms]])
         return o
@@ -97,9 +97,12 @@ class Ordinal:
 
     def split(self) -> tuple["Ordinal", int]:
         """Decompose as lam + m with lam limit-or-zero and m natural."""
-        if self._terms and not self._terms[-1][0]._terms:
-            return Ordinal(self._terms[:-1]), self._terms[-1][1]
-        return self, 0
+        got = self._split
+        if got is None:
+            ts = self._terms
+            got = self._split = ((Ordinal(ts[:-1]), ts[-1][1]) if ts and not ts[-1][0]._terms
+                                 else (self, 0))
+        return got
 
     def plus(self, m: int) -> "Ordinal":
         """self + m for a natural m; lam.plus(m) undoes split."""
@@ -136,7 +139,14 @@ class Ordinal:
 
     __hash__ = object.__hash__
 
-    __lt__, __le__, __gt__, __ge__ = map(_comparison, (lt, le, gt, ge))
+    def __lt__(self, other) -> bool:  # the hot one, without _comparison's indirection
+        if type(other) is not Ordinal:
+            other = _maybe_ord(other)
+            if other is None:
+                return NotImplemented
+        return self._key < other._key
+
+    __le__, __gt__, __ge__ = map(_comparison, (le, gt, ge))
 
     def __add__(self, other) -> "Ordinal":
         other = _maybe_ord(other)

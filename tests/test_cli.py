@@ -488,6 +488,19 @@ def test_deep_limit_chain_ends_in_a_ceiling_error():
     assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")
 
 
+@pytest.mark.parametrize("point, want", [
+    ("w^2*5", "136"), ("w^2*6", "229"), ("w^2*7", "358"), ("w^2*8", "529")])
+def test_ranks_at_w3_grow_only_what_they_read(point, want):
+    # each order down the chain grows only the stages the read needs; one
+    # more stage per level compounds through the nested limits below w^3
+    # and meets the frame limit from w^2*6 on.  Grown that way under a
+    # raised frame limit, 229 and 358 come out the same; w^2*8 runs out
+    # of memory first.
+    start = time.perf_counter()
+    assert _run_in_process(["aa", "rank", "--alpha", "w^3", point]) == (0, want + "\n", "")
+    assert time.perf_counter() - start < 5
+
+
 def _run_nested(depth, argv):
     return _run_nested(depth - 1, argv) if depth else _run_in_process(argv)
 
@@ -529,6 +542,76 @@ def test_run_phase_lookups_stop_at_the_stage_ceiling(argv, want):
     got = _run_in_process(argv.split())
     assert time.perf_counter() - start < 2
     assert got == ((0, want + "\n", "") if want else (1, "", _CEILING_AT_W2))
+
+
+# With the stage ceiling lowered to 40: an argv with its index left out, the
+# first index, then one outcome per index: an answer, or "-" for the ceiling
+# line at w*2.  Reading stage t of a run order needs stage t+j of the order j
+# levels down, so over w a read stops by arithmetic exactly where listing the
+# stage would.  Over w^2 a read once also listed w^2 through block t+d, d run
+# orders down, and a ceiling met in those blocks refused it; "-/x" marks such a
+# read, which now lists w^2 through block t+1 and answers x, its answer under
+# ceiling 60.  Every other outcome was the same then.
+_EDGES_AT_CEILING_40 = """
+aa rank --alpha w*2 {}              36: 73 75 77 - - -
+aa rank --alpha w*2 w+{}            36: 72 74 76 - - -
+aa nth --alpha w*2 {}               75: 37 w+38 38 - - -
+aa rank --alpha w*3 {}              35: 106 109 112 - - -
+aa rank --alpha w*3 w*2+{}          34: 105 108 111 - - -
+aa nth --alpha w*3 {}               111: w*2+36 37 w+38 - - -
+aa rank --alpha w*4 {}              34: 137 141 145 - - -
+aa rank --alpha w*4 w*3+{}          33: 136 140 144 - - -
+aa nth --alpha w*4 {}               145: 36 w+37 w*2+36 - - -
+aa rank --alpha w*5 {}              33: 166 171 176 - - -
+aa rank --alpha w*5 w*4+{}          32: 165 170 175 - - -
+aa nth --alpha w*5 {}               177: w+36 w*2+35 w*3+35 - - -
+aa rank --alpha w*6 {}              32: 193 199 205 - - -
+aa rank --alpha w*6 w*5+{}          31: 192 198 204 - - -
+aa nth --alpha w*6 {}               207: w*2+34 w*3+34 w*4+34 - - -
+aa rank --alpha w^2+w {}            15: 271 305 341 -/379 - - -
+aa rank --alpha w^2+w w^2+{}        14: 270 304 340 -/378 - - -
+aa nth --alpha w^2+w {}             375: w*19+15 w*19+16 w*19+17 - - -
+aa rank --alpha w^2+w*2 {}          14: 253 286 321 -/358 -/397 - - -
+aa rank --alpha w^2+w*2 w^2+w+{}    13: 252 285 320 -/357 -/396 - - -
+aa nth --alpha w^2+w*2 {}           354: w*18+15 w*18+16 w^2+16 -/w^2+w+16 -/17 -/w+18
+aa nth --alpha w^2+w*2 {}           392: -/w*19+15 -/w*19+16 -/w*19+17 - - -
+aa rank --alpha w^2+w*3 {}          13: 235 267 301 -/337 -/375 -/415 - - -
+aa rank --alpha w^2+w*3 w^2+w*2+{}  12: 234 266 300 -/336 -/374 -/414 - - -
+aa nth --alpha w^2+w*3 {}           333: w*17+15 w^2+15 w^2+w+15 -/w^2+w*2+15 -/16 -/w+17
+aa nth --alpha w^2+w*3 {}           409: -/w*19+15 -/w*19+16 -/w*19+17 - - -
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "aa rank --alpha w^2+w 19998",
+    "aa rank --alpha w^2+w w^2+19997",
+    "aa rank --alpha w^2+w*3 w^2+w*2+19996",
+])
+def test_a_read_past_a_listed_orders_ceiling_is_refused_at_once(argv):
+    # listing the stage these points end needs w^2's block 20,000, so the
+    # read is refused by arithmetic; listing w^2 block by block to find out
+    # would take over 10 s and 400 MB and meet the frame limit first
+    start = time.perf_counter()
+    got = _run_in_process(argv.split())
+    assert time.perf_counter() - start < 2
+    assert got == (1, "", "error: ceiling: block construction at w^2 exceeded 20000 stages\n")
+
+
+def test_run_phase_reads_stop_where_listing_does_at_a_lowered_ceiling(monkeypatch):
+    # the gate reads tower.CEILING when it runs: a copy taken at import
+    # would miss this patch and answer past the ceiling
+    monkeypatch.setattr(tower, "CEILING", 40)
+    got, want = [], []
+    for line in _EDGES_AT_CEILING_40.strip().splitlines():
+        head, outcomes = line.split(": ")
+        fmt, start = head.rsplit(None, 1)
+        for k, outcome in enumerate(outcomes.split(), int(start)):
+            argv = fmt.format(k)
+            got.append((argv, *_run_in_process(argv.split())))
+            answer = outcome.removeprefix("-/")
+            want.append((argv, 0, answer + "\n", "") if answer != "-" else
+                        (argv, 1, "", _CEILING_AT_W2.replace("20000", "40")))
+    assert got == want
 
 
 _RUN_AND_REPORT_RSS = """

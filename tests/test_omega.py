@@ -667,9 +667,30 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert sum(len(o._seq) for o in limits) == 2175
     # only filter stages are listed with rank entries; run stages are memo ints
     assert sum(len(o._ranks) for o in limits) == 2175
-    assert sum(len(o._run_ends) for o in limits) == 1584
+    assert sum(len(o._run_ends) for o in limits) == 1088
     # structural stages build no order: 66 memoized orders today
     assert len(orders._orders) < 100
+
+
+@pytest.mark.parametrize("eta, chain, base", [
+    ("w*6", ["w*6", "w*5", "w*4", "w*3", "w*2"], None),
+    ("w^2+w*3", ["w^2+w*3", "w^2+w*2", "w^2+w"], "w^2"),
+])
+def test_run_phase_reads_grow_exactly_the_stage_they_read(p, eta, chain, base):
+    # a natural n sits at e(n)+1, just after stage n+1's tail point, and the
+    # tail point lam+(t+c) at e(t); so each read needs stage n or t of every
+    # run order down the chain and, in a listed base, the block holding that
+    # natural, n+1 or t+1.  Growing one stage more per level would show here.
+    orders = AAOrders()
+    o = orders.order(p(eta))
+    runs, reach = [orders.order(p(name)) for name in chain], 0
+    for n, read in [(40, "natural"), (55, "tail"), (30, "natural"), (70, "tail")]:
+        x = ordinal(n) if read == "natural" else o._inner.bound.plus(n + o._c)
+        assert o.rank(x) == o._run_ends[n] + (read == "natural")
+        reach = max(reach, n)
+        assert [len(r._run_ends) for r in runs] == [reach + 1] * len(runs)
+        if base is not None:
+            assert len(orders.order(p(base))._ends) - 1 == reach + 2
 
 
 def test_contexts_keep_the_fields_the_bench_tracer_reads():
