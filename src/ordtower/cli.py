@@ -288,13 +288,19 @@ _GROUPS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argparse tree: every group, with the leaves of the group ``only``
+    when it is given, else of all (top-level help and usage errors)."""
     p = argparse.ArgumentParser(prog="ordtower",
                                 description="well-orders, closures and omega-orders on small ordinals")
     groups = p.add_subparsers(dest="group", required=True)
     ops = {}
     leaf = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
     for (group, *op), (handler, positionals, options) in _COMMANDS.items():
+        if only not in (None, group):
+            if group not in ops:  # for its line in the top-level help
+                ops[group] = groups.add_parser(group, help=_GROUPS[group])
+            continue
         if op and group not in ops:
             g = groups.add_parser(group, help=_GROUPS[group])
             ops[group] = g.add_subparsers(dest="op", required=True)
@@ -312,14 +318,14 @@ def run(argv: list[str]) -> int:
     """Run one command, print its answer and return its exit code; usage
     errors and ``--help`` raise SystemExit (2 and 0).
 
-    The argparse tree is built on the first call and reused by every later
-    call in the process; it holds no answers or per-call state, and each call
-    gets a fresh namespace and fresh contexts.  No package code uses threads,
-    so sharing it needs no lock.
-    Reuse only saves in-process callers: a ``python -m ordtower`` process
-    builds the parser once either way, so shell start-up does not change.
+    The argparse tree holds the leaves of argv's group only, or of every
+    group when argv does not start with one, so a single command builds no
+    leaf it cannot reach.  Each tree is built on first use and reused by
+    every later call in the process; it holds no answers or per-call state,
+    and each call gets a fresh namespace and fresh contexts.  No package
+    code uses threads, so sharing it needs no lock.
     """
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _GROUPS else None).parse_args(argv)
     try:
         lines, payload, *code = args.handler(args)
     except OrdTowerError as exc:

@@ -27,9 +27,8 @@ A limit keeps its chain's stages in one list, grown in order on demand:
 the next fund_seq index, alpha_i, the composed certificate (stage
 i-1's joined with the step's exception points, and the previous one
 itself when the step adds no point) and the adjusted order, which
-``chain_order`` builds on first use.  Only the next stage's build reads
-an adjusted order, so that build releases it; asked for again, it is
-rebuilt from the nearest stage that is kept or certifies nothing.
+``chain_order`` builds on first use, after every stage before it, and
+keeps: rank reads ask for the stages out of order.
 When eta's last exponent is 1 (shape A) every chain point after stage 1
 is the previous one plus 1, since fund_seq(P + w*c, n) = P + w*(c-1) + n,
 and that step certifies no point: lam+j+1 reorders nothing below lam+j.
@@ -42,11 +41,22 @@ position the second, each with the C ``bisect_right`` and no key (see
 ``LimitOrder``).  Its later stages build no order, and a stage record
 only when ``exception_points`` scans that far.  A read grows the arrays
 exactly to the stage whose end it reads, down the whole chain of run
-orders, and a listed order at its foot only to the block holding that
-natural.  Listing stage t would need stage t+j of the order j levels
-down, so near ``tower.CEILING`` a read checks that by arithmetic and,
-where listing would pass the ceiling, is refused at once with the
-ceiling line of the deepest limit order of its chain.
+orders, and reads only that natural's rank in the order at its foot.
+Listing stage t would need stage t+j of the order j levels down, so
+near ``tower.CEILING`` a read checks that by arithmetic and, where
+listing would pass the ceiling, is refused at once with the ceiling
+line of the deepest limit order of its chain.
+
+Any other limit (last exponent >= 2: w^2*k and w^3) takes a new lam at
+every stage and never runs.  Its ``nth``, ``span`` and blocks list as
+above, but a rank is read off the adjusted chain: a natural n opens the
+second part of block n+1, so it sits at o_{n+1}'s rank of n.  Any other
+x lies below alpha_k first at some k; with n_x the naturals before x in
+o_k, the same in every later o_i, x lies in block max(k, n_x): when
+n_x >= k in its second part, at o_{n_x}'s rank of x, else in block k's
+first part, which is listed.  A read refuses where listing its block
+would.  So w^2's rank of a natural n builds its chain through stage n+1
+and lists no block, where listing block n+1 cost time quadratic in n.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -64,7 +74,7 @@ from . import tower
 from .errors import DomainError, IterationCeilingError
 from .ordinals import ORD_KEY, ZERO, Ordinal, W, enum_below, ordinal, oset
 from .rng import Lcg
-from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point
+from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
 
@@ -135,6 +145,12 @@ class LimitOrder(BlockOrder):
     stage is listed only when ``ensure_blocks`` asks for its block; a read
     grows the arrays exactly through the stage whose end it reads, and
     meets listing's ceiling by arithmetic (``_reach``).
+
+    At a new-lam limit (``_new_lam``: eta's last exponent is not 1) every
+    stage is a filter stage, and ``_peek`` reads an unlisted point's rank
+    off the kept adjusted orders o_i (``_chain_rank``, by the rule in the
+    module docstring); only a point in the first part of its block k lists
+    blocks, through block k.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
@@ -143,6 +159,7 @@ class LimitOrder(BlockOrder):
         self._inner: OmegaOrder | None = None  # lam's order, in the run phase
         self._c = self._s = 0  # m_i - i in the run phase, and its first stage
         self._depth = eta._terms[-1][1]  # c of eta = P + w*c bounds the run chain below
+        self._new_lam = not _steps_by_one(eta)  # never in a run phase: ranks read off the chain
         self._run_ranks = array("q")  # q(0), q(1), ...
         self._run_ends = array("q")  # e(0), e(1), ...
 
@@ -211,8 +228,10 @@ class LimitOrder(BlockOrder):
 
     def _peek(self, x: Ordinal) -> int | None:
         got = self._ranks.get(x)
-        if got is not None or self._inner is None:
+        if got is not None:
             return got
+        if self._inner is None:
+            return self._chain_rank(x) if self._new_lam else None
         inner, c, ts = self._inner, self._c, x._terms
         if not ts or ts[0][0] is ZERO:  # n is listed at stage n+1, after its tail point
             n = ts[0][1] if ts else 0
@@ -231,6 +250,31 @@ class LimitOrder(BlockOrder):
         while q[-1] <= qx:  # until the least i with q(i) > qx is held
             self._grown(len(q))
         return bisect_right(q, qx) + c + qx
+
+    def _chain_rank(self, x: Ordinal) -> int:
+        """x's position at a new-lam limit, read off the adjusted chain: a
+        natural n in block n+1 at o_{n+1}'s rank of n, any other x in block
+        max(k, n_x) (see the module docstring)."""
+        ctx, eta, ts = self.ctx, self.eta, x._terms
+        if not ts or ts[0][0] is ZERO:  # n opens the second part of block n+1
+            n = ts[0][1] if ts else 0
+            self._check_stage(n + 1)
+            return ctx.chain_order(eta, n + 1)._rank(x)
+        k = 1  # the least k with x < alpha_k: x lies in block k or later
+        while not x < ctx._stage(eta, k)[1]:
+            k += 1
+            self._check_stage(k)
+        ok = ctx.chain_order(eta, k)
+        r = ok._rank(x)
+        if ok._rank(ordinal(k - 1)) > r:  # n_x < k: the first part of block k, listed
+            while len(self._ends) <= k + 1:
+                self._next_block()
+            return self._ranks[x]
+        n = k  # n_x >= k: the second part of block n_x
+        while ok._rank(ordinal(n)) < r:
+            n += 1
+        self._check_stage(n)
+        return r if n == k else ctx.chain_order(eta, n)._rank(x)
 
     def _nth(self, k: int) -> Ordinal:
         return self._span(k, k + 1)[0]
@@ -368,10 +412,10 @@ class AAOrders(Orders):
     def _stage(self, eta: Ordinal, i: int) -> list:
         """Stage i of eta's adjusted chain, as [the next fund_seq index,
         alpha_i, the certificate composed up to alpha_i, the adjusted order
-        there or None, before ``chain_order`` builds it and once the next
-        stage's build releases it].  Each stage after omega's takes the next
-        fund_seq value above omega and the step's exception points (none on
-        a shape-A chain past stage 1, where each is the previous plus 1)."""
+        there or None until ``chain_order`` builds it].  Each stage after
+        omega's takes the next fund_seq value above omega and the step's
+        exception points (none on a shape-A chain past stage 1, where each
+        is the previous plus 1)."""
         stages = self._chain_orders.get(eta)
         if stages is None:
             stages = self._chain_orders[eta] = [[0, W, (), self._order_at(W)]]
@@ -385,18 +429,13 @@ class AAOrders(Orders):
 
     def chain_order(self, eta: Ordinal, i: int) -> OmegaOrder:
         stage = self._stage(eta, i)
-        if stage[3] is None:  # built on first use, with any order it adjusts
+        if stage[3] is None:  # built on first use, after every stage before it
             stages, j = self._chain_orders[eta], i
-            while stages[j][3] is None and stages[j][2]:
+            while stages[j - 1][3] is None:
                 j -= 1
-            prev = None
-            for s in stages[j:i + 1]:
-                if s[3] is None:
-                    outer = self._order_at(s[1])
-                    s[3] = _adjust(prev[3], outer, s[2]) if s[2] else outer
-                    if prev is not None:  # only this build reads it; rebuilt if asked again
-                        prev[3] = None
-                prev = s
+            for prev, s in zip(stages[j - 1:i], stages[j:i + 1]):
+                outer = self._order_at(s[1])
+                s[3] = _adjust(prev[3], outer, s[2]) if s[2] else outer
         return stage[3]
 
     # -- exception certificates ----------------------------------------------

@@ -176,9 +176,9 @@ class BlockOrder(OmegaOrder):
 
     The order is the list ``_seq`` and block i is
     ``_seq[_ends[i]:_ends[i + 1]]``.  ``_ranks`` maps points to their
-    positions; ``_peek(x)`` is x's position when it is known without
-    listing another block, else None.  Here ``_ranks`` holds every listed
-    point and ``_peek`` reads it; a subclass may work out the rest.
+    positions; ``_peek(x)`` is x's position, or None until another block
+    is listed.  Here ``_ranks`` holds every listed point and ``_peek``
+    reads it; a subclass may work out the rest, listing what it needs.
     Blocks are built on demand, at most ``CEILING`` of them, by ``_extend``:
     ``grow(eta)`` here, overridden by subclasses; either appends through
     ``append_block``.

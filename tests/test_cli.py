@@ -459,6 +459,25 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch):
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_a_command_builds_only_its_groups_leaves(monkeypatch):
+    # each group's tree lists all six groups in the top-level help, and
+    # leaves under its own group only
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._build_parser()
+
+    def groups(tree):
+        return tree._subparsers._group_actions[0].choices
+
+    for name in cli._GROUPS:
+        tree = cli._build_parser(name)
+        assert tree.format_help() == full.format_help()
+        for other, parser in groups(tree).items():
+            if other == name:
+                assert parser.format_help() == groups(full)[other].format_help()
+            else:
+                assert parser.get_default("handler") is None and parser._subparsers is None
+
+
 def test_closed_stdout_ends_quietly():
     # the listing is far past a pipe buffer, so the write after close fails
     p = subprocess.Popen(CMD + ["ord", "enum", "w^2", "--count", "100000"],
@@ -548,10 +567,11 @@ def test_run_phase_lookups_stop_at_the_stage_ceiling(argv, want):
 # first index, then one outcome per index: an answer, or "-" for the ceiling
 # line at w*2.  Reading stage t of a run order needs stage t+j of the order j
 # levels down, so over w a read stops by arithmetic exactly where listing the
-# stage would.  Over w^2 a read once also listed w^2 through block t+d, d run
-# orders down, and a ceiling met in those blocks refused it; "-/x" marks such a
-# read, which now lists w^2 through block t+1 and answers x, its answer under
-# ceiling 60.  Every other outcome was the same then.
+# stage would.  Over w^2 a read once listed w^2 through block t+d, d run orders
+# down, then through block t+1, and a ceiling met in those blocks refused it;
+# "-/x" marks such a read, which now reads w^2's rank off its adjusted chain,
+# listing none of those blocks, and answers x, its answer under ceiling 80.
+# Every other outcome was the same then.
 _EDGES_AT_CEILING_40 = """
 aa rank --alpha w*2 {}              36: 73 75 77 - - -
 aa rank --alpha w*2 w+{}            36: 72 74 76 - - -
@@ -568,17 +588,17 @@ aa nth --alpha w*5 {}               177: w+36 w*2+35 w*3+35 - - -
 aa rank --alpha w*6 {}              32: 193 199 205 - - -
 aa rank --alpha w*6 w*5+{}          31: 192 198 204 - - -
 aa nth --alpha w*6 {}               207: w*2+34 w*3+34 w*4+34 - - -
-aa rank --alpha w^2+w {}            15: 271 305 341 -/379 - - -
-aa rank --alpha w^2+w w^2+{}        14: 270 304 340 -/378 - - -
-aa nth --alpha w^2+w {}             375: w*19+15 w*19+16 w*19+17 - - -
-aa rank --alpha w^2+w*2 {}          14: 253 286 321 -/358 -/397 - - -
-aa rank --alpha w^2+w*2 w^2+w+{}    13: 252 285 320 -/357 -/396 - - -
+aa rank --alpha w^2+w {}            15: 271 305 341 -/379 -/419 - -
+aa rank --alpha w^2+w w^2+{}        14: 270 304 340 -/378 -/418 - -
+aa nth --alpha w^2+w {}             375: w*19+15 w*19+16 w*19+17 -/w^2+17 -/18 -/w+19
+aa rank --alpha w^2+w*2 {}          14: 253 286 321 -/358 -/397 -/438 - -
+aa rank --alpha w^2+w*2 w^2+w+{}    13: 252 285 320 -/357 -/396 -/437 - -
 aa nth --alpha w^2+w*2 {}           354: w*18+15 w*18+16 w^2+16 -/w^2+w+16 -/17 -/w+18
-aa nth --alpha w^2+w*2 {}           392: -/w*19+15 -/w*19+16 -/w*19+17 - - -
-aa rank --alpha w^2+w*3 {}          13: 235 267 301 -/337 -/375 -/415 - - -
-aa rank --alpha w^2+w*3 w^2+w*2+{}  12: 234 266 300 -/336 -/374 -/414 - - -
+aa nth --alpha w^2+w*2 {}           392: -/w*19+15 -/w*19+16 -/w*19+17 -/w^2+17 -/w^2+w+17 -/18
+aa rank --alpha w^2+w*3 {}          13: 235 267 301 -/337 -/375 -/415 -/457 - -
+aa rank --alpha w^2+w*3 w^2+w*2+{}  12: 234 266 300 -/336 -/374 -/414 -/456 - -
 aa nth --alpha w^2+w*3 {}           333: w*17+15 w^2+15 w^2+w+15 -/w^2+w*2+15 -/16 -/w+17
-aa nth --alpha w^2+w*3 {}           409: -/w*19+15 -/w*19+16 -/w*19+17 - - -
+aa nth --alpha w^2+w*3 {}           409: -/w*19+15 -/w*19+16 -/w*19+17 -/w^2+17 -/w^2+w+17 -/w^2+w*2+17
 """
 
 
@@ -636,6 +656,20 @@ def test_deep_aa_rank_stays_small():
                        capture_output=True, text=True, timeout=120)
     assert (r.returncode, r.stdout) == (0, "22951\n")
     assert int(r.stderr) < 45 * 1024
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("aa rank --alpha w^2 w*3+900", "811804"),
+    ("aa rank --alpha w^2+w 800", "642401"),
+])
+def test_deep_reads_at_w2_stay_under_200_mib(argv, want):
+    # each needs w^2's ranks of points in its blocks 800 and up: read off its
+    # adjusted chain they keep under 120 MiB, where listing those blocks took
+    # 363 and 267 MiB
+    r = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_RSS, *argv.split()],
+                       capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stdout) == (0, want + "\n")
+    assert int(r.stderr) < 200 * 1024
 
 
 def test_malformed_window_files_are_domain_errors(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -516,18 +517,57 @@ def test_limit_blocks_match_filter_rule(p):
     assert orders.order(p("w^2"))._inner is None
 
 
-def test_chain_orders_release_the_stage_before_and_rebuild_it(p):
-    # building stage i from stage i-1 frees stage i-1's adjusted order;
-    # asked for again, it is rebuilt with the same points from the nearest
-    # stage that is kept or certifies nothing (here stage 1, at w*2)
+def test_chain_orders_are_built_once_in_any_read_order(p, monkeypatch):
+    # ranks at w^2 read its adjusted chain out of stage order: a natural n at
+    # stage n+1, another point at the stage of its block (w*3+40 in block 41).
+    # Every stage's order is kept, so each stage that certifies points is
+    # adjusted exactly once, however the reads come
+    adjusted = []
+    adjust = omega._adjust
+
+    def recording_adjust(inner, outer, points):
+        adjusted.append(outer.bound)
+        return adjust(inner, outer, points)
+
+    monkeypatch.setattr(omega, "_adjust", recording_adjust)
     orders = AAOrders()
     eta = p("w^2")
-    first = [orders.chain_order(eta, i).prefix(40) for i in range(6)]
+    reads = [ordinal(30), p("w*3+40"), ordinal(7), p("w*20+2"), ordinal(45), ordinal(12)]
+    got = [orders.rank(eta, x) for x in reads]
     stages = orders._chain_orders[eta]
-    assert [len(s[2]) for s in stages] == [0, 0, 3, 4, 5, 6]
-    assert [s[3] is None for s in stages] == [False] + [True] * 4 + [False]
-    assert [orders.chain_order(eta, i).prefix(40) for i in range(6)] == first
-    assert [s[3] is None for s in stages] == [False] + [True] * 3 + [False] * 2
+    assert len(stages) == 47 and all(s[3] is not None for s in stages)
+    assert adjusted == [s[1] for s in stages[2:]]  # stage 1, at w*2, certifies nothing
+    # asked again, in another order, no stage is adjusted again
+    assert [orders.rank(eta, x) for x in reads[::-1]] == got[::-1]
+    assert [orders.chain_order(eta, i) for i in range(47)] == [s[3] for s in stages]
+    assert len(adjusted) == 45
+    listed = [x for b in AAOrders().limit_blocks(eta, 47) for x in b]
+    assert got == [listed.index(x) for x in reads]
+
+
+_NEW_LAM_BLOCKS = {"w^2": 41, "w^2*2": 26, "w^2*3": 13, "w^2*5": 9, "w^3": 6}
+
+
+def test_new_lam_ranks_match_listed_positions(p):
+    # at a limit whose last exponent is not 1, a rank is read off the adjusted
+    # chain, and only a point in the first part of its block lists blocks; read
+    # in random order, on a fresh context every 32 reads, each rank is the
+    # point's index in the listed blocks
+    unlisted = 0
+    for name, n in _NEW_LAM_BLOCKS.items():
+        eta = p(name)
+        listed = [x for b in AAOrders().limit_blocks(eta, n) for x in b]
+        ks = list(range(len(listed)))
+        random.Random(name).shuffle(ks)
+        for i, k in enumerate(ks):
+            if i % 32 == 0:
+                orders = AAOrders()
+                o = orders.order(eta)
+            x = listed[k]
+            blocks = None if x in o._ranks else len(o._ends)
+            assert orders.rank(eta, x) == k, (name, str(x))
+            unlisted += blocks == len(o._ends)  # answered with no block listed
+    assert unlisted > 800  # 837 of the 3,827 reads; the rest were listed earlier
 
 
 def test_run_ranks_match_filter_positions(p):
@@ -644,9 +684,10 @@ print(tracemalloc.get_traced_memory()[0])
 
 
 def test_aa_suite_keeps_under_4_2_mib():
-    # what the aa suite leaves built, measured in a fresh process: 3.5 MiB
-    # with run ends and inner ranks as int arrays, superseded chain orders
-    # released and enumeration answers kept under limits only; 3.6 MiB
+    # what the aa suite leaves built, measured in a fresh process: 1.6 MiB
+    # with w^2's ranks read off its kept adjusted chain (3.0 MiB before);
+    # 3.5 MiB with run ends and inner ranks as int arrays, superseded chain
+    # orders released and enumeration answers kept under limits only; 3.6 MiB
     # (3.7 on Python 3.10) with one dict per eta; 4.6 MiB with a
     # list, every chain order kept and a tuple key per answer; 11.9 MiB
     # when every run point was listed
@@ -663,11 +704,12 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert orders.verify_exception(cert, 100, 3)
     limits = [o for o in orders._orders.values() if isinstance(o, omega.LimitOrder)]
     assert len(limits) == 33
-    assert sum(len(o._ends) - 1 for o in limits) == 128
-    assert sum(len(o._seq) for o in limits) == 2175
+    # w^2's ranks are read off its adjusted chain, so it lists fewer blocks
+    assert sum(len(o._ends) - 1 for o in limits) == 97
+    assert sum(len(o._seq) for o in limits) == 1121
     # only filter stages are listed with rank entries; run stages are memo ints
-    assert sum(len(o._ranks) for o in limits) == 2175
-    assert sum(len(o._run_ends) for o in limits) == 1088
+    assert sum(len(o._ranks) for o in limits) == 1121
+    assert sum(len(o._run_ends) for o in limits) == 1024
     # structural stages build no order: 66 memoized orders today
     assert len(orders._orders) < 100
 
@@ -679,8 +721,9 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
 def test_run_phase_reads_grow_exactly_the_stage_they_read(p, eta, chain, base):
     # a natural n sits at e(n)+1, just after stage n+1's tail point, and the
     # tail point lam+(t+c) at e(t); so each read needs stage n or t of every
-    # run order down the chain and, in a listed base, the block holding that
-    # natural, n+1 or t+1.  Growing one stage more per level would show here.
+    # run order down the chain and, in a new-lam base, the rank of that
+    # natural, n or t, read off the base's adjusted chain at stage n+1 or t+1.
+    # Growing one stage more per level would show here.
     orders = AAOrders()
     o = orders.order(p(eta))
     runs, reach = [orders.order(p(name)) for name in chain], 0
@@ -689,8 +732,10 @@ def test_run_phase_reads_grow_exactly_the_stage_they_read(p, eta, chain, base):
         assert o.rank(x) == o._run_ends[n] + (read == "natural")
         reach = max(reach, n)
         assert [len(r._run_ends) for r in runs] == [reach + 1] * len(runs)
-        if base is not None:
-            assert len(orders.order(p(base))._ends) - 1 == reach + 2
+        if base is not None:  # listed only as far as the first stage over it needs
+            assert len(orders.order(p(base))._ends) - 1 == 4
+            stages = orders._chain_orders[p(base)]
+            assert [s[3] is not None for s in stages] == [True] * (reach + 2)
 
 
 def test_contexts_keep_the_fields_the_bench_tracer_reads():

@@ -350,3 +350,22 @@ def test_order_contract_catches_a_run_stage_with_its_tail_point_last(monkeypatch
     run_tail_after_its_chunk(monkeypatch)
     with pytest.raises(AssertionError):
         contract.hypothesis.inner_test("run", asks)
+
+
+def natural_from_the_stage_before(m):
+    # a natural n opens the second part of block n+1, so its position is
+    # o_{n+1}'s rank of n; o_n ranks it among fewer points
+    chain_rank = LimitOrder._chain_rank
+
+    def early(self, x):
+        if x.is_natural():
+            return self.ctx.chain_order(self.eta, x.natural())._rank(x)
+        return chain_rank(self, x)
+
+    m.setattr(LimitOrder, "_chain_rank", early)
+
+
+def test_listed_positions_catch_a_natural_read_one_stage_early(monkeypatch):
+    natural_from_the_stage_before(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_omega.test_new_lam_ranks_match_listed_positions(parse_ordinal)
