@@ -9,8 +9,8 @@ supplies the limit rule:
   * alpha = lam + m: a ``PrependOrder``, the tail lam+m-1, ..., lam in
     front of lam's order, its points made by offsets from lam as they
     are read;
-  * alpha a limit: a ``LimitOrder``, the ``BlockOrder`` whose next block
-    comes from the adjusted chain.  Orders along the fundamental-sequence
+  * alpha a limit: a ``LimitOrder``, the ``BlockOrder`` whose blocks
+    come from the adjusted chain.  Orders along the fundamental-sequence
     chain alpha_0 = omega < alpha_1 < ... are adjusted one by one so each
     extends the previous exactly: each certified exception point moves
     just after its anchor, its nearest predecessor in the previous order
@@ -21,7 +21,7 @@ supplies the limit rule:
     naturals ascend in every order, the earlier blocks hold exactly the
     points below alpha_{i-1} before i-1, so b_i is o_i's points >= alpha_{i-1}
     before i-1, then o_i's points from i-1 up to i (``above`` and ``span``;
-    both read only those points on a run-phase order and a patched one).
+    both read only those points on a run order and a patched one).
 
 A limit keeps its chain's stages in one list, grown in order on demand:
 the next fund_seq index, alpha_i, the composed certificate (stage
@@ -29,34 +29,26 @@ i-1's joined with the step's exception points, and the previous one
 itself when the step adds no point) and the adjusted order, which
 ``chain_order`` builds on first use, after every stage before it, and
 keeps: rank reads ask for the stages out of order.
-When eta's last exponent is 1 (shape A) every chain point after stage 1
-is the previous one plus 1, since fund_seq(P + w*c, n) = P + w*(c-1) + n,
-and that step certifies no point: lam+j+1 reorders nothing below lam+j.
-So after its first stage at an unadjusted lam+m, such an order is fixed
-by lam's order and one offset: it is in its run phase, where a stage is
-listed only when its block is asked for, and ranks, points and spans
-come from a formula over two int arrays grown together: lam's ranks of
-the naturals and the stage ends they give.  A rank bisects the first, a
-position the second, each with the C ``bisect_right`` and no key (see
-``LimitOrder``).  Its later stages build no order, and a stage record
-only when ``exception_points`` scans that far.  A read grows the arrays
-exactly to the stage whose end it reads, down the whole chain of run
-orders, and reads only that natural's rank in the order at its foot.
-Listing stage t would need stage t+j of the order j levels down, so
-near ``tower.CEILING`` a read checks that by arithmetic and, where
-listing would pass the ceiling, is refused at once with the ceiling
-line of the deepest limit order of its chain.
+When eta's last exponent is 1 (shape A: eta = lam + w), fund_seq(eta, n)
+= lam + n, and the chain adjusts nothing: block 0 is empty and omega's
+order is the canonical one, so no point is an exception against omega,
+and a successor step lam+j to lam+j+1 certifies none.  So o_i is lam's
+order behind a tail, and a ``RunOrder`` reads eta's blocks, ranks,
+points and spans by formula from block 1 on, over two int arrays: lam's
+ranks of the naturals and the stage ends they give.  It builds no chain
+order, and a stage record only when ``exception_points`` scans its chain.
 
 Any other limit (last exponent >= 2: w^2*k and w^3) takes a new lam at
-every stage and never runs.  Its ``nth``, ``span`` and blocks list as
-above, but a rank is read off the adjusted chain: a natural n opens the
-second part of block n+1, so it sits at o_{n+1}'s rank of n.  Any other
-x lies below alpha_k first at some k; with n_x the naturals before x in
-o_k, the same in every later o_i, x lies in block max(k, n_x): when
-n_x >= k in its second part, at o_{n_x}'s rank of x, else in block k's
-first part, which is listed.  A read refuses where listing its block
-would.  So w^2's rank of a natural n builds its chain through stage n+1
-and lists no block, where listing block n+1 cost time quadratic in n.
+every stage.  A ``NewLamOrder`` lists block i off the kept order o_i, as
+above, but reads a rank off the chain: a natural n opens the second part
+of block n+1, so it sits at o_{n+1}'s rank of n.  Any other x lies below
+alpha_k first at some k; with n_x the naturals before x in o_k, the same
+in every later o_i, x lies in block max(k, n_x): when n_x >= k in its
+second part, at o_{n_x}'s rank of x, else in block k's first part, after
+the o_{k-1}.rank(k-1) points of blocks 0..k-1 and o_k's points >=
+alpha_{k-1} before x.  A read refuses where listing its block would, and
+lists no block: w^2's rank of a natural n builds its chain through stage
+n+1, where listing block n+1 cost time quadratic in n.
 
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
@@ -69,10 +61,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
+from functools import cached_property
 
 from . import tower
 from .errors import DomainError, IterationCeilingError
-from .ordinals import ORD_KEY, ZERO, Ordinal, W, enum_below, ordinal, oset
+from .ordinals import ORD_KEY, ZERO, Ordinal, W, enum_below, fund_seq, ordinal, oset
 from .rng import Lcg
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
 
@@ -128,79 +121,76 @@ class PatchedOrder(OmegaOrder):
 
 
 class LimitOrder(BlockOrder):
-    """Block order at a limit eta > omega, built over the adjusted chain.
-
-    Filter stages are listed with a rank entry per point.  A shape-A
-    order enters its run phase after its first unadjusted stage s-1, at
-    lam + m: from stage s on, alpha_i = lam + i + c with c = m - (s-1)
-    (``_c``, and s is ``_s``).  With I = lam's order (``_inner``) and
-    q(n) = I.rank(n), stage i lists the tail point lam+(i-1+c), then I's
-    positions q(i-1)..q(i)-1, I-position qx at i+c+qx; it ends at
-    e(i) = i+c+q(i).  Two int arrays of one machine word a stage hold
-    q(0), q(1), ... (``_run_ranks``) and e(0), e(1), ... (``_run_ends``).
-    So lam+j sits at e(j-c), a natural n at e(n)+1, and any other x < lam
-    not listed before stage s at i+c+I.rank(x), i the least stage with
-    q(i) > I.rank(x): ``bisect_right`` on q.  ``_span`` finds a position's
-    stage by ``bisect_right`` on e, and ``_nth`` is a span of one.  A run
-    stage is listed only when ``ensure_blocks`` asks for its block; a read
-    grows the arrays exactly through the stage whose end it reads, and
-    meets listing's ceiling by arithmetic (``_reach``).
-
-    At a new-lam limit (``_new_lam``: eta's last exponent is not 1) every
-    stage is a filter stage, and ``_peek`` reads an unlisted point's rank
-    off the kept adjusted orders o_i (``_chain_rank``, by the rule in the
-    module docstring); only a point in the first part of its block k lists
-    blocks, through block k.
-    """
+    """Block order at a limit eta > omega: a ``RunOrder`` or a
+    ``NewLamOrder``, as ``AAOrders._limit_order`` picks by eta's shape.
+    Block 0 is empty; a subclass lists block i >= 1 with ``_block``."""
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
-        self._inner: OmegaOrder | None = None  # lam's order, in the run phase
-        self._c = self._s = 0  # m_i - i in the run phase, and its first stage
-        self._depth = eta._terms[-1][1]  # c of eta = P + w*c bounds the run chain below
-        self._new_lam = not _steps_by_one(eta)  # never in a run phase: ranks read off the chain
-        self._run_ranks = array("q")  # q(0), q(1), ...
-        self._run_ends = array("q")  # e(0), e(1), ...
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
-        inner, c = self._inner, self._c
-        if inner is not None:  # a run stage, listed for its block
-            self._grown(i)
-            q = self._run_ranks
-            self.list_block([inner.bound.plus(i - 1 + c), *inner._span(q[i - 1], q[i])])
-            return
-        if not i:  # omega's order has nothing before 0
+        if i:
+            self._block(i)
+        else:  # omega's order has nothing before 0
             self.append_block([])
-            return
-        # the points >= alpha_{i-1} before i-1, then those from i-1 to i
-        oi, stages = self.ctx.chain_order(self.eta, i), self.ctx._chain_orders[self.eta]
-        r1, r = oi._rank(ordinal(i - 1)), oi._rank(ordinal(i))
-        self.append_block(oi.above(stages[i - 1][1], r1) + oi._span(r1, r))
-        _, alpha, cert, _ = stages[i]
-        lam, m = alpha.split()
-        if m and not cert:  # only a shape-A chain has successors: stage i+1 on are runs
-            inner, c = self.ctx._order_at(lam), m - i
-            self._inner, self._c, self._s = inner, c, i + 1
-            q = self._run_ranks = array("q", [inner._rank(ordinal(n)) for n in range(i + 1)])
-            self._run_ends = array("q", [n + c + r for n, r in enumerate(q)])
+
+
+class RunOrder(LimitOrder):
+    """Order at a shape-A limit eta = lam + w, read by formula from block 1.
+
+    Stage i >= 1 sits at alpha_i = lam + (i + c), c = 0 at lam = w and -1
+    above it.  With I = lam's order and q(n) = I.rank(n), stage i lists the
+    tail point lam+(i-1+c) when i + c >= 1, then I's positions
+    q(i-1)..q(i)-1, q(0) read as 0 at stage 1; it ends at e(i) = i+c+q(i).
+    Int arrays hold q (``_run_ranks``) and e (``_run_ends``).  So lam+j sits
+    at e(j-c), a natural n at e(n)+1, and any other x < lam at
+    i+c+I.rank(x), i the least stage >= 1 with q(i) > I.rank(x): the C
+    ``bisect_right`` on q, as on e for a position's stage.
+
+    I is built on the first read, so building w*k's order nests no frames.
+    A rank read that finds no point listed lists blocks 1..1-c with rank
+    entries, which later reads hit, and ``_span`` reads listed positions
+    from ``_seq``; later blocks are listed only for ``ensure_blocks``.  A
+    read grows the arrays exactly through the stage whose end it reads,
+    down the whole chain of run orders, and meets listing's ceiling by
+    arithmetic (``_reach``).
+    """
+
+    def __init__(self, ctx: "AAOrders", eta: Ordinal):
+        super().__init__(ctx, eta)
+        self._lam = fund_seq(eta, 0)
+        self._c = -(self._lam is not W)
+        self._first = 2 - self._c  # blocks 0..1-c hold rank entries
+        self._depth = eta._terms[-1][1]  # d of eta = P + w*d bounds the chain of run orders below
+        self._run_ranks = array("q")  # q(0), q(1), ...
+        self._run_ends = array("q")  # e(0), e(1), ...
+
+    @cached_property
+    def _inner(self) -> OmegaOrder:
+        return self.ctx._order_at(self._lam)
+
+    def _block(self, i: int) -> None:
+        q, c = self._run_ranks, self._c
+        self._grown(i)
+        points = [self._lam.plus(i - 1 + c)] if i + c > 0 else []
+        points += self._inner._span(q[i - 1] if i > 1 else 0, q[i])
+        (self.append_block if i < self._first else self.list_block)(points)
 
     def _grown(self, n: int) -> array:
         """The stage ends through stage n, and q with them: e(t) needs I's
-        rank of t, which reads I's own stage t and no further.  Listing stage
-        t would need more, stage t+j j levels down, so a new stage within
-        the chain's depth of the ceiling is refused as listing would be."""
+        rank of t, which reads I's own stage t and no further.  A new stage
+        within the chain's depth of the ceiling is checked as by ``_reach``."""
         e = self._run_ends
         if n < len(e):
             return e
         q, inner, c = self._run_ranks, self._inner, self._c
-        # from here on I lists t at its run stage t+1, after e_I(t)
-        s = inner._s - 1 if type(inner) is LimitOrder and inner._inner is not None else n + 1
+        runs = type(inner) is RunOrder  # then t sits at e_I(t)+1, read one frame a level
         for t in range(len(e), n + 1):
             if t + self._depth >= tower.CEILING:
                 self._reach(t)
-            r = inner._grown(t)[t] + 1 if t >= s else inner._rank(ordinal(t))
+            r = inner._grown(t)[t] + 1 if runs else inner._rank(ordinal(t))
             q.append(r)
             e.append(t + c + r)
         return e
@@ -209,52 +199,89 @@ class LimitOrder(BlockOrder):
         """Refuse stage t as listing would: it needs stage t+j of the order j
         levels down, so the deepest limit order of the chain refuses first."""
         o = self
-        while type(o._inner) is LimitOrder:
+        while type(o) is RunOrder and isinstance(o._inner, LimitOrder):
             o, t = o._inner, t + 1
         o._check_stage(t)
 
     def _stage_at(self, k: int) -> int:
-        """The run stage holding position k, which lies past the listed points."""
+        """The stage holding position k."""
         e = self._run_ends
-        while e[-1] <= k:
+        while not e or e[-1] <= k:
             self._grown(len(e))
-        return bisect_right(e, k)
+        return bisect_right(e, k) or 1
 
-    def _listed(self, k: int) -> int:
-        """List blocks until k points are or the run phase begins."""
-        while len(self._seq) < k and self._inner is None:
-            self._next_block()
-        return len(self._seq)
-
-    def _peek(self, x: Ordinal) -> int | None:
+    def _rank(self, x: Ordinal) -> int:
         got = self._ranks.get(x)
         if got is not None:
             return got
-        if self._inner is None:
-            return self._chain_rank(x) if self._new_lam else None
-        inner, c, ts = self._inner, self._c, x._terms
-        if not ts or ts[0][0] is ZERO:  # n is listed at stage n+1, after its tail point
-            n = ts[0][1] if ts else 0
-            if n + 1 + self._depth >= tower.CEILING:
-                self._reach(n + 1)
-            return self._grown(n)[n] + 1
-        if x._key >= inner.bound._key:  # the tail point lam+j, listed at stage j-c+1
-            j = x.split()[1] - c
-            if j + 1 + self._depth >= tower.CEILING:
-                self._reach(j + 1)
-            return self._grown(j)[j]
-        # I's rank comes first, so a ceiling met there names I, as listing would
-        runs = type(inner) is LimitOrder and inner._inner is not None
-        qx = inner._peek(x) if runs else inner._rank(x)
-        q = self._run_ranks
-        while q[-1] <= qx:  # until the least i with q(i) > qx is held
-            self._grown(len(q))
-        return bisect_right(q, qx) + c + qx
+        if not self._ranks:  # nothing listed yet
+            self.ensure_blocks(self._first)
+        c, ts = self._c, x._terms
+        if not ts or ts[0][0] is ZERO:  # n at e(n)+1, after stage n+1's tail point
+            j, after = ts[0][1] if ts else 0, 1
+        elif x._key >= self._lam._key:  # the tail point lam+m at e(m-c), opening stage m-c+1
+            j, after = x.split()[1] - c, 0
+        else:  # I's rank comes first, so a ceiling met there names I, as listing would
+            qx = self._inner._rank(x)
+            q = self._run_ranks
+            while q[-1] <= qx:  # until the least i with q(i) > qx is held
+                self._grown(len(q))
+            return (bisect_right(q, qx) or 1) + c + qx
+        if j + 1 + self._depth >= tower.CEILING:
+            self._reach(j + 1)
+        return self._grown(j)[j] + after
+
+    def _nth(self, k: int) -> Ordinal:
+        return self._span(k, k + 1)[0]
+
+    def _span(self, a: int, b: int) -> list[Ordinal]:
+        # past the listed points, stage by stage: its tail point, then a span
+        # of I, one frame deeper
+        got = self._seq[a:b]
+        k = max(a, len(self._seq))
+        if k < b:
+            inner, e, c = self._inner, self._run_ends, self._c
+            self._stage_at(b - 1)
+            i = self._stage_at(k)
+            while k < b:
+                if k == e[i - 1] and i + c > 0:
+                    got.append(self._lam.plus(i - 1 + c))
+                    k += 1
+                end = min(b, e[i])
+                if k < end:
+                    got += inner._span(k - i - c, end - i - c)
+                    k = end
+                i += 1
+        return got
+
+    def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
+        if beta is not self._lam:
+            return super().above(beta, r)
+        # those >= lam are the tail points, one a stage from stage 1-c on
+        return list(map(beta.plus, range(self._stage_at(r - 1) + self._c))) if r else []
+
+
+class NewLamOrder(LimitOrder):
+    """Order at a limit eta whose last exponent is >= 2 (w^2*k, w^3): its
+    chain takes a new lam at every stage.  Block i is listed off the kept
+    adjusted order o_i, and an unlisted point's rank is read off the chain
+    (``_chain_rank``, by the rule in the module docstring) with no block
+    listed."""
+
+    def _block(self, i: int) -> None:
+        # the points >= alpha_{i-1} before i-1, then those from i-1 to i
+        oi, stages = self.ctx.chain_order(self.eta, i), self.ctx._chain_orders[self.eta]
+        r1, r = oi._rank(ordinal(i - 1)), oi._rank(ordinal(i))
+        self.append_block(oi.above(stages[i - 1][1], r1) + oi._span(r1, r))
+
+    def _rank(self, x: Ordinal) -> int:
+        got = self._ranks.get(x)
+        return got if got is not None else self._chain_rank(x)
 
     def _chain_rank(self, x: Ordinal) -> int:
-        """x's position at a new-lam limit, read off the adjusted chain: a
-        natural n in block n+1 at o_{n+1}'s rank of n, any other x in block
-        max(k, n_x) (see the module docstring)."""
+        """x's position read off the adjusted chain: a natural n in block n+1
+        at o_{n+1}'s rank of n, any other x in block max(k, n_x) (see the
+        module docstring)."""
         ctx, eta, ts = self.ctx, self.eta, x._terms
         if not ts or ts[0][0] is ZERO:  # n opens the second part of block n+1
             n = ts[0][1] if ts else 0
@@ -266,46 +293,16 @@ class LimitOrder(BlockOrder):
             self._check_stage(k)
         ok = ctx.chain_order(eta, k)
         r = ok._rank(x)
-        if ok._rank(ordinal(k - 1)) > r:  # n_x < k: the first part of block k, listed
-            while len(self._ends) <= k + 1:
-                self._next_block()
-            return self._ranks[x]
+        if ok._rank(ordinal(k - 1)) > r:  # n_x < k: block k's first part
+            # block k starts at o_{k-1}'s rank of k-1; before x in its first
+            # part come o_k's points >= alpha_{k-1} before x
+            start = ctx.chain_order(eta, k - 1)._rank(ordinal(k - 1))
+            return start + len(ok.above(ctx._stage(eta, k - 1)[1], r))
         n = k  # n_x >= k: the second part of block n_x
         while ok._rank(ordinal(n)) < r:
             n += 1
         self._check_stage(n)
         return r if n == k else ctx.chain_order(eta, n)._rank(x)
-
-    def _nth(self, k: int) -> Ordinal:
-        return self._span(k, k + 1)[0]
-
-    def _span(self, a: int, b: int) -> list[Ordinal]:
-        # stage by stage: its tail point, then a span of I, one frame deeper
-        k = max(a, self._listed(b))
-        got = self._seq[a:b]
-        if k < b:
-            inner, e, c = self._inner, self._run_ends, self._c
-            self._stage_at(b - 1)
-            i = self._stage_at(k)
-            while k < b:
-                if k == e[i - 1]:
-                    got.append(inner.bound.plus(i - 1 + c))
-                    k += 1
-                end = min(b, e[i])
-                if k < end:
-                    got += inner._span(k - i - c, end - i - c)
-                    k = end
-                i += 1
-        return got
-
-    def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
-        n = self._listed(r)
-        if n >= r or beta is not self._inner.bound:
-            return super().above(beta, r)
-        # past the listed points, those >= lam are the run tails, one a stage
-        listed = len(self._ends) - 1
-        return [p for p in self._seq if p >= beta] + list(
-            map(beta.plus, range(listed - 1 + self._c, self._stage_at(r - 1) + self._c)))
 
 
 class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
@@ -397,7 +394,7 @@ class AAOrders(Orders):
     order = Orders.order  # its own entry: bench/tracer.py patches the class __dict__
 
     def _limit_order(self, eta: Ordinal) -> OmegaOrder:
-        return LimitOrder(self, eta)
+        return (RunOrder if _steps_by_one(eta) else NewLamOrder)(self, eta)
 
     def limit_blocks(self, eta, n: int) -> list[tuple[Ordinal, ...]]:
         """First n blocks b_0..b_{n-1} of the limit construction at eta."""

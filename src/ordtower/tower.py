@@ -175,10 +175,10 @@ class BlockOrder(OmegaOrder):
     """Order at a limit eta: finite blocks, listed one after the other.
 
     The order is the list ``_seq`` and block i is
-    ``_seq[_ends[i]:_ends[i + 1]]``.  ``_ranks`` maps points to their
-    positions; ``_peek(x)`` is x's position, or None until another block
-    is listed.  Here ``_ranks`` holds every listed point and ``_peek``
-    reads it; a subclass may work out the rest, listing what it needs.
+    ``_seq[_ends[i]:_ends[i + 1]]``.  ``_ranks`` maps listed points to
+    their positions; ``_rank``, ``_nth`` and ``_span`` list blocks until
+    they hold the answer (a subclass may work ranks and points out
+    without listing).
     Blocks are built on demand, at most ``CEILING`` of them, by ``_extend``:
     ``grow(eta)`` here, overridden by subclasses; either appends through
     ``append_block``.
@@ -213,7 +213,7 @@ class BlockOrder(OmegaOrder):
         self.list_block(points)
 
     def list_block(self, points: list[Ordinal]) -> None:
-        """List points as the next block, leaving their ranks to ``_peek``."""
+        """List points as the next block, leaving their ranks to the subclass."""
         self._seq.extend(points)
         self._ends.append(len(self._seq))
 
@@ -228,11 +228,8 @@ class BlockOrder(OmegaOrder):
         top = 1 + max(map(self._rank, xs), default=-1)
         return self._ends[bisect_left(self._ends, top)]
 
-    def _peek(self, x: Ordinal) -> int | None:
-        return self._ranks.get(x)
-
     def _rank(self, x: Ordinal) -> int:
-        while (got := self._peek(x)) is None:
+        while (got := self._ranks.get(x)) is None:
             self._next_block()
         return got
 
@@ -240,6 +237,11 @@ class BlockOrder(OmegaOrder):
         while len(self._seq) <= k:
             self._next_block()
         return self._seq[k]
+
+    def _span(self, a: int, b: int) -> list[Ordinal]:
+        while len(self._seq) < b:
+            self._next_block()
+        return self._seq[a:b]
 
 
 class Orders:

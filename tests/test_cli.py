@@ -537,6 +537,16 @@ def test_frame_limit_line_does_not_depend_on_the_callers_depth(argv):
     assert got == {(1, "", "error: ceiling: limit orders nested too deeply\n")}
 
 
+def test_a_rank_at_w_900_answers_in_a_fresh_interpreter():
+    # a natural's rank at w*k reads the stage ends of the k-1 run orders
+    # below it, one frame a level, and each builds lam's order on its first
+    # read, so w*900 fits Python's default frame limit; listing each
+    # order's first stages off the chain met that limit from w*335 on
+    r = subprocess.run([sys.executable, "-m", "ordtower", "aa", "rank", "--alpha", "w*900", "5"],
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "4501\n", "")
+
+
 _CEILING_AT_W2 = "error: ceiling: block construction at w*2 exceeded 20000 stages\n"
 
 

@@ -33,6 +33,7 @@ from ordtower import (
     parse_ordinal,
 )
 from ordtower.omega import PatchedOrder
+from ordtower.tower import _steps_by_one
 
 
 def strs(xs):
@@ -487,11 +488,19 @@ def _filter_extend(self):
     self._ends.append(len(self._seq))
 
 
-_LIMITS = ["w*2", "w*3", "w*5", "w*12", "w^2", "w^2+w*2", "w^2+w*3", "w^2*2"]
+_SHAPE_A_GRID = [f"w*{k}" for k in range(2, 13)] + [
+    f"w^2+w*{k}" for k in range(1, 6)] + ["w^2*2+w", "w^2*3+w", "w^2*3+w*2"]
+# ascending: a limit's blocks are compared before a larger one lists further
+_LIMITS = [*_SHAPE_A_GRID[:11], "w^2", *_SHAPE_A_GRID[11:16], "w^2*2", *_SHAPE_A_GRID[16:]]
 
 
 def _filter_blocks(limits, n):
-    # the first n blocks at each limit by the literal rule, in one context
+    # the first n blocks at each limit by the literal rule, in one context.
+    # The rule reads the orders along eta's chain, lam's among them, so a
+    # run order's blocks are checked against the order at lam: the first
+    # of each row of the grid against w's canonical order or a new-lam
+    # order (whose ranks test_new_lam_ranks_match_listed_positions checks
+    # against listing), each later one against the run order before it
     with pytest.MonkeyPatch.context() as m:
         m.setattr(omega.LimitOrder, "_extend", _filter_extend)
         ref = AAOrders()
@@ -499,8 +508,7 @@ def _filter_blocks(limits, n):
 
 
 def _run_orders(ctx):
-    return [o for o in ctx._orders.values()
-            if isinstance(o, omega.LimitOrder) and o._inner is not None]
+    return [o for o in ctx._orders.values() if isinstance(o, omega.RunOrder)]
 
 
 def test_limit_blocks_match_filter_rule(p):
@@ -511,10 +519,10 @@ def test_limit_blocks_match_filter_rule(p):
         assert orders.limit_blocks(eta, 40) == want[eta]
         o = orders.order(eta)
         assert o.prefix(len(o._seq)) == [x for b in want[eta] for x in b]
-    # filter stages and listed run stages both made these blocks
-    runs = _run_orders(orders)
-    assert runs and any(len(o._ends) - 1 > o._s for o in runs)
-    assert orders.order(p("w^2"))._inner is None
+        assert isinstance(o, omega.RunOrder if _steps_by_one(eta) else omega.NewLamOrder)
+    # a run order lists blocks 1..1-c with rank entries and the later ones without
+    runs = [orders.order(eta) for eta in limits if _steps_by_one(eta)]
+    assert all(len(o._ranks) == o._ends[o._first] < len(o._seq) for o in runs)
 
 
 def test_chain_orders_are_built_once_in_any_read_order(p, monkeypatch):
@@ -572,7 +580,7 @@ def test_new_lam_ranks_match_listed_positions(p):
 
 def test_run_ranks_match_filter_positions(p):
     # ranks and nth worked out from the runs are the reference's positions,
-    # and working them out lists no run stage
+    # and working them out lists no block past 1-c
     limits = [p(name) for name in _LIMITS]
     want = {eta: [x for b in bs for x in b] for eta, bs in _filter_blocks(limits, 40).items()}
     orders = AAOrders()
@@ -581,9 +589,9 @@ def test_run_ranks_match_filter_positions(p):
         assert [orders.nth(eta, k) for k in range(len(want[eta]))] == want[eta]
     runs = _run_orders(orders)
     assert len(runs) > 10
-    for o in runs:  # the run phase starts after the first successor stage
-        assert len(o._ends) - 1 == o._s <= 3
-        q = list(o._run_ranks)  # bisected by _peek; the ends by _stage_at
+    for o in runs:  # a rank read lists only while nothing is listed, through block 1-c
+        assert len(o._ends) - 1 <= o._first <= 3
+        q = list(o._run_ranks)  # bisected by _rank; the ends by _stage_at
         assert q == [o._inner.rank(ordinal(n)) for n in range(len(q))]
         assert list(o._run_ends) == [n + o._c + r for n, r in enumerate(q)]
         assert all(a < b for a, b in zip(q, q[1:]))
@@ -591,13 +599,12 @@ def test_run_ranks_match_filter_positions(p):
     for eta in limits:
         o = orders.order(eta)
         far = [enum_below(eta, i) for i in range(0, 400, 5)]
-        if o._inner is not None:
-            lam = o._inner.bound
-            far += [*o._inner.prefix(400), *map(lam.plus, range(0, 200, 7))]
+        if isinstance(o, omega.RunOrder):
+            far += [*o._inner.prefix(400), *map(o._lam.plus, range(0, 200, 7))]
         assert [o.nth(o.rank(x)) for x in far] == far
         top = o.rank(far[-1])
         assert [o.rank(o.nth(k)) for k in range(top, top + 300)] == list(range(top, top + 300))
-    assert all(len(o._ends) - 1 == o._s for o in _run_orders(orders))
+    assert all(len(o._ends) - 1 <= o._first for o in _run_orders(orders))
 
 
 _SHAPE_A = [f"w*{k}" for k in range(2, 9)] + [
@@ -633,42 +640,28 @@ def test_shape_a_orders_match_filter_rule(name, asks):
             assert orders.order(eta).above(lam, k) == [x for x in flat[:k] if x >= lam]
 
 
-def test_planted_certificate_sends_a_shape_a_chain_through_adjust(p, monkeypatch):
-    # a certificate planted at stage 1 of a shape-A chain carries to every
-    # later stage, so no stage is a run: each is adjusted, then filtered
-    first = {p("w*2"): p("w+1"), p("w^2+w*2"): p("w^2+w")}  # eta -> alpha_1
-    planted = (ordinal(2), ordinal(5))
-    plain = {eta: AAOrders().limit_blocks(eta, 40) for eta in first}
-    exception_points = AAOrders.exception_points
-
-    def planting(self, beta, alpha):
-        if beta is W and alpha in first.values():
-            return planted
-        return exception_points(self, beta, alpha)
-
-    monkeypatch.setattr(AAOrders, "exception_points", planting)
-    with monkeypatch.context() as m:
-        m.setattr(omega.LimitOrder, "_extend", _filter_extend)
-        ref = AAOrders()
-        want = {eta: ref.limit_blocks(eta, 40) for eta in first}
-
-    adjusted = []
-    adjust = omega._adjust
-
-    def recording_adjust(inner, outer, points):
-        adjusted.append((outer.bound, points))
-        return adjust(inner, outer, points)
-
-    monkeypatch.setattr(omega, "_adjust", recording_adjust)
+def test_shape_a_chains_certify_nothing(p):
+    # why a run order reads every block by formula: its adjusted chain
+    # adjusts nothing.  Block 0 is empty and omega's order is the canonical
+    # one, so no point is an exception against omega, and a successor step
+    # lam+j to lam+j+1 reorders nothing below lam+j
     orders = AAOrders()
-    for eta, alpha in first.items():
-        assert orders.limit_blocks(eta, 40) == want[eta]
-        assert orders.order(eta)._inner is None
-        alphas = [alpha.plus(i) for i in range(39)]
-        assert [s[1] for s in orders._chain_orders[eta][1:40]] == alphas
-        assert {(a, planted) for a in alphas} <= set(adjusted)
-    # at w^2+w*2 the plant moves points, so runs would list other blocks
-    assert want[p("w^2+w*2")] != plain[p("w^2+w*2")]
+    for name in _SHAPE_A_GRID:
+        eta = p(name)
+        assert orders.exception_points(W, eta) == ()
+        stages = 3 - orders.order(eta)._c  # through stage 2-c, the first successor step
+        assert [orders._stage(eta, i)[2] for i in range(stages)] == [()] * stages
+
+
+def test_shape_a_reads_build_no_adjusted_chain(p):
+    # a run order reads by formula, so a rank at w*5 leaves its chain unbuilt;
+    # a certificate with upper w*5 still scans that chain
+    orders = AAOrders()
+    assert orders.rank(p("w*5"), p("w*3+2")) == 14
+    assert p("w*5") not in orders._chain_orders
+    cert = orders.exception_set(p("w*3"), p("w*5"))
+    assert cert.points == tuple(map(p, ["0", "w", "w+1", "w*2"]))
+    assert p("w*5") in orders._chain_orders
 
 
 _TRACE_AA_SUITE = """
@@ -704,14 +697,19 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     assert orders.verify_exception(cert, 100, 3)
     limits = [o for o in orders._orders.values() if isinstance(o, omega.LimitOrder)]
     assert len(limits) == 33
-    # w^2's ranks are read off its adjusted chain, so it lists fewer blocks
-    assert sum(len(o._ends) - 1 for o in limits) == 97
-    assert sum(len(o._seq) for o in limits) == 1121
-    # only filter stages are listed with rank entries; run stages are memo ints
-    assert sum(len(o._ranks) for o in limits) == 1121
-    assert sum(len(o._run_ends) for o in limits) == 1024
-    # structural stages build no order: 66 memoized orders today
-    assert len(orders._orders) < 100
+    # w^2's ranks are read off its adjusted chain, and a run order lists
+    # blocks for a rank read only while none is listed: 66 blocks and 563
+    # points (97 and 1,121 when a run order listed through block 1-c on its
+    # first read)
+    assert sum(len(o._ends) - 1 for o in limits) == 66
+    assert sum(len(o._seq) for o in limits) == 563
+    # only blocks 1..1-c of a run order are listed with rank entries; its
+    # stage ends are memo ints
+    assert sum(len(o._ranks) for o in limits) == 563
+    assert sum(len(o._run_ends) for o in _run_orders(orders)) == 1024
+    # a run order builds no chain order: 34 memoized orders (66 when its
+    # first stages were read off the chain)
+    assert len(orders._orders) == 34
 
 
 @pytest.mark.parametrize("eta, chain, base", [

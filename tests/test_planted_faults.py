@@ -22,7 +22,7 @@ import pytest
 
 from ordtower import AAOrders, Tower, cli, cofinal_extend, family, ordinals, oset, parse_ordinal, verify
 from ordtower.errors import DomainError, IterationCeilingError
-from ordtower.omega import LimitOrder, PatchedOrder
+from ordtower.omega import NewLamOrder, PatchedOrder, RunOrder
 from ordtower.tower import BlockOrder, PrependOrder
 
 import test_family  # the property test of closures and windows
@@ -197,7 +197,8 @@ def trace_drops_empty(m):
 
 def limit_nth_one_late(m):
     # of the aa checks only aa-order-type asks a limit order for nth
-    m.setattr(LimitOrder, "_nth", lambda self, k: BlockOrder._nth(self, k + 1))
+    for cls in (RunOrder, NewLamOrder):
+        m.setattr(cls, "_nth", lambda self, k: BlockOrder._nth(self, k + 1))
 
 
 def swaps_a_pair(m):
@@ -325,22 +326,19 @@ def test_prefix_comparison_catches_a_descent_that_forgets_hit_steps(monkeypatch)
 
 
 def run_tail_after_its_chunk(m):
-    # past the listed points, each run stage lists its tail point after its
-    # span of lam's order, not before it; nth reads span, so the two agree
-    span = LimitOrder._span
+    # each run stage lists its tail point after its span of lam's order, not
+    # before it (at w*2 every stage has one); nth reads span, so the two agree
+    span = RunOrder._span
 
     def late_tail(self, a, b):
         got = []
         for k in range(a, b):
-            if k < self._listed(k + 1):
-                got += self._seq[k:k + 1]
-                continue
             i = self._stage_at(k)
             lo, hi = self._run_ends[i - 1], self._run_ends[i]
             got += span(self, lo, lo + 1) if k == hi - 1 else span(self, k + 1, k + 2)
         return got
 
-    m.setattr(LimitOrder, "_span", late_tail)
+    m.setattr(RunOrder, "_span", late_tail)
 
 
 def test_order_contract_catches_a_run_stage_with_its_tail_point_last(monkeypatch):
@@ -355,14 +353,14 @@ def test_order_contract_catches_a_run_stage_with_its_tail_point_last(monkeypatch
 def natural_from_the_stage_before(m):
     # a natural n opens the second part of block n+1, so its position is
     # o_{n+1}'s rank of n; o_n ranks it among fewer points
-    chain_rank = LimitOrder._chain_rank
+    chain_rank = NewLamOrder._chain_rank
 
     def early(self, x):
         if x.is_natural():
             return self.ctx.chain_order(self.eta, x.natural())._rank(x)
         return chain_rank(self, x)
 
-    m.setattr(LimitOrder, "_chain_rank", early)
+    m.setattr(NewLamOrder, "_chain_rank", early)
 
 
 def test_listed_positions_catch_a_natural_read_one_stage_early(monkeypatch):
