@@ -50,6 +50,9 @@ alpha_{k-1} before x.  A read refuses where listing its block would, and
 lists no block: w^2's rank of a natural n builds its chain through stage
 n+1, where listing block n+1 cost time quadratic in n.
 
+Both keep each rank they work out without listing in ``_read``, beside
+``_ranks``'s listed positions, so a repeated read is one dict hit.
+
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
 the same recursion that builds the orders.  Only limit uppers are
@@ -65,7 +68,7 @@ from functools import cached_property
 
 from . import tower
 from .errors import DomainError, IterationCeilingError
-from .ordinals import ORD_KEY, ZERO, Ordinal, W, enum_below, fund_seq, ordinal, oset
+from .ordinals import ORD_KEY, ZERO, Ordinal, W, _as_ord, enum_below, fund_seq, ordinal, oset
 from .rng import Lcg
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
 
@@ -123,11 +126,16 @@ class PatchedOrder(OmegaOrder):
 class LimitOrder(BlockOrder):
     """Block order at a limit eta > omega: a ``RunOrder`` or a
     ``NewLamOrder``, as ``AAOrders._limit_order`` picks by eta's shape.
-    Block 0 is empty; a subclass lists block i >= 1 with ``_block``."""
+    Block 0 is empty; a subclass lists block i >= 1 with ``_block``.
+    ``_ranks`` holds the listed positions only; ``_read`` memoizes the
+    ranks a subclass works out without listing, so each is worked out
+    once.  A memo hit skips no refusal: its read passed every stage check
+    on the way, and stages only grow."""
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
+        self._read: dict[Ordinal, int] = {}
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
@@ -152,7 +160,9 @@ class RunOrder(LimitOrder):
     I is built on the first read, so building w*k's order nests no frames.
     A rank read that finds no point listed lists blocks 1..1-c with rank
     entries, which later reads hit, and ``_span`` reads listed positions
-    from ``_seq``; later blocks are listed only for ``ensure_blocks``.  A
+    from ``_seq``; later blocks are listed only for ``ensure_blocks``.  The
+    rank of an x < lam that is not a natural, the one read that asks I, is
+    kept in ``_read``; naturals and tail points are array reads.  A
     read grows the arrays exactly through the stage whose end it reads,
     down the whole chain of run orders, and meets listing's ceiling by
     arithmetic (``_reach``).
@@ -222,11 +232,14 @@ class RunOrder(LimitOrder):
         elif x._key >= self._lam._key:  # the tail point lam+m at e(m-c), opening stage m-c+1
             j, after = x.split()[1] - c, 0
         else:  # I's rank comes first, so a ceiling met there names I, as listing would
-            qx = self._inner._rank(x)
-            q = self._run_ranks
-            while q[-1] <= qx:  # until the least i with q(i) > qx is held
-                self._grown(len(q))
-            return (bisect_right(q, qx) or 1) + c + qx
+            got = self._read.get(x)
+            if got is None:
+                qx = self._inner._rank(x)
+                q = self._run_ranks
+                while q[-1] <= qx:  # until the least i with q(i) > qx is held
+                    self._grown(len(q))
+                got = self._read[x] = (bisect_right(q, qx) or 1) + c + qx
+            return got
         if j + 1 + self._depth >= tower.CEILING:
             self._reach(j + 1)
         return self._grown(j)[j] + after
@@ -266,7 +279,7 @@ class NewLamOrder(LimitOrder):
     chain takes a new lam at every stage.  Block i is listed off the kept
     adjusted order o_i, and an unlisted point's rank is read off the chain
     (``_chain_rank``, by the rule in the module docstring) with no block
-    listed."""
+    listed, once: ``_read`` keeps it."""
 
     def _block(self, i: int) -> None:
         # the points >= alpha_{i-1} before i-1, then those from i-1 to i
@@ -276,7 +289,9 @@ class NewLamOrder(LimitOrder):
 
     def _rank(self, x: Ordinal) -> int:
         got = self._ranks.get(x)
-        return got if got is not None else self._chain_rank(x)
+        if got is None and (got := self._read.get(x)) is None:
+            got = self._read[x] = self._chain_rank(x)
+        return got
 
     def _chain_rank(self, x: Ordinal) -> int:
         """x's position read off the adjusted chain: a natural n in block n+1
@@ -306,8 +321,10 @@ class NewLamOrder(LimitOrder):
 
 
 class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
-    """Finite certified superset (the sorted tuple points, normalized by
-    ``oset``) of where the orders at lower and upper may disagree."""
+    """Finite certified superset (the sorted tuple points) of where the
+    orders at lower and upper may disagree.  The constructor normalizes
+    points by ``oset``; ``exception_set`` hands over ``exception_points``'
+    tuple, normalized already, through ``_make``."""
 
     __slots__ = ()
 
@@ -465,15 +482,18 @@ class AAOrders(Orders):
         beta, alpha = self._check(beta), self._check(alpha)
         if not beta < alpha:
             raise DomainError(f"exception_set needs beta < alpha, got {beta}, {alpha}")
-        return ExceptionCert(lower=beta, upper=alpha,
-                             points=self.exception_points(beta, alpha))
+        return ExceptionCert._make((beta, alpha, self.exception_points(beta, alpha)))
 
     def verify_exception(self, cert: ExceptionCert, samples: int, seed: int,
                          lower_order: OmegaOrder | None = None,
                          upper_order: OmegaOrder | None = None) -> VerifyResult:
         """Sampled check of the defining property: orders agree on pairs
         outside the certificate points.  Order overrides let callers probe
-        deliberately mismatched orders (negative control).  Each candidate
+        deliberately mismatched orders (negative control); they are read
+        through their public ``rank``.  A default order is read through the
+        trusted ``_rank``: every candidate lies below cert.lower, which is
+        <= cert.upper in any certificate ``exception_set`` makes (a hand-made
+        one with lower above upper gets the checked ``rank``).  Each candidate
         is ranked at most once per order, on first use and in the order
         the samples ask, so the orders grow as with a rank per use.  Once
         every candidate has both ranks and no pair disagrees, no later
@@ -483,8 +503,9 @@ class AAOrders(Orders):
         limit where ranking lazily answers."""
         if samples < 0:
             raise DomainError(f"sample count must be >= 0, got {samples}")
-        lo = lower_order if lower_order is not None else self.order(cert.lower)
+        lo = lower_order.rank if lower_order is not None else self.order(cert.lower)._rank
         hi = upper_order if upper_order is not None else self.order(cert.upper)
+        hi = hi._rank if upper_order is None and _as_ord(cert.lower) <= hi.bound else hi.rank
         excl = set(cert.points)
         rng = Lcg(seed)
         # scan a bounded window of the enumeration for usable sample points;
@@ -510,13 +531,15 @@ class AAOrders(Orders):
             i, j = rng.below(n), rng.below(n)
             if i == j:  # the candidates are distinct
                 continue
-            for o, got in asks:  # in the order x, y in lo, then x, y in hi
-                for k in i, j:
-                    if got[k] is None:
-                        got[k] = o.rank(candidates[k])
-                        unranked -= 1
-                        if not unranked and _same_order(lo_r, hi_r):
-                            return VerifyResult(True, None)
+            # lo is ranked first, so with both hi ranks known all four are
+            if hi_r[i] is None or hi_r[j] is None:
+                for rank, got in asks:  # in the order x, y in lo, then x, y in hi
+                    for k in i, j:
+                        if got[k] is None:
+                            got[k] = rank(candidates[k])
+                            unranked -= 1
+                            if not unranked and _same_order(lo_r, hi_r):
+                                return VerifyResult(True, None)
             if (lo_r[i] < lo_r[j]) != (hi_r[i] < hi_r[j]):
                 return VerifyResult(False, (candidates[i], candidates[j]))
         return VerifyResult(True, None)

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ordtower import omega
+from ordtower import omega, verify
 from ordtower import (
     AAOrders,
     CanonicalOmega,
@@ -291,6 +291,16 @@ def test_verify_exception_pool_exhaustion(orders):
     with pytest.raises(IterationCeilingError, match="sample pool exhausted"):
         orders.verify_exception(cert, 10, seed=1, lower_order=ListOrder([0]),
                                 upper_order=orders.order(W))
+
+
+def test_verify_exception_refuses_a_hand_made_certificate_with_lower_above_upper(p):
+    # a default order is read trusted only when every candidate, being below
+    # cert.lower, lies in it; otherwise the checked rank refuses, as it always did
+    for upper in ["w*2", "w^2"]:
+        cert = ExceptionCert(lower=p("w^2+w"), upper=p(upper), points=())
+        with pytest.raises(DomainError) as got:
+            AAOrders().verify_exception(cert, 50, seed=1)
+        assert str(got.value) == f"w^2+6 is not below {upper}"
 
 
 def test_cert_json_roundtrip(orders, p):
@@ -690,6 +700,32 @@ def test_aa_suite_keeps_under_4_2_mib():
     assert int(r.stdout) < 4.2 * 2**20
 
 
+def test_aa_suite_rank_work_and_growth_are_pinned(monkeypatch):
+    # the aa suite at seed 1 on a fresh context, counted since its wall time
+    # is noisy: with the _read memos it makes 24,508 RunOrder._rank and 211
+    # chain_order calls (43,753 and 693 without), and grows the same orders
+    calls = {"rank": 0, "chain": 0, "adjust": 0}
+
+    def counted(fn, key):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(omega.RunOrder, "_rank", counted(omega.RunOrder._rank, "rank"))
+    monkeypatch.setattr(AAOrders, "chain_order", counted(AAOrders.chain_order, "chain"))
+    monkeypatch.setattr(omega, "_adjust", counted(omega._adjust, "adjust"))
+    ctx = AAOrders()
+    for check in verify.SUITES["aa"]:
+        assert check(verify.VerifyConfig(seed=1), ctx).passed
+    assert calls["rank"] <= 26_000 and calls["chain"] <= 250
+    assert sum(_limit_lengths(ctx).values()) == 5711
+    assert sum(len(o._run_ends) for o in _run_orders(ctx)) == 7072
+    assert sum(map(len, ctx._chain_orders.values())) == 370
+    assert calls["adjust"] == 78
+    assert (len(ctx._orders), len(ctx._exc)) == (192, 473)
+
+
 def test_limit_orders_build_only_what_a_certificate_needs(p):
     # the work done is pinned: a change that over-builds shows up here
     orders = AAOrders()
@@ -734,6 +770,60 @@ def test_run_phase_reads_grow_exactly_the_stage_they_read(p, eta, chain, base):
             assert len(orders.order(p(base))._ends) - 1 == 4
             stages = orders._chain_orders[p(base)]
             assert [s[3] is not None for s in stages] == [True] * (reach + 2)
+
+
+_MEMO_LIMITS = ([f"w*{k}" for k in range(2, 13)] + [f"w^2+w*{k}" for k in range(1, 13)]
+                + [f"w^2*2+w*{k}" for k in range(1, 13)] + ["w^2", "w^2*2", "w^3"])
+
+
+def _growth(ctx):
+    # listed points per limit order, stage ends per run order, and each
+    # chain's stages with which of them hold a built order
+    return (_limit_lengths(ctx), {o.eta: len(o._run_ends) for o in _run_orders(ctx)},
+            {eta: [s[3] is not None for s in stages] for eta, stages in ctx._chain_orders.items()})
+
+
+def test_rank_memo_changes_no_answer_and_no_growth(p):
+    # run orders at w*k, w^2+w*k, w^2*2+w*k and the new-lam orders at w^2,
+    # w^2*2, w^3, read in a seeded random order with repeats: a rank read a
+    # second time off _read equals the same read on a fresh context, and the
+    # orders grow exactly as on a twin that reads each point once
+    rng = random.Random(40)
+    reads = [(eta, enum_below(eta, rng.randrange(60)))
+             for eta in map(p, _MEMO_LIMITS) for _ in range(6)]
+    asks = [rng.choice(reads) for _ in range(3 * len(reads))]
+    orders, twin = AAOrders(), AAOrders()
+    got = [orders.rank(eta, x) for eta, x in asks]
+    once = list(dict.fromkeys(asks))
+    assert len(once) < len(asks)
+    fresh = {(eta, x): AAOrders().rank(eta, x) for eta, x in once}
+    assert got == [fresh[ask] for ask in asks]
+    for eta, x in once:
+        twin.rank(eta, x)
+    assert _growth(orders) == _growth(twin)
+    # both kinds of limit order kept some reads
+    kept = {type(o) for o in orders._orders.values() if getattr(o, "_read", None)}
+    assert kept == {omega.RunOrder, omega.NewLamOrder}
+
+
+def test_a_repeated_rank_below_w2_asks_no_order_below_the_top(p, monkeypatch):
+    # a first rank at w^2+w*12 of a point below w^2 asks each run order down
+    # to w^2+w, then w^2's chain, whose stages ask the run orders below w^2;
+    # a repeat is one hit in the top order's _read
+    calls = []
+    rank = omega.RunOrder._rank
+
+    def counted(self, x):
+        calls.append(self.eta)
+        return rank(self, x)
+
+    monkeypatch.setattr(omega.RunOrder, "_rank", counted)
+    orders, top, x = AAOrders(), p("w^2+w*12"), p("w*3+2")
+    first = orders.rank(top, x)
+    assert {p(f"w^2+w*{k}") for k in range(1, 13)} <= set(calls)
+    calls.clear()
+    assert orders.rank(top, x) == first
+    assert calls == [top]
 
 
 def test_contexts_keep_the_fields_the_bench_tracer_reads():

@@ -11,7 +11,10 @@ of order, are planted under the property test in ``test_family.py``,
 ``test_ordinals.py`` or ``test_omega.py`` that can.  Two more cases make
 one check's body raise under ``verify all``: a ceiling must become that
 check's FAIL line and leave the other 13 as they are, a domain error must
-end the run in its ``error:`` line.
+end the run in its ``error:`` line.  ``memo_one_high``, a limit order's
+``_read`` memo that keeps each rank it works out plus one, is the control
+for that memo: it turns ``aa-almost-agree`` red, and in either limit order
+class alone ``test_rank_memo_changes_no_answer_and_no_growth``.
 """
 
 import pathlib
@@ -224,6 +227,40 @@ def empties_certificates(m):
               lambda self, beta, alpha: exception_set(self, beta, alpha)._replace(points=()))
 
 
+def drops_both_ends_of_a_pair(m):
+    # the check's first certificate, (w^2+w*3+8, w^2+w*8+6), without the two
+    # ends of one pair the orders place differently.  Dropping either end
+    # alone leaves the pair covered by its partner, and no pair below
+    # w^2+w*3+8 outside the certificate disagrees (ROADMAP item 6); without
+    # both, the sampler draws that pair
+    target = parse_ordinal("w^2+w*3+8"), parse_ordinal("w^2+w*8+6")
+    dropped = {parse_ordinal("w^2+w+6"), parse_ordinal("w^2+w*3+6")}
+    exception_set = AAOrders.exception_set
+
+    def shrunk(self, beta, alpha):
+        got = exception_set(self, beta, alpha)
+        if (beta, alpha) != target:
+            return got
+        return got._replace(points=tuple(x for x in got.points if x not in dropped))
+
+    m.setattr(AAOrders, "exception_set", shrunk)
+
+
+class _OneHigh(dict):
+    def __setitem__(self, x, r):
+        super().__setitem__(x, r + 1)
+
+
+def memo_one_high(m, classes=(RunOrder, NewLamOrder)):
+    # the first read of a rank answers right, every repeat one too high
+    for cls in classes:
+        def planted(self, ctx, eta, init=cls.__init__):
+            init(self, ctx, eta)
+            self._read = _OneHigh()
+
+        m.setattr(cls, "__init__", planted)
+
+
 def adjust_ignores_certificate(m):
     m.setattr(verify, "adjust_one", lambda inner, outer, cert: outer)
 
@@ -250,6 +287,10 @@ _FAULTS = [
     ("aa-almost-agree", swaps_a_pair, "orders at w and w^2+w*13+1 disagree on ("),
     ("aa-almost-agree", empties_certificates,
      "orders at w^2+w*3+8 and w^2+w*8+6 disagree on (w^2+w*3+7, w^2+w+3)"),
+    ("aa-almost-agree", drops_both_ends_of_a_pair,
+     "orders at w^2+w*3+8 and w^2+w*8+6 disagree on (w^2+w+6, w^2+w*3+6)"),
+    ("aa-almost-agree", memo_one_high,
+     "orders at w^2+w*3+8 and w^2+w*8+6 disagree on (w^2+w+23, w^2+w*2+23)"),
     ("adjust-unit-law", adjust_ignores_certificate, "hand example produced ['0', '1', '2']"),
 ]
 
@@ -367,3 +408,11 @@ def test_listed_positions_catch_a_natural_read_one_stage_early(monkeypatch):
     natural_from_the_stage_before(monkeypatch)
     with pytest.raises(AssertionError):
         test_omega.test_new_lam_ranks_match_listed_positions(parse_ordinal)
+
+
+@pytest.mark.parametrize("cls", [RunOrder, NewLamOrder])
+def test_rank_memo_test_catches_a_memo_one_high(cls, monkeypatch):
+    test_omega.test_rank_memo_changes_no_answer_and_no_growth(parse_ordinal)
+    memo_one_high(monkeypatch, [cls])
+    with pytest.raises(AssertionError):
+        test_omega.test_rank_memo_changes_no_answer_and_no_growth(parse_ordinal)
