@@ -10,6 +10,14 @@ A command is one row of ``_COMMANDS``: its handler, its positionals and the
 options it reads.  A handler only computes: it returns its text lines, its
 JSON payload and, when it can fail without raising, its exit code.  ``run``
 does all output.
+
+The same table drives both argv readers.  A plain argv (the command words,
+then positionals and exact ``--name value`` options) is read straight off
+it into the namespace argparse would give, with no argparse tree built.
+Anything else goes to the argparse tree built from the table: ``--help``,
+every usage error, option abbreviations, ``--opt=value``, negative numbers
+and ``--``.  So argparse alone writes help and usage text, and the plain
+reader only has to decline what it does not read exactly.
 """
 
 from __future__ import annotations
@@ -307,25 +315,97 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         q = (ops[group].add_parser(*op, **leaf) if op
              else groups.add_parser(group, help=_GROUPS[group], **leaf))
         q.set_defaults(handler=handler)
-        for name, kw in positionals:
+        for name, kw in _arguments(positionals, options):
             q.add_argument(name, **kw)
-        for name, default in options.items():
-            q.add_argument("--" + name, default=default, **_OPTIONS[name])
     return p
+
+
+def _arguments(positionals, options) -> list:
+    """A leaf's arguments as (name, add_argument keywords): its
+    positionals, then its options with their defaults."""
+    return [*positionals, *(("--" + name, {**_OPTIONS[name], "default": default})
+                            for name, default in options.items())]
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would give a plain argv, read straight off
+    ``_COMMANDS``, or None to leave argv to argparse.
+
+    The command words are the first two tokens, or ``verify`` alone.  An
+    exact ``--name`` of the command takes the next token as its value, the
+    last one given winning; any other token fills the next positional.
+    Values go through ``type`` and ``choices``, and defaults (a string one
+    through ``type``) come from the table, as argparse applies them.  None
+    on any other token starting with '-' (help, '--', abbreviations,
+    '--opt=value', negative numbers), a missing value or one starting with
+    '-', a positional too many or too few, a missing required option, a
+    value its ``type`` or ``choices`` refuses, and a positional after an
+    option in a command with an optional positional: argparse's handling
+    of that differs between Python versions.
+    """
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = words[:1]  # the one-word command, verify
+    row = _COMMANDS.get(words)
+    if row is None:
+        return None
+    handler, positionals, options = row
+    params = _arguments(positionals, options)
+    flags = {name: (name[2:], kw) for name, kw in params if name.startswith("--")}
+    slots = [(name, kw) for name, kw in params if not name.startswith("--")]
+    loose = any(kw.get("nargs") == "?" for _, kw in slots)
+    got = {}
+    filled, after_option = 0, False
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if token.startswith("-"):
+            flag = flags.get(token)
+            value = next(tokens, "-")  # a missing value is refused like a flag
+            if flag is None or value.startswith("-"):
+                return None
+            (dest, kw), after_option = flag, True
+        elif filled < len(slots) and not (after_option and loose):
+            (dest, kw), value = slots[filled], token
+            filled += 1
+        else:
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        got[dest] = value
+    for name, kw in params:
+        dest = name.removeprefix("--")
+        if dest not in got:
+            if kw.get("required", not name.startswith("--") and kw.get("nargs") != "?"):
+                return None
+            value = kw.get("default")
+            got[dest] = kw["type"](value) if isinstance(value, str) and "type" in kw else value
+    if len(words) == 2:
+        got["op"] = words[1]
+    return argparse.Namespace(group=words[0], handler=handler, **got)
 
 
 def run(argv: list[str]) -> int:
     """Run one command, print its answer and return its exit code; usage
     errors and ``--help`` raise SystemExit (2 and 0).
 
-    The argparse tree holds the leaves of argv's group only, or of every
-    group when argv does not start with one, so a single command builds no
-    leaf it cannot reach.  Each tree is built on first use and reused by
-    every later call in the process; it holds no answers or per-call state,
-    and each call gets a fresh namespace and fresh contexts.  No package
-    code uses threads, so sharing it needs no lock.
+    A plain argv is read straight off the command table (``_read_plain``)
+    and builds no argparse tree.  Everything else (``--help``, every usage
+    error, option abbreviations, ``--opt=value``) goes to argparse, so its
+    text is argparse's own.  That tree holds the leaves of argv's group
+    only, or of every group when argv does not start with one, so it builds
+    no leaf argv cannot reach.  Each tree is built on first use and reused
+    by every later call in the process; it holds no answers or per-call
+    state, and each call gets a fresh namespace and fresh contexts.  No
+    package code uses threads, so sharing it needs no lock.
     """
-    args = _build_parser(argv[0] if argv and argv[0] in _GROUPS else None).parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv and argv[0] in _GROUPS else None).parse_args(argv)
     try:
         lines, payload, *code = args.handler(args)
     except OrdTowerError as exc:

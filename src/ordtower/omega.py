@@ -322,13 +322,16 @@ class NewLamOrder(LimitOrder):
 
 class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
     """Finite certified superset (the sorted tuple points) of where the
-    orders at lower and upper may disagree.  The constructor normalizes
-    points by ``oset``; ``exception_set`` hands over ``exception_points``'
-    tuple, normalized already, through ``_make``."""
+    orders at lower and upper may disagree.  The constructor refuses lower
+    above upper and normalizes points by ``oset``; ``exception_set`` hands
+    over ``exception_points``' tuple, checked and normalized already,
+    through ``_make``."""
 
     __slots__ = ()
 
     def __new__(cls, lower, upper, points):
+        if _as_ord(lower) > _as_ord(upper):
+            raise DomainError(f"a certificate needs lower <= upper, got {lower}, {upper}")
         return super().__new__(cls, lower, upper, oset(points))
 
     def to_dict(self) -> dict:
@@ -429,11 +432,13 @@ class AAOrders(Orders):
         there or None until ``chain_order`` builds it].  Each stage after
         omega's takes the next fund_seq value above omega and the step's
         exception points (none on a shape-A chain past stage 1, where each
-        is the previous plus 1)."""
+        is the previous plus 1).  A stage past the ceiling is refused before
+        it is built, as listing its block would be."""
         stages = self._chain_orders.get(eta)
         if stages is None:
             stages = self._chain_orders[eta] = [[0, W, (), self._order_at(W)]]
         while len(stages) <= i:  # built in order, each from the one before
+            self._order_at(eta)._check_stage(len(stages))
             n, prev, cert, _ = stages[-1]
             n, alpha = _next_chain_point(eta, W, n - 1)
             step = self.exception_points(prev, alpha)
@@ -492,8 +497,9 @@ class AAOrders(Orders):
         deliberately mismatched orders (negative control); they are read
         through their public ``rank``.  A default order is read through the
         trusted ``_rank``: every candidate lies below cert.lower, which is
-        <= cert.upper in any certificate ``exception_set`` makes (a hand-made
-        one with lower above upper gets the checked ``rank``).  Each candidate
+        <= cert.upper in any certificate the constructor or ``exception_set``
+        makes (one built past both, by ``_make`` or ``_replace``, with lower
+        above upper gets the checked ``rank``).  Each candidate
         is ranked at most once per order, on first use and in the order
         the samples ask, so the orders grow as with a rank per use.  Once
         every candidate has both ranks and no pair disagrees, no later

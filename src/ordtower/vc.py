@@ -140,7 +140,8 @@ def sauer_check(sys_: SetSystemWindow, d: int) -> bool:
     if d < 0:
         raise DomainError(f"dimension must be >= 0, got {d}")
     traces = len(set(sys_.masks))
-    return traces <= sum(comb(sys_.n, i) for i in range(d + 1))
+    # comb(n, i) is 0 for i > n, so a d past n adds nothing
+    return traces <= sum(comb(sys_.n, i) for i in range(min(d, sys_.n) + 1))
 
 
 def shatter_certificate(sys_: SetSystemWindow, a) -> dict:

@@ -11,10 +11,13 @@ import time
 import traceback
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordtower import AAOrders, Tower, cli, parse_ordinal, tower
+from ordtower.verify import SUITES
 
 CMD = [sys.executable, "-m", "ordtower"]
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(*args, **kw):
@@ -739,3 +742,94 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert (code, err) == (0, ""), argv
         if target:
             (tmp_path / target).write_text(out)
+
+
+# Tokens for the plain reader's differential test: values inside and outside
+# the choices, numbers int() reads that look odd, empty and spaced strings;
+# then what the reader must leave to argparse: abbreviations, --opt=value,
+# '--', help, negative numbers and a lone '-'.
+_VALUES = ["0", "1", "5", "40", "99999999999999", "+4", "4_0", "\u0663", " 7 ", "1.5", "",
+           " ", "a b", "w", "w+1", "w*2", "w^2", "0,5", "text", "json", "xml", "al", "all",
+           *SUITES, "rank", "verify"]
+_ODD = ["--al", "--co", "--s", "--out", "--b", "--w", "--count=5", "--alpha=w",
+        "--output=json", "--", "-h", "--help", "-", "-1", "-5", "-w",
+        *sorted({"--" + name for name in cli._OPTIONS} | {"--alpha"})]
+
+
+@st.composite
+def _command_argvs(draw, words):
+    # a plain argv in any arrangement (options repeated at will), then up to
+    # two tokens inserted anywhere and one token perhaps dropped
+    _, positionals, defaults = cli._COMMANDS[words]
+    value = st.sampled_from(_VALUES)
+    units = [[name, draw(value)] if name.startswith("--") else [draw(value)]
+             for name, _ in positionals]
+    units += [["--" + name, draw(value)]
+              for name in draw(st.lists(st.sampled_from(sorted(defaults)), max_size=3))]
+    tokens = [t for unit in draw(st.permutations(units)) for t in unit]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_VALUES + _ODD)))
+    if tokens and draw(st.booleans()):
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return [*words, *tokens]
+
+
+@pytest.mark.parametrize("words", list(cli._COMMANDS), ids=" ".join)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_plain_reader_reads_every_argv_it_takes_as_argparse_does(words, data):
+    argv = data.draw(_command_argvs(words))
+    ours = cli._read_plain(argv)
+    if ours is not None:
+        err, refused = io.StringIO(), None
+        with contextlib.redirect_stderr(err):
+            try:
+                theirs = cli._build_parser(words[0]).parse_args(argv)
+            except SystemExit as exc:
+                refused = exc.code
+        assert refused is None, (argv, err.getvalue())
+        assert vars(ours) == vars(theirs), argv
+
+
+def test_plain_requests_build_no_parser(monkeypatch):
+    # every cli-cold request is read off the command table; help and a usage
+    # error still go through the argparse tree of their group
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    cli._build_parser.cache_clear()
+    for argv in workloads.CLI_REQUESTS:
+        assert _run_in_process(argv)[0] in (0, 1), argv
+    assert cli._build_parser.cache_info().currsize == 0
+    code, out, _ = _run_in_process(["tower", "nth", "--help"])
+    assert (code, cli._build_parser.cache_info().currsize) == (0, 1)
+    assert out.startswith("usage: ordtower tower nth ")
+    code, _, err = _run_in_process(["aa", "nth", "--alpha", "w", "three"])
+    assert (code, cli._build_parser.cache_info().currsize) == (2, 2)
+    assert err.startswith("usage: ordtower aa nth ")
+
+
+_UNDER_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ordtower import cli
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("op", ["exceptions", "verify"])
+@pytest.mark.parametrize("beta", ["w+100000", "w+100000000"])
+def test_a_chain_scan_past_the_stage_ceiling_is_refused_before_it_grows(op, beta):
+    # the certificate walks w*2's chain up to beta a stage at a time; a stage
+    # past the ceiling is refused before it is built, where w+100000000
+    # built stages until a MemoryError
+    r = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "aa", op, beta, "w^2*3+w"],
+                       capture_output=True, text=True, timeout=10)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", _CEILING_AT_W2)
+
+
+def test_sauer_answers_at_any_dimension():
+    # a dimension past the ground's size adds only zero binomials
+    for d in ["1", "99999999999999"]:
+        r = run("vc", "sauer", d, "w*13", timeout=10)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "OK\n", ""), d

@@ -294,10 +294,14 @@ def test_verify_exception_pool_exhaustion(orders):
 
 
 def test_verify_exception_refuses_a_hand_made_certificate_with_lower_above_upper(p):
-    # a default order is read trusted only when every candidate, being below
-    # cert.lower, lies in it; otherwise the checked rank refuses, as it always did
+    # the constructor refuses it; one made past the constructor reaches
+    # verify_exception, whose default order is read trusted only when every
+    # candidate, being below cert.lower, lies in it, else the checked rank refuses
     for upper in ["w*2", "w^2"]:
-        cert = ExceptionCert(lower=p("w^2+w"), upper=p(upper), points=())
+        with pytest.raises(DomainError) as got:
+            ExceptionCert(lower=p("w^2+w"), upper=p(upper), points=())
+        assert str(got.value) == f"a certificate needs lower <= upper, got w^2+w, {upper}"
+        cert = ExceptionCert(lower=W, upper=p(upper), points=())._replace(lower=p("w^2+w"))
         with pytest.raises(DomainError) as got:
             AAOrders().verify_exception(cert, 50, seed=1)
         assert str(got.value) == f"w^2+6 is not below {upper}"
