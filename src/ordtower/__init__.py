@@ -3,9 +3,10 @@
 Arithmetic and literals cover the ordinals below epsilon_0; towers, families
 and omega-orders accept ordinals up to ``tower.CAP`` = w^3 and raise
 ``CapExceededError`` above it.  The one work bound ``CEILING`` (20,000 blocks
-per limit's order, descent steps per enumeration or window draws in a row that
-add no member, then ``IterationCeilingError``) sets the real reach: closed
-sets double per step of w, so the order at w^3 lists only its first 7 points.
+per limit's order, 1,000 at an omega-order whose chain takes a new lam at every
+stage, descent steps per enumeration or window draws in a row that add no
+member, then ``IterationCeilingError``) sets the real reach: closed sets double
+per step of w, so the order at w^3 lists only its first 7 points.
 """
 
 from .errors import (

@@ -296,28 +296,23 @@ _GROUPS = {
 
 
 @functools.cache
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The argparse tree: every group, with the leaves of the group ``only``
-    when it is given, else of all (top-level help and usage errors)."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argparse tree of every command, and its leaf parser per handler."""
     p = argparse.ArgumentParser(prog="ordtower",
                                 description="well-orders, closures and omega-orders on small ordinals")
     groups = p.add_subparsers(dest="group", required=True)
-    ops = {}
+    ops, leaves = {}, {}
     leaf = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
     for (group, *op), (handler, positionals, options) in _COMMANDS.items():
-        if only not in (None, group):
-            if group not in ops:  # for its line in the top-level help
-                ops[group] = groups.add_parser(group, help=_GROUPS[group])
-            continue
         if op and group not in ops:
             g = groups.add_parser(group, help=_GROUPS[group])
             ops[group] = g.add_subparsers(dest="op", required=True)
-        q = (ops[group].add_parser(*op, **leaf) if op
-             else groups.add_parser(group, help=_GROUPS[group], **leaf))
+        q = leaves[handler] = (ops[group].add_parser(*op, **leaf) if op
+                               else groups.add_parser(group, help=_GROUPS[group], **leaf))
         q.set_defaults(handler=handler)
         for name, kw in _arguments(positionals, options):
             q.add_argument(name, **kw)
-    return p
+    return p, leaves
 
 
 def _arguments(positionals, options) -> list:
@@ -396,22 +391,24 @@ def run(argv: list[str]) -> int:
     A plain argv is read straight off the command table (``_read_plain``)
     and builds no argparse tree.  Everything else (``--help``, every usage
     error, option abbreviations, ``--opt=value``) goes to argparse, so its
-    text is argparse's own.  That tree holds the leaves of argv's group
-    only, or of every group when argv does not start with one, so it builds
-    no leaf argv cannot reach.  Each tree is built on first use and reused
-    by every later call in the process; it holds no answers or per-call
-    state, and each call gets a fresh namespace and fresh contexts.  No
-    package code uses threads, so sharing it needs no lock.
+    text is argparse's own; arguments a command does not read are refused
+    under its leaf's usage line, not the top-level one ``parse_args`` gives.
+    The tree is built on first use and reused by every later call in the
+    process; it holds no per-call state.  No package code uses threads, so
+    sharing it needs no lock.
     """
     args = _read_plain(argv)
     if args is None:
-        args = _build_parser(argv[0] if argv and argv[0] in _GROUPS else None).parse_args(argv)
+        parser, leaves = _build_parser()
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            leaves[args.handler].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         lines, payload, *code = args.handler(args)
     except OrdTowerError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # blocks nest once per limit; Python's text moves with call depth
+    except RecursionError:  # w^3 reads nest a level per w^2; Python's text moves with depth
         print("error: ceiling: limit orders nested too deeply", file=sys.stderr)
         return 1
     if getattr(args, "output", "json") == "json":  # vc shatter prints only JSON

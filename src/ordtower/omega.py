@@ -34,9 +34,9 @@ When eta's last exponent is 1 (shape A: eta = lam + w), fund_seq(eta, n)
 order is the canonical one, so no point is an exception against omega,
 and a successor step lam+j to lam+j+1 certifies none.  So o_i is lam's
 order behind a tail, and a ``RunOrder`` reads eta's blocks, ranks,
-points and spans by formula from block 1 on, over two int arrays: lam's
-ranks of the naturals and the stage ends they give.  It builds no chain
-order, and a stage record only when ``exception_points`` scans its chain.
+points and spans by formula in one step from the order below the whole
+run of such limits.  It builds no chain order, and a stage record only
+when ``exception_points`` scans its chain.
 
 Any other limit (last exponent >= 2: w^2*k and w^3) takes a new lam at
 every stage.  A ``NewLamOrder`` lists block i off the kept order o_i, as
@@ -50,9 +50,6 @@ alpha_{k-1} before x.  A read refuses where listing its block would, and
 lists no block: w^2's rank of a natural n builds its chain through stage
 n+1, where listing block n+1 cost time quadratic in n.
 
-Both keep each rank they work out without listing in ``_read``, beside
-``_ranks``'s listed positions, so a repeated read is one dict hit.
-
 Any two of these orders agree off a finite set; ``exception_set``
 returns a certified superset of the disagreement points, composed along
 the same recursion that builds the orders.  Only limit uppers are
@@ -64,15 +61,15 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
 
 from . import tower
 from .errors import DomainError, IterationCeilingError
-from .ordinals import ORD_KEY, ZERO, Ordinal, W, _as_ord, enum_below, fund_seq, ordinal, oset
+from .ordinals import ONE, ORD_KEY, ZERO, Ordinal, W, _as_ord, enum_below, fund_seq, ordinal, oset
 from .rng import Lcg
 from .tower import BlockOrder, OmegaOrder, Orders, _next_chain_point, _steps_by_one
 
 _POOL = 60  # verify_exception samples pairs of this many candidate points
+_STAGES = 1000  # the stage bound of a new-lam chain
 
 
 class CanonicalOmega(OmegaOrder):
@@ -126,16 +123,12 @@ class PatchedOrder(OmegaOrder):
 class LimitOrder(BlockOrder):
     """Block order at a limit eta > omega: a ``RunOrder`` or a
     ``NewLamOrder``, as ``AAOrders._limit_order`` picks by eta's shape.
-    Block 0 is empty; a subclass lists block i >= 1 with ``_block``.
-    ``_ranks`` holds the listed positions only; ``_read`` memoizes the
-    ranks a subclass works out without listing, so each is worked out
-    once.  A memo hit skips no refusal: its read passed every stage check
-    on the way, and stages only grow."""
+    Block 0 is empty; a subclass lists block i >= 1 with ``_block``, and
+    ``_ranks`` holds the listed positions only."""
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
         super().__init__(eta)
         self.ctx = ctx
-        self._read: dict[Ordinal, int] = {}
 
     def _extend(self) -> None:
         i = len(self._ends) - 1
@@ -146,26 +139,25 @@ class LimitOrder(BlockOrder):
 
 
 class RunOrder(LimitOrder):
-    """Order at a shape-A limit eta = lam + w, read by formula from block 1.
+    """Order at a shape-A limit eta = P + w*d, read in one step from its
+    base B, the order at b: P when P > 0, else w*2 (d >= 3) or w (d = 2).
 
-    Stage i >= 1 sits at alpha_i = lam + (i + c), c = 0 at lam = w and -1
-    above it.  With I = lam's order and q(n) = I.rank(n), stage i lists the
-    tail point lam+(i-1+c) when i + c >= 1, then I's positions
-    q(i-1)..q(i)-1, q(0) read as 0 at stage 1; it ends at e(i) = i+c+q(i).
-    Int arrays hold q (``_run_ranks``) and e (``_run_ends``).  So lam+j sits
-    at e(j-c), a natural n at e(n)+1, and any other x < lam at
-    i+c+I.rank(x), i the least stage >= 1 with q(i) > I.rank(x): the C
-    ``bisect_right`` on q, as on e for a position's stage.
+    eta's columns are b, b+w, ..., lam = fund_seq(eta, 0), k of them.  Its
+    order is B with row r, the points b + w*j + r in increasing j, put just
+    before B's natural r-c (c = 0 at w*2, else -1).  With q(n) = B.rank(n),
+    kept in one int array per base (``AAOrders._naturals``):
 
-    I is built on the first read, so building w*k's order nests no frames.
-    A rank read that finds no point listed lists blocks 1..1-c with rank
-    entries, which later reads hit, and ``_span`` reads listed positions
-    from ``_seq``; later blocks are listed only for ``ensure_blocks``.  The
-    rank of an x < lam that is not a natural, the one read that asks I, is
-    kept in ``_read``; naturals and tail points are array reads.  A
-    read grows the arrays exactly through the stage whose end it reads,
-    down the whole chain of run orders, and meets listing's ceiling by
-    arithmetic (``_reach``).
+      * row r starts at q(r-c) + r*k, and b + w*j + r sits j after;
+      * any other x sits at B.rank(x) + k*N, N the naturals n >= -c with
+        q(n) <= B.rank(x), whose rows come before x;
+      * stage i >= 1, block i, ends at e(i) = q(i) + (i+c+1)*k - 1, where
+        lam+(i+c), row i+c's last point, opens stage i+1.
+
+    ``_span`` and ``above`` invert this by bisecting the row starts and
+    stage ends.  A read of stage t reads q through t, and is refused where
+    stage t+k of B is when B is a limit order (``_reach``).  The first rank
+    read lists blocks 1..1-c with rank entries, which later reads hit;
+    later blocks are listed only for ``ensure_blocks``.
     """
 
     def __init__(self, ctx: "AAOrders", eta: Ordinal):
@@ -173,52 +165,50 @@ class RunOrder(LimitOrder):
         self._lam = fund_seq(eta, 0)
         self._c = -(self._lam is not W)
         self._first = 2 - self._c  # blocks 0..1-c hold rank entries
-        self._depth = eta._terms[-1][1]  # d of eta = P + w*d bounds the chain of run orders below
-        self._run_ranks = array("q")  # q(0), q(1), ...
-        self._run_ends = array("q")  # e(0), e(1), ...
+        *head, (_, d) = eta._terms
+        self._head, self._j0 = tuple(head), 0 if head else 1 + (d > 2)  # b = P + w*j0
+        self._k = d - self._j0
+        self._b = Ordinal(self._head or ((ONE, self._j0),))
+        self._base = ctx._order_at(self._b)
+        self._q = ctx._naturals.setdefault(self._b, array("q"))
+        self._shift = self._k if isinstance(self._base, LimitOrder) else 0  # w's has no stages
 
-    @cached_property
-    def _inner(self) -> OmegaOrder:
-        return self.ctx._order_at(self._lam)
-
-    def _block(self, i: int) -> None:
-        q, c = self._run_ranks, self._c
-        self._grown(i)
-        points = [self._lam.plus(i - 1 + c)] if i + c > 0 else []
-        points += self._inner._span(q[i - 1] if i > 1 else 0, q[i])
-        (self.append_block if i < self._first else self.list_block)(points)
-
-    def _grown(self, n: int) -> array:
-        """The stage ends through stage n, and q with them: e(t) needs I's
-        rank of t, which reads I's own stage t and no further.  A new stage
-        within the chain's depth of the ceiling is checked as by ``_reach``."""
-        e = self._run_ends
-        if n < len(e):
-            return e
-        q, inner, c = self._run_ranks, self._inner, self._c
-        runs = type(inner) is RunOrder  # then t sits at e_I(t)+1, read one frame a level
-        for t in range(len(e), n + 1):
-            if t + self._depth >= tower.CEILING:
-                self._reach(t)
-            r = inner._grown(t)[t] + 1 if runs else inner._rank(ordinal(t))
-            q.append(r)
-            e.append(t + c + r)
-        return e
+    def _column(self, j: int) -> Ordinal:
+        j += self._j0
+        return Ordinal(self._head + ((ONE, j),)) if j else self._b
 
     def _reach(self, t: int) -> None:
-        """Refuse stage t as listing would: it needs stage t+j of the order j
-        levels down, so the deepest limit order of the chain refuses first."""
-        o = self
-        while type(o) is RunOrder and isinstance(o._inner, LimitOrder):
-            o, t = o._inner, t + 1
-        o._check_stage(t)
+        (self._base if self._shift else self)._check_stage(t + self._shift)
 
-    def _stage_at(self, k: int) -> int:
-        """The stage holding position k."""
-        e = self._run_ends
-        while not e or e[-1] <= k:
-            self._grown(len(e))
-        return bisect_right(e, k) or 1
+    def _naturals(self, n: int) -> array:
+        """q through n, each new entry's stage checked before B is asked
+        for it; a read checks the stage it reads itself."""
+        q = self._q
+        for t in range(len(q), n + 1):
+            self._reach(t)
+            q.append(self._base._rank(ordinal(t)))
+        return q
+
+    def _end(self, i: int) -> int:
+        return self._q[i] + (i + self._c + 1) * self._k - 1
+
+    def _row(self, r: int) -> int:
+        return self._q[r - self._c] + r * self._k
+
+    def _stage_at(self, p: int, key=None) -> int:
+        """The stage holding position p, the least i >= 1 with e(i) > p, or
+        with key(i) > p for another key increasing with q; read through."""
+        q, key = self._q, key or self._end
+        while len(q) < 2 or key(len(q) - 1) <= p:
+            self._naturals(len(q))
+        i = bisect_right(range(1, len(q)), p, key=key) + 1
+        self._reach(i)
+        return i
+
+    def _block(self, i: int) -> None:
+        self._naturals(i)
+        points = self._span(len(self._seq), self._end(i))
+        (self.append_block if i < self._first else self.list_block)(points)
 
     def _rank(self, x: Ordinal) -> int:
         got = self._ranks.get(x)
@@ -226,51 +216,46 @@ class RunOrder(LimitOrder):
             return got
         if not self._ranks:  # nothing listed yet
             self.ensure_blocks(self._first)
-        c, ts = self._c, x._terms
-        if not ts or ts[0][0] is ZERO:  # n at e(n)+1, after stage n+1's tail point
-            j, after = ts[0][1] if ts else 0, 1
-        elif x._key >= self._lam._key:  # the tail point lam+m at e(m-c), opening stage m-c+1
-            j, after = x.split()[1] - c, 0
-        else:  # I's rank comes first, so a ceiling met there names I, as listing would
-            got = self._read.get(x)
-            if got is None:
-                qx = self._inner._rank(x)
-                q = self._run_ranks
-                while q[-1] <= qx:  # until the least i with q(i) > qx is held
-                    self._grown(len(q))
-                got = self._read[x] = (bisect_right(q, qx) or 1) + c + qx
-            return got
-        if j + 1 + self._depth >= tower.CEILING:
-            self._reach(j + 1)
-        return self._grown(j)[j] + after
+        c, k, ts = self._c, self._k, x._terms
+        if not ts or ts[0][0] is ZERO:  # n, in stage n+1 after row n+c
+            n = ts[0][1] if ts else 0
+            self._reach(n + 1)
+            return self._naturals(n)[n] + (n + 1 + c) * k
+        if x._key >= self._b._key:  # b + w*j + r in row r: stage r-c, or r-c+1 at lam
+            top, r = x.split()
+            e, j = top._terms[-1]  # j = j0 + the column's index, when e is 1
+            self._reach(r - c + (top is self._lam))
+            return self._naturals(r - c)[r - c] + r * k + (j if e is ONE else 0) - self._j0
+        rb = self._base._rank(x)  # B's refusals come first, as listing meets them
+        return rb + (self._stage_at(rb, self._q.__getitem__) - 1) * k  # N rows before x
 
     def _nth(self, k: int) -> Ordinal:
         return self._span(k, k + 1)[0]
 
     def _span(self, a: int, b: int) -> list[Ordinal]:
-        # past the listed points, stage by stage: its tail point, then a span
-        # of I, one frame deeper
+        # past the listed points, row by row: B's points between rows r and
+        # r+1 are B's q(r-c)..q(r+1-c)-1, shifted by (r+1)*k
         got = self._seq[a:b]
-        k = max(a, len(self._seq))
-        if k < b:
-            inner, e, c = self._inner, self._run_ends, self._c
+        p = max(a, len(self._seq))
+        if p < b:
+            k = self._k
             self._stage_at(b - 1)
-            i = self._stage_at(k)
-            while k < b:
-                if k == e[i - 1] and i + c > 0:
-                    got.append(self._lam.plus(i - 1 + c))
-                    k += 1
-                end = min(b, e[i])
-                if k < end:
-                    got += inner._span(k - i - c, end - i - c)
-                    k = end
-                i += 1
+            r = bisect_right(range(len(self._q) + self._c), p, key=self._row) - 1
+            while p < b:
+                if r >= 0 and p < (start := self._row(r)) + k:  # in row r
+                    end = min(b, start + k)
+                    got += [self._column(j).plus(r) for j in range(p - start, end - start)]
+                else:
+                    end = min(b, self._row(r + 1))
+                    got += self._base._span(p - (r + 1) * k, end - (r + 1) * k)
+                    r += 1
+                p = end
         return got
 
     def above(self, beta: Ordinal, r: int) -> list[Ordinal]:
         if beta is not self._lam:
             return super().above(beta, r)
-        # those >= lam are the tail points, one a stage from stage 1-c on
+        # those >= lam are its column's points, one a stage from stage 1-c on
         return list(map(beta.plus, range(self._stage_at(r - 1) + self._c))) if r else []
 
 
@@ -279,7 +264,20 @@ class NewLamOrder(LimitOrder):
     chain takes a new lam at every stage.  Block i is listed off the kept
     adjusted order o_i, and an unlisted point's rank is read off the chain
     (``_chain_rank``, by the rule in the module docstring) with no block
-    listed, once: ``_read`` keeps it."""
+    listed, once: ``_read`` keeps it, so a repeat is one dict hit.  A hit
+    skips no refusal: its read passed every stage check on the way, and
+    stages only grow.  Stage k's kept order rewrites k+1 points, so the
+    chain stops at stage ``_STAGES``, below the ceiling."""
+
+    def __init__(self, ctx: "AAOrders", eta: Ordinal):
+        super().__init__(ctx, eta)
+        self._read: dict[Ordinal, int] = {}
+
+    def _check_stage(self, i: int) -> None:
+        if i >= _STAGES and _STAGES < tower.CEILING:  # else the ceiling is the one named
+            raise IterationCeilingError(
+                f"block construction at {self.eta} exceeded {_STAGES} stages")
+        super()._check_stage(i)
 
     def _block(self, i: int) -> None:
         # the points >= alpha_{i-1} before i-1, then those from i-1 to i
@@ -330,8 +328,7 @@ class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
     __slots__ = ()
 
     def __new__(cls, lower, upper, points):
-        if _as_ord(lower) > _as_ord(upper):
-            raise DomainError(f"a certificate needs lower <= upper, got {lower}, {upper}")
+        _ordered(lower, upper)
         return super().__new__(cls, lower, upper, oset(points))
 
     def to_dict(self) -> dict:
@@ -340,6 +337,11 @@ class ExceptionCert(namedtuple("ExceptionCert", "lower upper points")):
             "upper": str(self.upper),
             "points": [str(p) for p in self.points],
         }
+
+
+def _ordered(lower, upper) -> None:
+    if _as_ord(lower) > _as_ord(upper):
+        raise DomainError(f"a certificate needs lower <= upper, got {lower}, {upper}")
 
 
 class VerifyResult(namedtuple("VerifyResult", "ok witness", defaults=(None,))):
@@ -402,6 +404,7 @@ class AAOrders(Orders):
         # per limit eta, its adjusted chain's stages 0, 1, ... (see _stage)
         self._chain_orders: dict[Ordinal, list[list]] = {}
         self._exc: dict[tuple[Ordinal, Ordinal], tuple[Ordinal, ...]] = {}  # limit uppers only
+        self._naturals: dict[Ordinal, array] = {}  # per run-order base, its ranks of 0, 1, ...
 
     def _check(self, alpha) -> Ordinal:
         alpha = super()._check(alpha)
@@ -494,24 +497,21 @@ class AAOrders(Orders):
                          upper_order: OmegaOrder | None = None) -> VerifyResult:
         """Sampled check of the defining property: orders agree on pairs
         outside the certificate points.  Order overrides let callers probe
-        deliberately mismatched orders (negative control); they are read
-        through their public ``rank``.  A default order is read through the
-        trusted ``_rank``: every candidate lies below cert.lower, which is
-        <= cert.upper in any certificate the constructor or ``exception_set``
-        makes (one built past both, by ``_make`` or ``_replace``, with lower
-        above upper gets the checked ``rank``).  Each candidate
-        is ranked at most once per order, on first use and in the order
-        the samples ask, so the orders grow as with a rank per use.  Once
-        every candidate has both ranks and no pair disagrees, no later
-        sample can, so the check ends there, at any sample count.  Ranking
-        the whole pool up front leaves verify's output as it is, but at
-        upper w^3 a call with 0 or 1 samples then recurses past the frame
-        limit where ranking lazily answers."""
+        deliberately mismatched orders (negative control) through their
+        public ``rank``.  A certificate made past the constructor with lower
+        above upper is refused as the constructor refuses it, so every
+        candidate, below cert.lower, lies in both default orders, read
+        through the trusted ``_rank``.  Each candidate is ranked at most
+        once per order, when a sample first asks, so the orders grow as
+        with a rank per use; once every candidate has both ranks and no
+        pair disagrees, the check ends, at any sample count.  Ranking the
+        whole pool up front keeps verify's output, but at upper w^3 a call
+        with 0 or 1 samples then recurses past the frame limit."""
+        _ordered(cert.lower, cert.upper)
         if samples < 0:
             raise DomainError(f"sample count must be >= 0, got {samples}")
         lo = lower_order.rank if lower_order is not None else self.order(cert.lower)._rank
-        hi = upper_order if upper_order is not None else self.order(cert.upper)
-        hi = hi._rank if upper_order is None and _as_ord(cert.lower) <= hi.bound else hi.rank
+        hi = upper_order.rank if upper_order is not None else self.order(cert.upper)._rank
         excl = set(cert.points)
         rng = Lcg(seed)
         # scan a bounded window of the enumeration for usable sample points;

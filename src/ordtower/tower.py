@@ -201,7 +201,7 @@ class BlockOrder(OmegaOrder):
 
     def _check_stage(self, i: int) -> None:
         """Refuse stage i unless i < ``CEILING``: the one stage ceiling of
-        every block construction."""
+        every block construction (a subclass may stop sooner)."""
         if i >= CEILING:
             raise IterationCeilingError(
                 f"block construction at {self.eta} exceeded {CEILING} stages")

@@ -462,25 +462,6 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_a_command_builds_only_its_groups_leaves(monkeypatch):
-    # each group's tree lists all six groups in the top-level help, and
-    # leaves under its own group only
-    monkeypatch.setenv("COLUMNS", "80")
-    full = cli._build_parser()
-
-    def groups(tree):
-        return tree._subparsers._group_actions[0].choices
-
-    for name in cli._GROUPS:
-        tree = cli._build_parser(name)
-        assert tree.format_help() == full.format_help()
-        for other, parser in groups(tree).items():
-            if other == name:
-                assert parser.format_help() == groups(full)[other].format_help()
-            else:
-                assert parser.get_default("handler") is None and parser._subparsers is None
-
-
 def test_closed_stdout_ends_quietly():
     # the listing is far past a pipe buffer, so the write after close fails
     p = subprocess.Popen(CMD + ["ord", "enum", "w^2", "--count", "100000"],
@@ -492,22 +473,24 @@ def test_closed_stdout_ends_quietly():
     assert "Traceback" not in err
 
 
-def test_deep_limit_chain_ends_in_a_ceiling_error():
-    # this rank lists stages of w^2's order up to about 500, and stage k
-    # reads the order at w*k through a frame per k; a low frame limit makes
-    # that too deep within a second
+@pytest.mark.parametrize("argv, want", [
+    ("aa rank --alpha w*980 5", "4901"),
+    ("aa rank --alpha w*19000 5", "95001"),
+    ("aa rank --alpha w^2+w 500", "251501"),
+])
+def test_deep_run_reads_answer_under_a_low_frame_limit(argv, want):
+    # a run order reads in one step from its base, so a read at w*k nests no
+    # frame per column, and w^2's chain asks each of its run orders once:
+    # under a 200-frame limit these answer as under any other.  Read through
+    # a frame per column, w*980 ran out of frames under the default limit on
+    # Python 3.10 and 3.11, and w^2+w 500 under any limit this low
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(traceback.extract_stack()) + 150)
+    sys.setrecursionlimit(200)
     try:
-        code, out, err = _run_in_process(["aa", "rank", "--alpha", "w^2+w", "500"])
+        got = _run_in_process(argv.split())
     finally:
         sys.setrecursionlimit(old)
-    assert sys.getrecursionlimit() == old
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ceiling: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    # with the usual limit the same process answers a shallower rank
-    assert _run_in_process(["aa", "rank", "--alpha", "w^2+w", "20"]) == (0, "461\n", "")
+    assert got == (0, want + "\n", "")
 
 
 @pytest.mark.parametrize("point, want", [
@@ -527,10 +510,12 @@ def _run_nested(depth, argv):
     return _run_nested(depth - 1, argv) if depth else _run_in_process(argv)
 
 
-@pytest.mark.parametrize("argv", ["aa nth --alpha w*400 3", "aa rank --alpha w*500 5"])
+@pytest.mark.parametrize("argv", ["aa nth --alpha w^3 27061", "aa rank --alpha w^3 w^2*30"])
 def test_frame_limit_line_does_not_depend_on_the_callers_depth(argv):
-    # Python's RecursionError text names the operation where the limit trips,
-    # which changes with the frames the caller already holds
+    # a read at w^3 still nests a few frames per new-lam level below it:
+    # w^2*30, at position 27061, needs about 200.  Python's RecursionError
+    # text names the operation where the limit trips, which changes with the
+    # frames the caller already holds
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(traceback.extract_stack()) + 150)
     try:
@@ -541,10 +526,8 @@ def test_frame_limit_line_does_not_depend_on_the_callers_depth(argv):
 
 
 def test_a_rank_at_w_900_answers_in_a_fresh_interpreter():
-    # a natural's rank at w*k reads the stage ends of the k-1 run orders
-    # below it, one frame a level, and each builds lam's order on its first
-    # read, so w*900 fits Python's default frame limit; listing each
-    # order's first stages off the chain met that limit from w*335 on
+    # a natural's rank at w*k is read off w*2's ranks of the naturals, with
+    # no order built between w*2 and w*k
     r = subprocess.run([sys.executable, "-m", "ordtower", "aa", "rank", "--alpha", "w*900", "5"],
                        capture_output=True, text=True, timeout=60)
     assert (r.returncode, r.stdout, r.stderr) == (0, "4501\n", "")
@@ -621,13 +604,14 @@ aa nth --alpha w^2+w*3 {}           409: -/w*19+15 -/w*19+16 -/w*19+17 -/w^2+17 
     "aa rank --alpha w^2+w*3 w^2+w*2+19996",
 ])
 def test_a_read_past_a_listed_orders_ceiling_is_refused_at_once(argv):
-    # listing the stage these points end needs w^2's block 20,000, so the
-    # read is refused by arithmetic; listing w^2 block by block to find out
-    # would take over 10 s and 400 MB and meet the frame limit first
+    # listing the stage these points end needs w^2's block 20,000, past its
+    # new-lam chain's bound of 1,000 stages, so the read is refused by
+    # arithmetic; listing w^2 block by block to find out would take over
+    # 10 s and 400 MB
     start = time.perf_counter()
     got = _run_in_process(argv.split())
     assert time.perf_counter() - start < 2
-    assert got == (1, "", "error: ceiling: block construction at w^2 exceeded 20000 stages\n")
+    assert got == (1, "", "error: ceiling: block construction at w^2 exceeded 1000 stages\n")
 
 
 def test_run_phase_reads_stop_where_listing_does_at_a_lowered_ceiling(monkeypatch):
@@ -716,14 +700,14 @@ def test_every_command_has_help():
 
 
 def test_options_a_command_does_not_read_are_usage_errors():
-    parser = cli._build_parser()
+    parser, _ = cli._build_parser()
     for words, (_, positionals, options) in cli._COMMANDS.items():
         argv = _sample_argv(words, positionals)
         parser.parse_args(argv)  # the argv is valid without the extra option
         for name in cli._OPTIONS.keys() - options.keys():
             code, out, err = _run_in_process([*argv, "--" + name, "1"])
             assert (code, out) == (2, ""), (words, name)
-            assert err.startswith("usage: ordtower "), (words, name)
+            assert err.startswith(f"usage: ordtower {' '.join(words)} "), (words, name)
             assert f"unrecognized arguments: --{name} 1" in err, (words, name)
 
 
@@ -784,7 +768,7 @@ def test_the_plain_reader_reads_every_argv_it_takes_as_argparse_does(words, data
         err, refused = io.StringIO(), None
         with contextlib.redirect_stderr(err):
             try:
-                theirs = cli._build_parser(words[0]).parse_args(argv)
+                theirs = cli._build_parser()[0].parse_args(argv)
             except SystemExit as exc:
                 refused = exc.code
         assert refused is None, (argv, err.getvalue())
@@ -793,7 +777,7 @@ def test_the_plain_reader_reads_every_argv_it_takes_as_argparse_does(words, data
 
 def test_plain_requests_build_no_parser(monkeypatch):
     # every cli-cold request is read off the command table; help and a usage
-    # error still go through the argparse tree of their group
+    # error still go through the one argparse tree, built once
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
@@ -805,8 +789,21 @@ def test_plain_requests_build_no_parser(monkeypatch):
     assert (code, cli._build_parser.cache_info().currsize) == (0, 1)
     assert out.startswith("usage: ordtower tower nth ")
     code, _, err = _run_in_process(["aa", "nth", "--alpha", "w", "three"])
-    assert (code, cli._build_parser.cache_info().currsize) == (2, 2)
+    assert (code, cli._build_parser.cache_info().currsize) == (2, 1)
     assert err.startswith("usage: ordtower aa nth ")
+
+
+@pytest.mark.parametrize("argv, leaf, extras", [
+    ("aa nth --alpha w --k 3", "aa nth", "--k"),
+    ("verify all --count 5", "verify", "--count 5"),
+    ("ord cmp 1 2 3", "ord cmp", "3"),
+])
+def test_unread_arguments_are_refused_under_the_leafs_usage(argv, leaf, extras):
+    # the usage line lists what the command does read
+    code, out, err = _run_in_process(argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: ordtower {leaf} ")
+    assert err.endswith(f"ordtower {leaf}: error: unrecognized arguments: {extras}\n")
 
 
 _UNDER_1_GIB = """
@@ -826,6 +823,23 @@ def test_a_chain_scan_past_the_stage_ceiling_is_refused_before_it_grows(op, beta
     r = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "aa", op, beta, "w^2*3+w"],
                        capture_output=True, text=True, timeout=10)
     assert (r.returncode, r.stdout, r.stderr) == (1, "", _CEILING_AT_W2)
+
+
+@pytest.mark.parametrize("argv, order, stages", [
+    ("aa rank --alpha w^2 5000", "w^2", 1000),
+    ("aa rank --alpha w^2+w w^2+19996", "w^2", 1000),
+    ("aa rank --alpha w*99999999 5", "w*2", 20000),
+])
+def test_runaway_reads_are_refused_at_once(argv, order, stages):
+    # a new-lam chain stops at its fixed stage bound, and a run read at a
+    # stage that its base refuses reads nothing first.  These once ran for
+    # minutes, ran out of frames or ended in a MemoryError
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, *argv.split()],
+                       capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1, "", f"error: ceiling: block construction at {order} exceeded {stages} stages\n")
 
 
 def test_sauer_answers_at_any_dimension():

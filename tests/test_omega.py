@@ -294,17 +294,19 @@ def test_verify_exception_pool_exhaustion(orders):
 
 
 def test_verify_exception_refuses_a_hand_made_certificate_with_lower_above_upper(p):
-    # the constructor refuses it; one made past the constructor reaches
-    # verify_exception, whose default order is read trusted only when every
-    # candidate, being below cert.lower, lies in it, else the checked rank refuses
+    # the constructor refuses it, and verify_exception refuses one made past
+    # the constructor with the same line before it reads any order, so its
+    # default orders can be read trusted
     for upper in ["w*2", "w^2"]:
         with pytest.raises(DomainError) as got:
             ExceptionCert(lower=p("w^2+w"), upper=p(upper), points=())
         assert str(got.value) == f"a certificate needs lower <= upper, got w^2+w, {upper}"
         cert = ExceptionCert(lower=W, upper=p(upper), points=())._replace(lower=p("w^2+w"))
+        orders = AAOrders()
         with pytest.raises(DomainError) as got:
-            AAOrders().verify_exception(cert, 50, seed=1)
-        assert str(got.value) == f"w^2+6 is not below {upper}"
+            orders.verify_exception(cert, 50, seed=1)
+        assert str(got.value) == f"a certificate needs lower <= upper, got w^2+w, {upper}"
+        assert orders._orders.keys() == {W}
 
 
 def test_cert_json_roundtrip(orders, p):
@@ -605,16 +607,18 @@ def test_run_ranks_match_filter_positions(p):
     assert len(runs) > 10
     for o in runs:  # a rank read lists only while nothing is listed, through block 1-c
         assert len(o._ends) - 1 <= o._first <= 3
-        q = list(o._run_ranks)  # bisected by _rank; the ends by _stage_at
-        assert q == [o._inner.rank(ordinal(n)) for n in range(len(q))]
-        assert list(o._run_ends) == [n + o._c + r for n, r in enumerate(q)]
+        q = list(o._q)  # the base's ranks of the naturals, bisected by _rank and _stage_at
+        assert q == [o._base.rank(ordinal(n)) for n in range(len(q))]
         assert all(a < b for a, b in zip(q, q[1:]))
+    # one array per base, read by every run order over it
+    assert orders._naturals.keys() == {W, *map(p, ["w*2", "w^2", "w^2*2", "w^2*3"])}
     # past the reference's blocks: rank and nth invert each other
     for eta in limits:
         o = orders.order(eta)
         far = [enum_below(eta, i) for i in range(0, 400, 5)]
         if isinstance(o, omega.RunOrder):
-            far += [*o._inner.prefix(400), *map(o._lam.plus, range(0, 200, 7))]
+            far += [*o._base.prefix(400),
+                    *(o._column(j).plus(r) for j in range(o._k) for r in range(0, 200, 7))]
         assert [o.nth(o.rank(x)) for x in far] == far
         top = o.rank(far[-1])
         assert [o.rank(o.nth(k)) for k in range(top, top + 300)] == list(range(top, top + 300))
@@ -706,8 +710,9 @@ def test_aa_suite_keeps_under_4_2_mib():
 
 def test_aa_suite_rank_work_and_growth_are_pinned(monkeypatch):
     # the aa suite at seed 1 on a fresh context, counted since its wall time
-    # is noisy: with the _read memos it makes 24,508 RunOrder._rank and 211
-    # chain_order calls (43,753 and 693 without), and grows the same orders
+    # is noisy: read in one step from a base, it makes 17,568 RunOrder._rank
+    # calls (24,508 through a chain of run orders, 43,753 with no rank memo)
+    # and 211 chain_order calls (693 with no memo), and grows the same orders
     calls = {"rank": 0, "chain": 0, "adjust": 0}
 
     def counted(fn, key):
@@ -722,9 +727,12 @@ def test_aa_suite_rank_work_and_growth_are_pinned(monkeypatch):
     ctx = AAOrders()
     for check in verify.SUITES["aa"]:
         assert check(verify.VerifyConfig(seed=1), ctx).passed
-    assert calls["rank"] <= 26_000 and calls["chain"] <= 250
+    assert calls["rank"] <= 18_000 and calls["chain"] <= 250
     assert sum(_limit_lengths(ctx).values()) == 5711
-    assert sum(len(o._run_ends) for o in _run_orders(ctx)) == 7072
+    # the bases' ranks of the naturals: 7,072 stage ends when each run order
+    # kept its own
+    assert {eta: len(q) for eta, q in ctx._naturals.items()} == {
+        W: 102, parse_ordinal("w*2"): 77, parse_ordinal("w^2"): 77}
     assert sum(map(len, ctx._chain_orders.values())) == 370
     assert calls["adjust"] == 78
     assert (len(ctx._orders), len(ctx._exc)) == (192, 473)
@@ -743,10 +751,11 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     # first read)
     assert sum(len(o._ends) - 1 for o in limits) == 66
     assert sum(len(o._seq) for o in limits) == 563
-    # only blocks 1..1-c of a run order are listed with rank entries; its
-    # stage ends are memo ints
+    # only blocks 1..1-c of a run order are listed with rank entries; the
+    # rest is read off the bases' ranks of the naturals, 32 each at w and
+    # w*2 (1,024 stage ends when each run order kept its own)
     assert sum(len(o._ranks) for o in limits) == 563
-    assert sum(len(o._run_ends) for o in _run_orders(orders)) == 1024
+    assert {eta: len(q) for eta, q in orders._naturals.items()} == {W: 32, p("w*2"): 32}
     # a run order builds no chain order: 34 memoized orders (66 when its
     # first stages were read off the chain)
     assert len(orders._orders) == 34
@@ -757,23 +766,26 @@ def test_limit_orders_build_only_what_a_certificate_needs(p):
     ("w^2+w*3", ["w^2+w*3", "w^2+w*2", "w^2+w"], "w^2"),
 ])
 def test_run_phase_reads_grow_exactly_the_stage_they_read(p, eta, chain, base):
-    # a natural n sits at e(n)+1, just after stage n+1's tail point, and the
-    # tail point lam+(t+c) at e(t); so each read needs stage n or t of every
-    # run order down the chain and, in a new-lam base, the rank of that
-    # natural, n or t, read off the base's adjusted chain at stage n+1 or t+1.
-    # Growing one stage more per level would show here.
+    # a natural n sits just after row n+c, in stage n+1, and lam+(t+c) opens
+    # stage t+1, ending stage t at e(t); so each read needs the base's ranks
+    # of the naturals through n or t, read at w*2 or, at a new-lam base, off
+    # its adjusted chain at stage n+1 or t+1.  No order down the chain
+    # between eta and its base is built.  Reading one natural more would
+    # show here
     orders = AAOrders()
     o = orders.order(p(eta))
-    runs, reach = [orders.order(p(name)) for name in chain], 0
+    q, reach = orders._naturals[p(base or "w*2")], 0
     for n, read in [(40, "natural"), (55, "tail"), (30, "natural"), (70, "tail")]:
-        x = ordinal(n) if read == "natural" else o._inner.bound.plus(n + o._c)
-        assert o.rank(x) == o._run_ends[n] + (read == "natural")
+        x = ordinal(n) if read == "natural" else o._lam.plus(n + o._c)
+        assert o.rank(x) == o._end(n) + (read == "natural")
         reach = max(reach, n)
-        assert [len(r._run_ends) for r in runs] == [reach + 1] * len(runs)
-        if base is not None:  # listed only as far as the first stage over it needs
+        assert len(q) == reach + 1
+        if base is not None:  # listed only as far as the first stages over it need
             assert len(orders.order(p(base))._ends) - 1 == 4
             stages = orders._chain_orders[p(base)]
             assert [s[3] is not None for s in stages] == [True] * (reach + 2)
+    built = [name for name in chain if p(name) in orders._orders]
+    assert built == [eta] + ([] if base else ["w*2"])
 
 
 _MEMO_LIMITS = ([f"w*{k}" for k in range(2, 13)] + [f"w^2+w*{k}" for k in range(1, 13)]
@@ -781,17 +793,18 @@ _MEMO_LIMITS = ([f"w*{k}" for k in range(2, 13)] + [f"w^2+w*{k}" for k in range(
 
 
 def _growth(ctx):
-    # listed points per limit order, stage ends per run order, and each
+    # listed points per limit order, the naturals ranked per base, and each
     # chain's stages with which of them hold a built order
-    return (_limit_lengths(ctx), {o.eta: len(o._run_ends) for o in _run_orders(ctx)},
+    return (_limit_lengths(ctx), {eta: len(q) for eta, q in ctx._naturals.items()},
             {eta: [s[3] is not None for s in stages] for eta, stages in ctx._chain_orders.items()})
 
 
 def test_rank_memo_changes_no_answer_and_no_growth(p):
     # run orders at w*k, w^2+w*k, w^2*2+w*k and the new-lam orders at w^2,
     # w^2*2, w^3, read in a seeded random order with repeats: a rank read a
-    # second time off _read equals the same read on a fresh context, and the
-    # orders grow exactly as on a twin that reads each point once
+    # second time, off a run order's listed rank entries or a new-lam order's
+    # _read, equals the same read on a fresh context, and the orders grow
+    # exactly as on a twin that reads each point once
     rng = random.Random(40)
     reads = [(eta, enum_below(eta, rng.randrange(60)))
              for eta in map(p, _MEMO_LIMITS) for _ in range(6)]
@@ -806,14 +819,15 @@ def test_rank_memo_changes_no_answer_and_no_growth(p):
         twin.rank(eta, x)
     assert _growth(orders) == _growth(twin)
     # both kinds of limit order kept some reads
-    kept = {type(o) for o in orders._orders.values() if getattr(o, "_read", None)}
+    kept = {type(o) for o in orders._orders.values()
+            if isinstance(o, omega.LimitOrder) and getattr(o, "_read", o._ranks)}
     assert kept == {omega.RunOrder, omega.NewLamOrder}
 
 
 def test_a_repeated_rank_below_w2_asks_no_order_below_the_top(p, monkeypatch):
-    # a first rank at w^2+w*12 of a point below w^2 asks each run order down
-    # to w^2+w, then w^2's chain, whose stages ask the run orders below w^2;
-    # a repeat is one hit in the top order's _read
+    # a first rank at w^2+w*12 of a point below w^2 asks w^2's order, whose
+    # chain stages ask the run orders below w^2, and no run order between
+    # w^2 and the top; a repeat is one hit in w^2's _read
     calls = []
     rank = omega.RunOrder._rank
 
@@ -824,10 +838,35 @@ def test_a_repeated_rank_below_w2_asks_no_order_below_the_top(p, monkeypatch):
     monkeypatch.setattr(omega.RunOrder, "_rank", counted)
     orders, top, x = AAOrders(), p("w^2+w*12"), p("w*3+2")
     first = orders.rank(top, x)
-    assert {p(f"w^2+w*{k}") for k in range(1, 13)} <= set(calls)
+    assert calls[0] == top and not {p(f"w^2+w*{k}") for k in range(1, 12)} & set(calls)
     calls.clear()
     assert orders.rank(top, x) == first
     assert calls == [top]
+
+
+@pytest.mark.parametrize("eta, base, xs", [
+    ("w*40", "w*2", ["7", "w+3", "w*17+5", "w*39+2"]),
+    ("w^2+w*12", "w^2", ["7", "w*3+2", "w^2+4", "w^2+w*5+1", "w^2+w*11+3"]),
+])
+def test_a_first_run_read_builds_no_order_between_it_and_its_base(p, eta, base, xs):
+    # a run order reads in one step from its base, so a first read at eta
+    # builds eta's order and its base's, and no order strictly between
+    # them: none at w*3..w*39, none at w^2+w..w^2+w*11
+    eta, base = p(eta), p(base)
+    between = {p(f"w^2+w*{k}") if base == p("w^2") else p(f"w*{k}") for k in range(1, 40)}
+    between = {alpha for alpha in between if base < alpha < eta}
+    assert len(between) == {"w*2": 37, "w^2": 11}[str(base)]
+    listed = [x for b in AAOrders().limit_blocks(eta, 30) for x in b]
+    for x in map(p, xs):
+        orders = AAOrders()
+        got = orders.rank(eta, x)
+        assert {eta, base} <= orders._orders.keys()
+        assert not between & orders._orders.keys(), str(x)
+        if x in listed:
+            assert got == listed.index(x)
+    fresh = AAOrders()
+    assert [fresh.rank(eta, x) for x in listed] == list(range(len(listed)))
+    assert not between & fresh._orders.keys()
 
 
 def test_contexts_keep_the_fields_the_bench_tracer_reads():
